@@ -31,14 +31,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
-from .core import BscanRecord, ClassLabel, PairRecord, Task, confusion_from_predictions
+from .core import ClassLabel, Dataset, Task, confusion_from_predictions
 from .datagen import GenConfig, gen_t1_pairs, gen_t2_volumes
 from .ensemble import (
     BscanPrediction,
@@ -89,10 +89,6 @@ METRIC_COLUMNS = (
 # --- small formatting and io helpers ---------------------------------------------
 
 
-def _fmt_feature(v: float) -> str:
-    return repr(float(v))
-
-
 def _fmt_prob(v: float) -> str:
     return f"{float(v):.9f}"
 
@@ -108,7 +104,7 @@ def _atomic_write_text(path: str | os.PathLike, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_csv(path: str | os.PathLike, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
+def _write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -279,42 +275,29 @@ def _build_gen_config(values: dict, seed_override: int | None) -> tuple[Task, Ge
     return task, cfg
 
 
+# Config keys named differently from the dataclass field they set; every
+# other key of TRAIN_SCHEMA is a field name of TrainConfig, LossConfig or
+# OptimizerConfig, and fields absent from the config keep their defaults.
+_FIELD_OF_KEY = {"loss": "loss_kind", "optimizer": "kind", "adam_eps": "eps"}
+
+
 def _build_train_config(values: dict, args) -> tuple[TrainConfig, int, float]:
-    task = _parse_task(str(args.task or values.get("task", "t2")))
-    loss_kind = str(args.loss or values.get("loss", "combined"))
-    seed = args.seed if args.seed is not None else int(values.get("seed", 0))
-    loss_cfg = LossConfig(
-        alpha=float(values.get("alpha", 1.0)),
-        gamma=float(values.get("gamma", 2.0)),
-        focal_weight=float(values.get("focal_weight", 1.0)),
-        emd_weight=float(values.get("emd_weight", 1.0)),
-        epsilon=float(values.get("epsilon", 1e-12)),
-    )
-    opt_cfg = OptimizerConfig(
-        kind=str(values.get("optimizer", "adam")),
-        beta1=float(values.get("beta1", 0.9)),
-        beta2=float(values.get("beta2", 0.999)),
-        eps=float(values.get("adam_eps", 1e-8)),
-        weight_decay=float(values.get("weight_decay", 0.0)),
-    )
+    task = _parse_task(str(args.task or values.get("task", TrainConfig.task.value)))
+    given = {_FIELD_OF_KEY.get(key, key): value for key, value in values.items()}
+    given["task"] = task
+    given.setdefault("head_dims", (32, task.n_classes))  # the head's output follows the task
+    if args.loss:
+        given["loss_kind"] = args.loss
+    if args.seed is not None:
+        given["seed"] = args.seed
+
+    def kwargs(cls) -> dict:
+        return {f.name: given[f.name] for f in fields(cls) if f.name in given}
+
     cfg = TrainConfig(
-        task=task,
-        loss_kind=loss_kind,
-        loss=loss_cfg,
-        encoder_dims=tuple(values.get("encoder_dims", (16, 32))),
-        head_dims=tuple(values.get("head_dims", (32, task.n_classes))),
-        dropout=float(values.get("dropout", 0.0)),
-        epochs=int(values.get("epochs", 30)),
-        warmup_epochs=int(values.get("warmup_epochs", 0)),
-        lr=float(values.get("lr", 1e-3)),
-        lr_decay=float(values.get("lr_decay", 0.97)),
-        batch_size=int(values.get("batch_size", 32)),
-        seed=seed,
-        balanced_batches=bool(values.get("balanced_batches", False)),
-        undersample_majority=float(values.get("undersample_majority", 0.0)),
-        optimizer=opt_cfg,
-        early_stop_patience=int(values.get("early_stop_patience", 0)),
-        freeze_head_epochs=int(values.get("freeze_head_epochs", 0)),
+        **kwargs(TrainConfig),
+        loss=LossConfig(**kwargs(LossConfig)),
+        optimizer=OptimizerConfig(**kwargs(OptimizerConfig)),
     )
     folds = args.folds if args.folds is not None else int(values.get("folds", 0))
     if folds < 0 or folds == 1:
@@ -328,97 +311,84 @@ def _build_train_config(values: dict, args) -> tuple[TrainConfig, int, float]:
 # --- dataset CSV schemas ------------------------------------------------------------
 
 
-def _t2_dataset_header(dim: int) -> list[str]:
-    return ["case_id", "patient_id", "visit_id", "volume_id", "bscan_index", "label"] + [
-        f"f{i}" for i in range(dim)
-    ]
-
-
-def _t1_dataset_header(dim: int) -> list[str]:
+def _dataset_header(task: Task, dim: int) -> list[str]:
+    if task is Task.T2:
+        return ["case_id", "patient_id", "visit_id", "volume_id", "bscan_index", "label"] + [
+            f"f{i}" for i in range(dim)
+        ]
     return ["case_id", "patient_id", "label"] + [f"a{i}" for i in range(dim)] + [
         f"b{i}" for i in range(dim)
     ]
 
 
-def write_dataset_csv(path: str | os.PathLike, task: Task, records: Sequence) -> None:
-    if task is Task.T2:
-        dim = records[0].features.shape[0]
-        rows = [
-            [r.key, r.patient_id, r.visit_id, r.volume_id, str(r.bscan_index), str(int(r.label))]
-            + [_fmt_feature(v) for v in r.features]
-            for r in records
-        ]
-        _write_csv(path, _t2_dataset_header(dim), rows)
+def _case_ids(data: Dataset) -> list[str]:
+    if data.task is Task.T2:
+        return [f"{v}/{i}" for v, i in zip(data.volume_id.tolist(), data.bscan_index.tolist())]
+    return [f"pair{i:06d}" for i in range(len(data))]
+
+
+def write_dataset_csv(path: str | os.PathLike, data: Dataset) -> None:
+    ids = [_case_ids(data), data.patient_id.tolist()]
+    if data.task is Task.T2:
+        ids += [data.visit_id.tolist(), data.volume_id.tolist(), data.bscan_index.tolist()]
+        feats = data.x
     else:
-        dim = records[0].features_a.shape[0]
-        rows = [
-            [f"pair{i:06d}", r.patient_id, str(int(r.label))]
-            + [_fmt_feature(v) for v in r.features_a]
-            + [_fmt_feature(v) for v in r.features_b]
-            for i, r in enumerate(records)
-        ]
-        _write_csv(path, _t1_dataset_header(dim), rows)
+        feats = np.hstack([data.x, data.x_b])
+    # csv writes a float as its repr, the shortest text that reads back exactly.
+    rows = ([*row, *f.tolist()] for row, f in zip(zip(*ids, data.labels.tolist()), feats))
+    _write_csv(path, _dataset_header(data.task, data.x.shape[1]), rows)
 
 
-def write_truth_csv(path: str | os.PathLike, task: Task, records: Sequence) -> None:
-    if task is Task.T2:
+def write_truth_csv(path: str | os.PathLike, data: Dataset) -> None:
+    if data.task is Task.T2:
         header = ["case_id", "patient_id", "volume_id", "bscan_index", "label"]
-        rows = [
-            [r.key, r.patient_id, r.volume_id, str(r.bscan_index), str(int(r.label))]
-            for r in records
-        ]
+        ids = [data.volume_id.tolist(), data.bscan_index.tolist()]
     else:
         header = ["case_id", "patient_id", "label"]
-        rows = [[f"pair{i:06d}", r.patient_id, str(int(r.label))] for i, r in enumerate(records)]
-    _write_csv(path, header, rows)
+        ids = []
+    _write_csv(path, header, zip(_case_ids(data), data.patient_id.tolist(), *ids, data.labels.tolist()))
 
 
-def read_dataset_csv(path: str | os.PathLike) -> tuple[Task, list, list[str]]:
+def read_dataset_csv(path: str | os.PathLike) -> tuple[Task, Dataset, list[str]]:
     """Read a dataset CSV, detecting the task from its header.
 
-    Returns the task, the records, and the per-row case ids in file order.
+    Returns the task, the dataset, and the per-row case ids in file order.
+    Features parse straight into preallocated float64 matrices.
     """
     header, rows = _read_csv(path)
+    if header[:6] == _dataset_header(Task.T2, 0):
+        task = Task.T2
+    elif header[:3] == _dataset_header(Task.T1, 0):
+        task = Task.T1
+    else:
+        raise DataError(f"{path}: unrecognized dataset header")
+    n_ids = len(_dataset_header(task, 0))
+    dim = (len(header) - n_ids) // (2 if task is Task.T1 else 1)
+    if header != _dataset_header(task, dim):
+        raise DataError(f"{path}: malformed {task.value} dataset header")
+
+    def column(j: int) -> list[str]:
+        return [row[j] for row in rows]
+
+    x = np.empty((len(rows), dim))
+    x_b = np.empty((len(rows), dim)) if task is Task.T1 else None
     try:
-        if header[:6] == _t2_dataset_header(0)[:6]:
-            dim = len(header) - 6
-            if header != _t2_dataset_header(dim):
-                raise DataError(f"{path}: malformed single-scan dataset header")
-            records = []
-            case_ids = []
-            for row in rows:
-                case_ids.append(row[0])
-                records.append(
-                    BscanRecord(
-                        patient_id=row[1],
-                        visit_id=row[2],
-                        volume_id=row[3],
-                        bscan_index=int(row[4]),
-                        features=np.array([float(v) for v in row[6 : 6 + dim]]),
-                        label=ClassLabel(int(row[5])),
-                    )
-                )
-            return Task.T2, records, case_ids
-        if header[:3] == ["case_id", "patient_id", "label"]:
-            dim = (len(header) - 3) // 2
-            if header != _t1_dataset_header(dim):
-                raise DataError(f"{path}: malformed pair dataset header")
-            records = []
-            case_ids = []
-            for row in rows:
-                case_ids.append(row[0])
-                records.append(
-                    PairRecord(
-                        patient_id=row[1],
-                        features_a=np.array([float(v) for v in row[3 : 3 + dim]]),
-                        features_b=np.array([float(v) for v in row[3 + dim : 3 + 2 * dim]]),
-                        label=ClassLabel(int(row[2])),
-                    )
-                )
-            return Task.T1, records, case_ids
-    except (ValueError, IndexError) as exc:
+        for i, row in enumerate(rows):
+            if len(row) != len(header):
+                raise DataError(f"{path}: line {i + 2} has {len(row)} fields, expected {len(header)}")
+            x[i] = row[n_ids : n_ids + dim]
+            if x_b is not None:
+                x_b[i] = row[n_ids + dim :]
+        # The label is the last id column of either layout.
+        ids = {"patient_id": column(1), "labels": list(map(int, column(n_ids - 1)))}
+        if task is Task.T2:
+            ids.update(visit_id=column(2), volume_id=column(3), bscan_index=list(map(int, column(4))))
+        data = Dataset(x=x, x_b=x_b, **ids)
+    except InvalidInputError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    except ValueError as exc:
         raise DataError(f"{path}: malformed dataset row: {exc}") from exc
-    raise DataError(f"{path}: unrecognized dataset header")
+    return task, data, column(0)
 
 
 # --- prediction CSV schema -----------------------------------------------------------
@@ -544,20 +514,16 @@ def cmd_gen(args) -> int:
     if args.task:
         values["task"] = args.task
     task, cfg = _build_gen_config(values, args.seed)
-    records = gen_t2_volumes(cfg) if task is Task.T2 else gen_t1_pairs(cfg)
+    data = gen_t2_volumes(cfg) if task is Task.T2 else gen_t1_pairs(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = out_dir / "dataset.csv"
     truth_path = out_dir / "truth.csv"
-    write_dataset_csv(dataset_path, task, records)
-    write_truth_csv(truth_path, task, records)
-    counts: dict[int, int] = {}
-    for r in records:
-        counts[int(r.label)] = counts.get(int(r.label), 0) + 1
-    summary = ", ".join(
-        f"{ClassLabel(c).name.lower()}={counts[c]}" for c in sorted(counts)
-    )
-    print(f"wrote {len(records)} {task.value} records to {dataset_path} ({summary})")
+    write_dataset_csv(dataset_path, data)
+    write_truth_csv(truth_path, data)
+    counts = np.bincount(data.labels, minlength=task.n_classes)
+    summary = ", ".join(f"{ClassLabel(c).name.lower()}={n}" for c, n in enumerate(counts.tolist()) if n)
+    print(f"wrote {len(data)} {task.value} records to {dataset_path} ({summary})")
     _write_manifest(
         out_dir / "manifest.json",
         command="gen",
@@ -588,12 +554,12 @@ def cmd_train(args) -> int:
     started = time.monotonic()
     values, config_text = _load_config(args.config, TRAIN_SCHEMA)
     cfg, folds, val_ratio = _build_train_config(values, args)
-    data_task, records, _ = read_dataset_csv(args.data)
+    data_task, data, _ = read_dataset_csv(args.data)
     if data_task is not cfg.task:
         raise ConfigError(
             f"dataset {args.data} holds {data_task.value} records but config says {cfg.task.value}"
         )
-    patients = sorted({r.patient_id for r in records})
+    patients = np.unique(data.patient_id).tolist()
     if len(patients) < 2:
         raise DataError("need at least two patients for a patient-disjoint split")
     val_sets = _fold_val_patients(patients, folds, val_ratio, cfg.seed)
@@ -607,17 +573,17 @@ def cmd_train(args) -> int:
 
     def run_fold(i: int) -> tuple[int, str, list[str]]:
         fold_cfg = replace(cfg, seed=cfg.seed + i)
-        train_recs = [r for r in records if r.patient_id not in val_sets[i]]
-        val_recs = [r for r in records if r.patient_id in val_sets[i]]
-        if not train_recs or not val_recs:
+        in_val = np.isin(data.patient_id, list(val_sets[i]))
+        train_data, val_data = data.take(~in_val), data.take(in_val)
+        if not len(train_data) or not len(val_data):
             raise DataError(f"fold {i} has an empty train or validation side")
-        params, history = train(train_recs, val_recs, fold_cfg)
+        params, history = train(train_data, val_data, fold_cfg)
         save_checkpoint(ckpt_paths[i], params)
         history_path = f"{ckpt_paths[i]}.history.csv"
         _write_history_csv(history_path, history)
         line = (
             f"fold {i}: best val average {history.best_average:.6f} "
-            f"at epoch {history.best_epoch} ({len(train_recs)} train / {len(val_recs)} val records)"
+            f"at epoch {history.best_epoch} ({len(train_data)} train / {len(val_data)} val records)"
         )
         return i, line, [str(ckpt_paths[i]), history_path]
 
@@ -649,29 +615,26 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     started = time.monotonic()
     params = load_checkpoint(args.ckpt)
-    task, records, case_ids = read_dataset_csv(args.data)
-    if not records:
+    task, data, case_ids = read_dataset_csv(args.data)
+    if not len(data):
         raise DataError(f"{args.data}: dataset holds no records")
-    pairs = predict(params, records)
+    probs = predict(params, data)
     if params.n_classes not in PROB_COLUMNS:
         raise ConfigError(f"checkpoint predicts {params.n_classes} classes; cannot serialize")
-    rows = []
-    for case_id, rec, (_, probs) in zip(case_ids, records, pairs):
-        if task is Task.T2:
-            vol, idx = rec.volume_id, str(rec.bscan_index)
-        else:
-            vol, idx = "", ""
-        rows.append(
-            PredRow(
-                case_id=case_id,
-                patient_id=rec.patient_id,
-                volume_id=vol,
-                bscan_index=idx,
-                true_label=int(rec.label),
-                probs=probs,
-                pred_label=int(np.argmax(probs)),
-            )
+    if task is Task.T2:
+        volumes, indices = data.volume_id.tolist(), map(str, data.bscan_index.tolist())
+    else:
+        volumes = indices = [""] * len(data)
+    rows = [
+        PredRow(
+            case_id=case_id, patient_id=patient, volume_id=volume, bscan_index=index,
+            true_label=label, probs=p, pred_label=pred,
         )
+        for case_id, patient, volume, index, label, p, pred in zip(
+            case_ids, data.patient_id.tolist(), volumes, indices, data.labels.tolist(),
+            probs, probs.argmax(axis=1).tolist(),
+        )
+    ]
     write_predictions_csv(args.out, rows)
     print(f"wrote {len(rows)} predictions to {args.out}")
     _write_manifest(

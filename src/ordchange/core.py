@@ -1,6 +1,6 @@
 """Core domain types: change classes, tasks, probability vectors, confusion
-matrices, and the record types carried through generation, training, and
-evaluation.
+matrices, and the columnar ``Dataset`` carried through generation, training
+and prediction.
 
 Probability and logit vectors are plain float64 numpy arrays. The functions
 ``as_prob_vector`` and ``as_logits`` are the validation gates; everything
@@ -9,7 +9,7 @@ downstream assumes its inputs went through one of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from typing import Iterable, Sequence
 
@@ -171,77 +171,100 @@ def confusion_from_predictions(
     return cm
 
 
-def _frozen_features(arr: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64)
-    if out.ndim != 1 or out.size == 0:
-        raise InvalidInputError(f"{name} must be a non-empty 1-D vector, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    out.setflags(write=False)
-    return out
+def _column(values, dtype) -> np.ndarray:
+    """A read-only view of ``values`` as an array of ``dtype``; copies only to convert."""
+    arr = np.asarray(values, dtype=dtype).view()
+    arr.setflags(write=False)
+    return arr
 
 
-@dataclass(frozen=True)
-class BscanRecord:
-    """One B-scan of a retinal volume with its change label.
+_SCAN_COLUMNS = ("visit_id", "volume_id", "bscan_index")
+_DTYPES = {
+    "x": np.float64,
+    "labels": np.int64,
+    "patient_id": str,
+    "x_b": np.float64,
+    "visit_id": str,
+    "volume_id": str,
+    "bscan_index": np.int64,
+}
 
-    All records sharing a volume_id are expected to share the same label;
-    ``validate_bscan_dataset`` enforces that at dataset boundaries.
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """A labeled dataset held as columns, one row per sample.
+
+    T2 rows are B-scans: ``x`` holds their features and ``visit_id``,
+    ``volume_id`` and ``bscan_index`` locate them. T1 rows are visit pairs of
+    one patient: ``x`` holds the earlier visit's features, ``x_b`` the later
+    one's, and the three B-scan columns are None. The task follows from
+    whether ``x_b`` is present.
+
+    The constructor checks the whole dataset once: matching shapes, finite
+    features, labels valid for the task, ``bscan_index >= 0``, and for T2 a
+    unique (volume_id, bscan_index) per row with one label per volume.
+    Every column is stored as a read-only array.
     """
 
-    patient_id: str
-    visit_id: str
-    volume_id: str
-    bscan_index: int
-    features: np.ndarray
-    label: ClassLabel
+    x: np.ndarray
+    labels: np.ndarray
+    patient_id: np.ndarray
+    x_b: np.ndarray | None = None
+    visit_id: np.ndarray | None = None
+    volume_id: np.ndarray | None = None
+    bscan_index: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "features", _frozen_features(self.features, "features"))
-        if self.bscan_index < 0:
-            raise InvalidInputError(f"bscan_index must be >= 0, got {self.bscan_index}")
-        object.__setattr__(self, "label", ClassLabel(int(self.label)))
+        for f in fields(self):
+            if getattr(self, f.name) is not None:
+                object.__setattr__(self, f.name, _column(getattr(self, f.name), _DTYPES[f.name]))
+        if self.x.ndim != 2 or self.x.shape[1] == 0:
+            raise InvalidInputError(f"features must be a (rows, dim >= 1) matrix, got shape {self.x.shape}")
+        n = self.x.shape[0]
+        if self.x_b is not None and self.x_b.shape != self.x.shape:
+            raise InvalidInputError(f"paired feature shapes differ: {self.x.shape} vs {self.x_b.shape}")
+        present = [name for name in _SCAN_COLUMNS if getattr(self, name) is not None]
+        wanted = list(_SCAN_COLUMNS) if self.x_b is None else []
+        if present != wanted:
+            raise InvalidInputError(f"{self.task.value} data takes the columns {wanted}, got {present}")
+        for name in ("labels", "patient_id", *present):
+            if getattr(self, name).shape != (n,):
+                raise InvalidInputError(f"column {name} has shape {getattr(self, name).shape}, expected ({n},)")
+        if not (np.isfinite(self.x).all() and (self.x_b is None or np.isfinite(self.x_b).all())):
+            raise InvalidInputError("features contain non-finite entries")
+        bad = self.labels[(self.labels < 0) | (self.labels >= self.task.n_classes)]
+        if bad.size:
+            raise InvalidInputError(f"label {bad[0]} is not valid for task {self.task.value}")
+        if self.bscan_index is not None:
+            self._check_volumes()
+
+    def _check_volumes(self) -> None:
+        if self.bscan_index.size and self.bscan_index.min() < 0:
+            raise InvalidInputError(f"bscan_index must be >= 0, got {self.bscan_index.min()}")
+        _, volume = np.unique(self.volume_id, return_inverse=True)
+        order = np.lexsort((self.bscan_index, volume))
+        vol, idx, lab = volume[order], self.bscan_index[order], self.labels[order]
+        same_volume = vol[1:] == vol[:-1]
+        dup = np.flatnonzero(same_volume & (idx[1:] == idx[:-1]))
+        if dup.size:
+            row = order[dup[0]]
+            raise InvalidInputError(f"duplicate row key {self.volume_id[row]}/{self.bscan_index[row]}")
+        clash = np.flatnonzero(same_volume & (lab[1:] != lab[:-1]))
+        if clash.size:
+            a, b = order[clash[0]], order[clash[0] + 1]
+            raise InvalidInputError(
+                f"volume {self.volume_id[a]} carries conflicting labels "
+                f"{ClassLabel(int(self.labels[a])).name} and {ClassLabel(int(self.labels[b])).name}"
+            )
 
     @property
-    def key(self) -> str:
-        return f"{self.volume_id}/{self.bscan_index}"
+    def task(self) -> Task:
+        return Task.T2 if self.x_b is None else Task.T1
 
+    def __len__(self) -> int:
+        return self.x.shape[0]
 
-@dataclass(frozen=True)
-class PairRecord:
-    """A pair of feature vectors from two visits of one patient.
-
-    The label is a 4-class ClassLabel for the pair-comparison task, or a
-    binary 0/1 change flag when the record comes from pretext pairing.
-    """
-
-    patient_id: str
-    features_a: np.ndarray
-    features_b: np.ndarray
-    label: ClassLabel | int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "features_a", _frozen_features(self.features_a, "features_a"))
-        object.__setattr__(self, "features_b", _frozen_features(self.features_b, "features_b"))
-        if self.features_a.shape != self.features_b.shape:
-            raise InvalidInputError(
-                f"paired feature dims differ: {self.features_a.shape} vs {self.features_b.shape}"
-            )
-        if int(self.label) < 0:
-            raise InvalidInputError(f"label must be >= 0, got {self.label}")
-
-
-def validate_bscan_dataset(records: Sequence[BscanRecord]) -> None:
-    """Check (volume_id, bscan_index) uniqueness and per-volume label agreement."""
-    seen: dict[tuple[str, int], None] = {}
-    volume_label: dict[str, ClassLabel] = {}
-    for rec in records:
-        k = (rec.volume_id, rec.bscan_index)
-        if k in seen:
-            raise InvalidInputError(f"duplicate record key {rec.volume_id}/{rec.bscan_index}")
-        seen[k] = None
-        prev = volume_label.setdefault(rec.volume_id, rec.label)
-        if prev != rec.label:
-            raise InvalidInputError(
-                f"volume {rec.volume_id} carries conflicting labels {prev.name} and {rec.label.name}"
-            )
+    def take(self, rows: np.ndarray) -> Dataset:
+        """The rows picked by an index array or a boolean mask, in that order."""
+        columns = {f.name: getattr(self, f.name) for f in fields(self)}
+        return Dataset(**{name: None if col is None else col[rows] for name, col in columns.items()})

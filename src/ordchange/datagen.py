@@ -7,11 +7,13 @@ Every patient gets a random offset in feature space; every volume sits at
 and its B-scans scatter around the latent with isotropic noise. Class
 separability is therefore controlled by the step_size / noise_sigma ratio,
 while patient offsets act as confounds that only patient-disjoint splits can
-expose. Pair records walk a per-patient activity level between consecutive
+expose. Visit pairs walk a per-patient activity level between consecutive
 visits and are labeled by the sign of the change; a configurable fraction is
 corrupted (noise burst or sign flip) and relabeled as the catch-all class.
 
-All generation is driven by a single seed and is bit-reproducible.
+Both generators return a columnar ``Dataset``: one row per B-scan for T2,
+one row per visit pair for T1. All generation is driven by a single seed and
+is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassLabel, BscanRecord, PairRecord
-from .errors import ConfigError, InvalidInputError
+from .core import ClassLabel, Dataset
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -92,15 +94,18 @@ def _direction(cfg: GenConfig, rng: np.random.Generator) -> np.ndarray:
     return vec / norm
 
 
-def gen_t2_volumes(cfg: GenConfig) -> list[BscanRecord]:
-    """Generate labeled B-scan records for the 3-class single-scan task.
+def gen_t2_volumes(cfg: GenConfig) -> Dataset:
+    """Generate a labeled B-scan dataset for the 3-class single-scan task.
 
     Every volume draws its class from class_ratios; all B-scans of a volume
     share the volume's label and scatter around its latent with noise_sigma.
+    A volume's B-scans are drawn as one (n_bscans, feature_dim) block, which
+    consumes the stream exactly as one draw per B-scan would.
     """
     rng = np.random.default_rng(cfg.seed)
     direction = _direction(cfg, rng)
-    records: list[BscanRecord] = []
+    volumes: list[tuple[str, str, str, ClassLabel]] = []  # (patient, visit, volume, label)
+    blocks: list[np.ndarray] = []
     for p in range(cfg.n_patients):
         patient_id = f"P{p:03d}"
         offset = rng.normal(0.0, cfg.patient_sigma, size=cfg.feature_dim)
@@ -108,24 +113,22 @@ def gen_t2_volumes(cfg: GenConfig) -> list[BscanRecord]:
         for v in range(n_visits):
             label = ClassLabel(int(rng.choice(3, p=cfg.class_ratios)))
             latent = offset + int(label) * cfg.step_size * direction
-            volume_id = f"{patient_id}_V{v:02d}"
+            volumes.append((patient_id, f"V{v:02d}", f"{patient_id}_V{v:02d}", label))
             n_bscans = int(rng.integers(cfg.bscans_per_volume[0], cfg.bscans_per_volume[1] + 1))
-            for b in range(n_bscans):
-                features = latent + rng.normal(0.0, cfg.noise_sigma, size=cfg.feature_dim)
-                records.append(
-                    BscanRecord(
-                        patient_id=patient_id,
-                        visit_id=f"V{v:02d}",
-                        volume_id=volume_id,
-                        bscan_index=b,
-                        features=features,
-                        label=label,
-                    )
-                )
-    return records
+            blocks.append(latent + rng.normal(0.0, cfg.noise_sigma, size=(n_bscans, cfg.feature_dim)))
+    sizes = [len(b) for b in blocks]
+    patient_id, visit_id, volume_id, labels = (np.repeat(col, sizes) for col in zip(*volumes))
+    return Dataset(
+        x=np.concatenate(blocks),
+        labels=labels,
+        patient_id=patient_id,
+        visit_id=visit_id,
+        volume_id=volume_id,
+        bscan_index=np.concatenate([np.arange(n) for n in sizes]),
+    )
 
 
-def gen_t1_pairs(cfg: GenConfig) -> list[PairRecord]:
+def gen_t1_pairs(cfg: GenConfig) -> Dataset:
     """Generate visit pairs for the 4-class comparison task.
 
     A per-patient activity level takes steps in {-1, 0, +1} drawn with
@@ -137,7 +140,10 @@ def gen_t1_pairs(cfg: GenConfig) -> list[PairRecord]:
     rng = np.random.default_rng(cfg.seed)
     direction = _direction(cfg, rng)
     sign_label = {-1: ClassLabel.REDUCED, 0: ClassLabel.STABLE, 1: ClassLabel.WORSENED}
-    records: list[PairRecord] = []
+    patients: list[str] = []
+    labels: list[ClassLabel] = []
+    rows_a: list[np.ndarray] = []
+    rows_b: list[np.ndarray] = []
     for p in range(cfg.n_patients):
         patient_id = f"P{p:03d}"
         offset = rng.normal(0.0, cfg.patient_sigma, size=cfg.feature_dim)
@@ -167,61 +173,12 @@ def gen_t1_pairs(cfg: GenConfig) -> list[PairRecord]:
                 else:
                     feats_a = target
                 label = ClassLabel.OTHER
-            records.append(
-                PairRecord(
-                    patient_id=patient_id,
-                    features_a=feats_a,
-                    features_b=feats_b,
-                    label=label,
-                )
-            )
+            patients.append(patient_id)
+            labels.append(label)
+            rows_a.append(feats_a)
+            rows_b.append(feats_b)
             activity = nxt
-    return records
-
-
-def gen_pretext_pairs(
-    features: np.ndarray, disease_labels: np.ndarray, n_pairs: int, seed: int = 0
-) -> list[PairRecord]:
-    """Sample record pairs labeled by whether the disease class changed.
-
-    Labels are binary: 0 when both members share a disease class, 1 when the
-    classes differ. With four balanced classes the expected change fraction
-    is 12/16 = 0.75.
-    """
-    feats = np.asarray(features, dtype=np.float64)
-    labs = np.asarray(disease_labels, dtype=np.int64)
-    if feats.ndim != 2 or feats.shape[0] != labs.shape[0]:
-        raise InvalidInputError(
-            f"features {feats.shape} and disease_labels {labs.shape} do not line up"
-        )
-    if feats.shape[0] < 2:
-        raise InvalidInputError("pretext pairing needs at least two records")
-    if n_pairs < 1:
-        raise InvalidInputError(f"n_pairs must be >= 1, got {n_pairs}")
-    rng = np.random.default_rng(seed)
-    left = rng.integers(0, feats.shape[0], size=n_pairs)
-    right = rng.integers(0, feats.shape[0], size=n_pairs)
-    return [
-        PairRecord(
-            patient_id=f"{i}:{j}",
-            features_a=feats[i],
-            features_b=feats[j],
-            label=int(labs[i] != labs[j]),
-        )
-        for i, j in zip(left, right)
-    ]
-
-
-def gen_disease_features(
-    n_per_class: int, n_classes: int = 4, feature_dim: int = 16, seed: int = 0, spread: float = 3.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Clustered stand-in features for disease classes, for pretext pairing."""
-    if n_per_class < 1 or n_classes < 2 or feature_dim < 1:
-        raise InvalidInputError("need n_per_class >= 1, n_classes >= 2, feature_dim >= 1")
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(0.0, spread, size=(n_classes, feature_dim))
-    feats = np.concatenate(
-        [centers[c] + rng.normal(size=(n_per_class, feature_dim)) for c in range(n_classes)]
+    shape = (len(labels), cfg.feature_dim)
+    return Dataset(
+        x=np.reshape(rows_a, shape), x_b=np.reshape(rows_b, shape), labels=labels, patient_id=patients
     )
-    labels = np.repeat(np.arange(n_classes), n_per_class)
-    return feats, labels

@@ -11,6 +11,10 @@ Everything is numpy with explicit caches and hand-written backpropagation;
 ``forward``/``siamese_forward`` return the cache that ``backward`` consumes.
 Parameter updates are functional: ``optimizer_step`` returns new parameter
 and state objects and never mutates its arguments.
+
+``train`` and ``predict`` take a columnar ``Dataset``: its feature matrix
+feeds the plain topology, and for T1 pairs its two matrices feed the
+siamese one. Batches are index arrays into the dataset's rows.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BscanRecord, PairRecord, Task, confusion_from_predictions, softmax
+from .core import Dataset, Task, confusion_from_predictions, softmax
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -575,20 +579,18 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
 # --- batching --------------------------------------------------------------------
 
 
-def make_batches(
-    records: Sequence[BscanRecord | PairRecord], cfg: TrainConfig, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Compose one epoch of batches as index arrays into ``records``.
+def make_batches(labels: np.ndarray, cfg: TrainConfig, rng: np.random.Generator) -> list[np.ndarray]:
+    """Compose one epoch of batches as index arrays into ``labels``, one label per row.
 
     Balanced mode puts floor(batch_size / C) samples of every class into each
     batch, drawing minority classes with replacement; the majority class sets
     the number of batches. Undersample mode caps the majority class at
     undersample_majority times the largest minority count for the epoch.
     """
-    n = len(records)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = labels.size
     if n == 0:
         raise InvalidInputError("cannot batch an empty dataset")
-    labels = np.asarray([int(r.label) for r in records], dtype=np.int64)
     n_classes = cfg.task.n_classes
 
     if cfg.balanced_batches:
@@ -631,30 +633,10 @@ def make_batches(
 # --- training and prediction ------------------------------------------------------
 
 
-def _records_to_arrays(
-    records: Sequence[BscanRecord | PairRecord], task: Task
-) -> tuple[str, tuple[np.ndarray, ...], np.ndarray]:
-    if len(records) == 0:
-        raise InvalidInputError("dataset is empty")
-    kinds = {type(r) for r in records}
-    if kinds == {BscanRecord}:
-        feats = np.stack([r.features for r in records])
-        labels = np.asarray([int(task.validate_label(r.label)) for r in records], dtype=np.int64)
-        return "plain", (feats,), labels
-    if kinds == {PairRecord}:
-        fa = np.stack([r.features_a for r in records])
-        fb = np.stack([r.features_b for r in records])
-        labels = np.asarray([int(task.validate_label(r.label)) for r in records], dtype=np.int64)
-        return "pair", (fa, fb), labels
-    raise InvalidInputError(f"dataset mixes record types: {sorted(k.__name__ for k in kinds)}")
-
-
-def _logits_for(params: ModelParams, arrays: tuple[np.ndarray, ...]) -> np.ndarray:
-    if len(arrays) == 1:
-        logits, _ = forward(params, arrays[0], training=False)
-    else:
-        logits, _ = siamese_forward(params, arrays[0], arrays[1], training=False)
-    return logits
+def _logits_for(params: ModelParams, data: Dataset) -> np.ndarray:
+    if data.x_b is None:
+        return forward(params, data.x, training=False)[0]
+    return siamese_forward(params, data.x, data.x_b, training=False)[0]
 
 
 def _loss_diagnostics(logits: np.ndarray, targets: np.ndarray, cfg: LossConfig) -> str:
@@ -664,42 +646,38 @@ def _loss_diagnostics(logits: np.ndarray, targets: np.ndarray, cfg: LossConfig) 
     return f"focal={focal!r} emd={emd!r}"
 
 
-def train(
-    dataset: Sequence[BscanRecord | PairRecord],
-    val_dataset: Sequence[BscanRecord | PairRecord],
-    cfg: TrainConfig,
-) -> tuple[ModelParams, TrainHistory]:
+def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelParams, TrainHistory]:
     """Train from scratch and return the best-validation parameters.
 
-    The train and validation sets must be patient-disjoint. Validation runs
-    after every epoch; the returned parameters are those of the epoch with the
-    highest validation challenge average, and early stopping fires after
-    ``early_stop_patience`` epochs without improving it (0 disables).
+    The train and validation sets must be patient-disjoint and hold the
+    config's task. Validation runs after every epoch; the returned parameters
+    are those of the epoch with the highest validation challenge average, and
+    early stopping fires after ``early_stop_patience`` epochs without
+    improving it (0 disables).
 
     Identical inputs and config produce bit-identical parameters and history.
     """
-    train_patients = {r.patient_id for r in dataset}
-    val_patients = {r.patient_id for r in val_dataset}
-    overlap = sorted(train_patients & val_patients)
-    if overlap:
-        raise InvalidInputError(f"train/val patients overlap: {overlap[:5]}")
-
-    mode, arrays, labels = _records_to_arrays(dataset, cfg.task)
-    val_mode, val_arrays, val_labels = _records_to_arrays(val_dataset, cfg.task)
-    if val_mode != mode:
-        raise InvalidInputError(f"train records are {mode} but validation records are {val_mode}")
-    feat_dim = arrays[0].shape[1]
+    overlap = np.intersect1d(data.patient_id, val_data.patient_id)
+    if overlap.size:
+        raise InvalidInputError(f"train/val patients overlap: {overlap[:5].tolist()}")
+    for d in (data, val_data):
+        if len(d) == 0:
+            raise InvalidInputError("dataset is empty")
+        if d.task is not cfg.task:
+            raise InvalidInputError(f"dataset holds {d.task.value} rows but the config trains {cfg.task.value}")
+    feat_dim = data.x.shape[1]
     if cfg.encoder_dims[0] != feat_dim:
         raise ConfigError(f"encoder input {cfg.encoder_dims[0]} does not match feature dim {feat_dim}")
-    want_head_in = 2 * cfg.encoder_dims[-1] if mode == "pair" else cfg.encoder_dims[-1]
+    pairs = data.x_b is not None
+    want_head_in = 2 * cfg.encoder_dims[-1] if pairs else cfg.encoder_dims[-1]
     if cfg.head_dims[0] != want_head_in:
         raise ConfigError(
-            f"head input {cfg.head_dims[0]} must be {want_head_in} for {mode} records "
+            f"head input {cfg.head_dims[0]} must be {want_head_in} for {'pair' if pairs else 'plain'} rows "
             f"with encoder output {cfg.encoder_dims[-1]}"
         )
 
     n_classes = cfg.task.n_classes
-    onehot = np.eye(n_classes)[labels]
+    onehot = np.eye(n_classes)[data.labels]
 
     seed_init, seed_batch, seed_drop = np.random.SeedSequence(cfg.seed).spawn(3)
     params = init_params(cfg.encoder_dims, cfg.head_dims, cfg.dropout, seed=seed_init)
@@ -716,14 +694,14 @@ def train(
         lr = lr_schedule(epoch, cfg)
         loss_sum = 0.0
         sample_count = 0
-        for batch_no, idx in enumerate(make_batches(dataset, cfg, rng_batch)):
+        for batch_no, idx in enumerate(make_batches(data.labels, cfg, rng_batch)):
             targets = onehot[idx]
-            if mode == "plain":
-                logits, cache = forward(params, arrays[0][idx], training=True, rng=rng_drop)
-            else:
+            if pairs:
                 logits, cache = siamese_forward(
-                    params, arrays[0][idx], arrays[1][idx], training=True, rng=rng_drop
+                    params, data.x[idx], data.x_b[idx], training=True, rng=rng_drop
                 )
+            else:
+                logits, cache = forward(params, data.x[idx], training=True, rng=rng_drop)
             loss_value, grad_logits = batch_loss_gradient(cfg.loss_kind, logits, targets, cfg.loss)
             if not np.isfinite(loss_value):
                 raise NumericError(
@@ -740,9 +718,8 @@ def train(
             loss_sum += loss_value * idx.size
             sample_count += idx.size
 
-        val_logits = _logits_for(params, val_arrays)
-        val_pred = np.argmax(val_logits, axis=1)
-        cm = confusion_from_predictions(val_labels, val_pred, n_classes)
+        val_pred = np.argmax(_logits_for(params, val_data), axis=1)
+        cm = confusion_from_predictions(val_data.labels, val_pred, n_classes)
         report = compute_report(cm, cfg.task)
         history.append(
             EpochStats(epoch=epoch, train_loss=loss_sum / sample_count, lr=lr, val_report=report)
@@ -757,34 +734,14 @@ def train(
     return best_params, TrainHistory(entries=tuple(history), best_epoch=best_epoch)
 
 
-def predict(
-    params: ModelParams, records: Sequence[BscanRecord | PairRecord]
-) -> list[tuple[str, np.ndarray]]:
-    """Class probabilities for every record, in input order.
-
-    Keys are "volume_id/bscan_index" for single-scan records and the running
-    row index for pair records. Dropout never fires here.
-    """
-    if len(records) == 0:
-        return []
-    kinds = {type(r) for r in records}
-    if len(kinds) != 1:
-        raise InvalidInputError(f"dataset mixes record types: {sorted(k.__name__ for k in kinds)}")
-    if kinds == {PairRecord}:
-        if not params.is_siamese:
-            raise InvalidInputError("pair records need siamese parameters")
-        fa = np.stack([r.features_a for r in records])
-        fb = np.stack([r.features_b for r in records])
-        logits, _ = siamese_forward(params, fa, fb, training=False)
-        keys = [str(i) for i in range(len(records))]
-    else:
-        if params.is_siamese:
-            raise InvalidInputError("siamese parameters need pair records")
-        feats = np.stack([r.features for r in records])
-        logits, _ = forward(params, feats, training=False)
-        keys = [r.key for r in records]
-    probs = softmax(logits)
-    return list(zip(keys, probs))
+def predict(params: ModelParams, data: Dataset) -> np.ndarray:
+    """Class probabilities as an (N, C) matrix, one row per dataset row in
+    order. Dropout never fires here."""
+    if data.x_b is not None and not params.is_siamese:
+        raise InvalidInputError("pair data needs siamese parameters")
+    if data.x_b is None and params.is_siamese:
+        raise InvalidInputError("siamese parameters need pair data")
+    return softmax(_logits_for(params, data))
 
 
 # --- checkpoints -------------------------------------------------------------------

@@ -200,19 +200,17 @@ def _run_experiment(seed: int) -> dict:
         bscans_per_volume=(8, 12),
         seed=seed,
     )
-    records = gen_t2_volumes(gen_cfg)
-    order = sorted({r.patient_id for r in records})
+    data = gen_t2_volumes(gen_cfg)
+    order = np.unique(data.patient_id).tolist()
     np.random.default_rng(seed).shuffle(order)
-    test_patients, rest = set(order[:15]), order[15:]
-    test = [r for r in records if r.patient_id in test_patients]
-    true_test = [int(r.label) for r in test]
+    test_patients, rest = order[:15], order[15:]
+    test = data.take(np.isin(data.patient_id, test_patients))
+    true_test = test.labels.tolist()
+    test_keys = [f"{v}/{i}" for v, i in zip(test.volume_id.tolist(), test.bscan_index.tolist())]
 
     def fold_split(i):
-        held = set(rest[i::3])
-        return (
-            [r for r in records if r.patient_id in set(rest) - held],
-            [r for r in records if r.patient_id in held],
-        )
+        held = np.isin(data.patient_id, rest[i::3])
+        return data.take(np.isin(data.patient_id, rest) & ~held), data.take(held)
 
     base = dict(
         task=Task.T2, encoder_dims=(16, 32), head_dims=(32, 3),
@@ -227,29 +225,29 @@ def _run_experiment(seed: int) -> dict:
         train_0, val_0,
         TrainConfig(loss_kind="ce", balanced_batches=False, seed=seed, **base),
     )
-    claim_pairs = predict(params_claim, test)
-    pred_claim = [int(np.argmax(p)) for _, p in claim_pairs]
-    pred_base = [int(np.argmax(p)) for _, p in predict(params_base, test)]
+    claim_probs = predict(params_claim, test)
+    pred_claim = claim_probs.argmax(axis=1).tolist()
+    pred_base = predict(params_base, test).argmax(axis=1).tolist()
     rep_claim = _report(true_test, pred_claim)
     rep_base = _report(true_test, pred_base)
 
-    fold_sets = [PredictionSet("fold0", tuple(claim_pairs))]
+    fold_sets = [PredictionSet("fold0", tuple(zip(test_keys, claim_probs)))]
     for i in (1, 2):
         train_i, val_i = fold_split(i)
         params_i, _ = train(
             train_i, val_i,
             TrainConfig(loss_kind="combined", balanced_batches=True, seed=seed + i, **base),
         )
-        fold_sets.append(PredictionSet(f"fold{i}", tuple(predict(params_i, test))))
+        fold_sets.append(PredictionSet(f"fold{i}", tuple(zip(test_keys, predict(params_i, test)))))
     voted = unanimity_ensemble(fold_sets)
-    volume_of = {r.key: r.volume_id for r in test}
+    volume_of = dict(zip(test_keys, test.volume_id.tolist()))
     # 0.45: unanimity over three balance-trained folds thins out Stable votes,
     # so the volume rule needs a majority-style threshold at this noise level.
     _, relabeled = volume_consistency(
         [BscanPrediction(k, volume_of[k], lab, probs) for k, lab, probs in voted],
         PostprocessConfig(stable_ratio_threshold=0.45),
     )
-    truth_of = {r.key: int(r.label) for r in test}
+    truth_of = dict(zip(test_keys, true_test))
     rep_post = _report([truth_of[p.key] for p in relabeled], [p.label for p in relabeled])
     labels_by_volume: dict[str, set[int]] = {}
     for p in relabeled:

@@ -332,6 +332,70 @@ class TestPredict:
         assert rc == 5
 
 
+def edited_dataset(workdir: Path, out: Path, edit) -> Path:
+    """Copy the shared dataset CSV with ``edit`` applied to its list of lines."""
+    lines = (workdir / "data" / "dataset.csv").read_text().splitlines(keepends=True)
+    edit(lines)
+    out.write_text("".join(lines))
+    return out
+
+
+def set_field(lines: list[str], line: int, field: int, value: str) -> None:
+    fields = lines[line].rstrip("\n").split(",")
+    fields[field] = value
+    lines[line] = ",".join(fields) + "\n"
+
+
+class TestBadDataset:
+    """Malformed dataset rows end train and predict with exit 2 and one line."""
+
+    def run(self, workdir, tmp_path, command: str, data: Path) -> int:
+        if command == "train":
+            argv = ["train", "--config", str(workdir / "train.cfg"), "--out", str(tmp_path / "m.ckpt")]
+        else:
+            argv = ["predict", "--ckpt", str(workdir / "model.ckpt"), "--out", str(tmp_path / "p.csv")]
+        return main(argv + ["--data", str(data)])
+
+    def check(self, workdir, tmp_path, capsys, command, edit, message):
+        data = edited_dataset(workdir, tmp_path / "bad.csv", edit)
+        assert self.run(workdir, tmp_path, command, data) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_ragged_row_exit_2(self, workdir, tmp_path, capsys, command):
+        def drop_last_field(lines):
+            lines[3] = lines[3].rsplit(",", 1)[0] + "\n"
+
+        self.check(workdir, tmp_path, capsys, command, drop_last_field, "line 4 has 10 fields, expected 11")
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_duplicate_row_exit_2(self, workdir, tmp_path, capsys, command):
+        self.check(workdir, tmp_path, capsys, command, lambda lines: lines.append(lines[1]), "duplicate row key")
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_conflicting_volume_labels_exit_2(self, workdir, tmp_path, capsys, command):
+        # Lines 2-4 are the three B-scans of the first volume.
+        def relabel_second_bscan(lines):
+            label = int(lines[2].split(",")[5])
+            set_field(lines, 2, 5, str((label + 1) % 3))
+
+        self.check(workdir, tmp_path, capsys, command, relabel_second_bscan, "conflicting labels")
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_non_finite_feature_exit_2(self, workdir, tmp_path, capsys, command):
+        self.check(workdir, tmp_path, capsys, command, lambda lines: set_field(lines, 5, 7, "nan"), "non-finite")
+
+    def test_label_outside_task_exit_2(self, workdir, tmp_path, capsys):
+        # Label 3 (OTHER) exists only in t1; all three B-scans of the volume carry it.
+        def relabel_volume(lines):
+            for line in (1, 2, 3):
+                set_field(lines, line, 5, "3")
+
+        self.check(workdir, tmp_path, capsys, "predict", relabel_volume, "label 3 is not valid for task t2")
+
+
 def stable_row(case: str, vol: str, peak_class: int = 1) -> PredRow:
     probs = np.full(3, 0.05)
     probs[peak_class] = 0.9

@@ -7,9 +7,8 @@ from hypothesis.extra.numpy import arrays
 from ordchange.core import (
     CLASS_NAMES,
     ORDINAL_CLASSES,
-    BscanRecord,
     ClassLabel,
-    PairRecord,
+    Dataset,
     Task,
     as_logits,
     as_prob_vector,
@@ -17,7 +16,6 @@ from ordchange.core import (
     confusion_from_predictions,
     ordinal_rank,
     softmax,
-    validate_bscan_dataset,
 )
 from ordchange.errors import InvalidInputError
 
@@ -147,40 +145,78 @@ class TestConfusion:
         assert np.all(cm >= 0)
 
 
+def t2_data(volumes, indices, labels, dim=2, **columns) -> Dataset:
+    n = len(volumes)
+    base = dict(
+        x=np.ones((n, dim)), labels=labels, patient_id=["P1"] * n, visit_id=["V1"] * n,
+        volume_id=volumes, bscan_index=indices,
+    )
+    return Dataset(**{**base, **columns})
+
+
 class TestRecords:
-    def test_bscan_key_and_frozen_features(self):
-        rec = BscanRecord("P1", "V1", "P1_V1", 4, np.array([1.0, 2.0]), ClassLabel.STABLE)
-        assert rec.key == "P1_V1/4"
+    """The checks the Dataset constructor runs over all rows at once."""
+
+    def test_features_are_read_only(self):
+        feats = np.array([[1.0, 2.0], [3.0, 4.0]])
+        data = t2_data(["P1_V1", "P1_V1"], [0, 1], [1, 1], x=feats)
         with pytest.raises(ValueError):
-            rec.features[0] = 9.0
+            data.x[0, 0] = 9.0
+        feats[0, 0] = 9.0  # the caller's array stays writable
+        assert len(data) == 2 and data.task is Task.T2
 
     def test_bscan_rejects_negative_index(self):
-        with pytest.raises(InvalidInputError):
-            BscanRecord("P1", "V1", "P1_V1", -1, np.ones(2), ClassLabel.STABLE)
+        with pytest.raises(InvalidInputError, match="bscan_index"):
+            t2_data(["P1_V1"], [-1], [1])
 
     def test_pair_rejects_dim_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            PairRecord("P1", np.ones(3), np.ones(4), ClassLabel.STABLE)
-
-    def test_pair_accepts_binary_pretext_label(self):
-        rec = PairRecord("0:1", np.ones(2), np.zeros(2), 1)
-        assert int(rec.label) == 1
+        with pytest.raises(InvalidInputError, match="shapes differ"):
+            Dataset(x=np.ones((1, 3)), x_b=np.ones((1, 4)), labels=[1], patient_id=["P1"])
 
     def test_validate_dataset_passes_consistent(self):
-        recs = [
-            BscanRecord("P1", "V1", "P1_V1", i, np.ones(2), ClassLabel.STABLE) for i in range(3)
-        ]
-        validate_bscan_dataset(recs)
+        data = t2_data(["P1_V1"] * 3, [0, 1, 2], [1, 1, 1])
+        assert data.labels.dtype == np.int64 and data.bscan_index.tolist() == [0, 1, 2]
 
     def test_validate_dataset_rejects_duplicate_key(self):
-        rec = BscanRecord("P1", "V1", "P1_V1", 0, np.ones(2), ClassLabel.STABLE)
-        with pytest.raises(InvalidInputError, match="duplicate"):
-            validate_bscan_dataset([rec, rec])
+        with pytest.raises(InvalidInputError, match="duplicate row key P1_V1/0"):
+            t2_data(["P1_V1", "P1_V2", "P1_V1"], [0, 0, 0], [1, 1, 1])
 
     def test_validate_dataset_rejects_conflicting_volume_labels(self):
-        recs = [
-            BscanRecord("P1", "V1", "P1_V1", 0, np.ones(2), ClassLabel.STABLE),
-            BscanRecord("P1", "V1", "P1_V1", 1, np.ones(2), ClassLabel.WORSENED),
-        ]
-        with pytest.raises(InvalidInputError, match="conflicting"):
-            validate_bscan_dataset(recs)
+        with pytest.raises(InvalidInputError, match="conflicting labels STABLE and WORSENED"):
+            t2_data(["P1_V1", "P1_V1"], [0, 1], [1, 2])
+
+    def test_labels_must_fit_the_task(self):
+        with pytest.raises(InvalidInputError, match="label 3 is not valid for task t2"):
+            t2_data(["P1_V1"], [0], [3])
+        pair = dict(x=np.ones((2, 2)), x_b=np.ones((2, 2)), patient_id=["P1", "P1"])
+        assert Dataset(labels=[3, 0], **pair).task is Task.T1
+        with pytest.raises(InvalidInputError, match="label 4"):
+            Dataset(labels=[4, 0], **pair)
+        with pytest.raises(InvalidInputError, match="label -1"):
+            Dataset(labels=[0, -1], **pair)
+
+    def test_rejects_non_finite_features(self):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            t2_data(["P1_V1"], [0], [1], x=np.array([[1.0, np.nan]]))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            Dataset(x=np.ones((1, 2)), x_b=np.array([[np.inf, 0.0]]), labels=[1], patient_id=["P1"])
+
+    def test_rejects_misshapen_columns(self):
+        with pytest.raises(InvalidInputError, match="patient_id"):
+            t2_data(["P1_V1", "P1_V1"], [0, 1], [1, 1], patient_id=["P1"])
+        with pytest.raises(InvalidInputError, match="matrix"):
+            t2_data(["P1_V1"], [0], [1], x=np.ones(2))
+        with pytest.raises(InvalidInputError, match="columns"):
+            t2_data(["P1_V1"], [0], [1], visit_id=None)
+        with pytest.raises(InvalidInputError, match="columns"):
+            Dataset(x=np.ones((1, 2)), x_b=np.ones((1, 2)), labels=[1], patient_id=["P1"], volume_id=["v"])
+
+    def test_take_selects_rows_in_order(self):
+        data = t2_data(["A_V1", "B_V1", "C_V1"], [0, 0, 0], [0, 1, 2], x=np.arange(6.0).reshape(3, 2))
+        picked = data.take(np.array([2, 0]))
+        assert picked.volume_id.tolist() == ["C_V1", "A_V1"]
+        assert picked.labels.tolist() == [2, 0]
+        np.testing.assert_array_equal(picked.x, [[4.0, 5.0], [0.0, 1.0]])
+        masked = data.take(np.array([False, True, False]))
+        assert len(masked) == 1 and masked.patient_id.tolist() == ["P1"]
+        assert len(data.take(np.zeros(3, dtype=bool))) == 0

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ordchange.core import ClassLabel, validate_bscan_dataset
-from ordchange.datagen import GenConfig, gen_pretext_pairs, gen_t1_pairs, gen_t2_volumes
-from ordchange.errors import ConfigError, InvalidInputError
+from ordchange.core import ClassLabel, Task
+from ordchange.datagen import GenConfig, gen_t1_pairs, gen_t2_volumes
+from ordchange.errors import ConfigError
 
 
 def axis_direction(dim: int) -> tuple[float, ...]:
@@ -46,32 +46,41 @@ class TestT2Volumes:
         a = gen_t2_volumes(GenConfig(n_patients=8, seed=3))
         b = gen_t2_volumes(GenConfig(n_patients=8, seed=3))
         assert len(a) == len(b)
-        for ra, rb in zip(a, b):
-            assert ra.key == rb.key and ra.label == rb.label
-            assert ra.features.tobytes() == rb.features.tobytes()
+        assert a.volume_id.tolist() == b.volume_id.tolist()
+        assert a.bscan_index.tolist() == b.bscan_index.tolist()
+        assert a.labels.tolist() == b.labels.tolist()
+        assert a.x.tobytes() == b.x.tobytes()
         c = gen_t2_volumes(GenConfig(n_patients=8, seed=4))
-        assert any(x.features.tobytes() != y.features.tobytes() for x, y in zip(a, c))
+        n = min(len(a), len(c))
+        assert a.x[:n].tobytes() != c.x[:n].tobytes()
 
     def test_volume_labels_consistent(self):
-        records = gen_t2_volumes(GenConfig(n_patients=20, seed=1))
-        validate_bscan_dataset(records)  # no duplicate keys, no conflicting labels
+        data = gen_t2_volumes(GenConfig(n_patients=20, seed=1))
+        # The Dataset constructor already rejects duplicate keys and
+        # conflicting labels; check the volume labels here independently.
+        volume_labels: dict[str, set[int]] = {}
+        for vol, lab in zip(data.volume_id.tolist(), data.labels.tolist()):
+            volume_labels.setdefault(vol, set()).add(lab)
+        assert all(len(labels) == 1 for labels in volume_labels.values())
+        keys = list(zip(data.volume_id.tolist(), data.bscan_index.tolist()))
+        assert len(set(keys)) == len(keys)
 
     def test_counts_respect_ranges(self):
         cfg = GenConfig(n_patients=15, visits_per_patient=(2, 4), bscans_per_volume=(3, 6), seed=2)
-        records = gen_t2_volumes(cfg)
+        data = gen_t2_volumes(cfg)
         by_volume: dict[str, int] = {}
         by_patient: dict[str, set] = {}
-        for r in records:
-            by_volume[r.volume_id] = by_volume.get(r.volume_id, 0) + 1
-            by_patient.setdefault(r.patient_id, set()).add(r.volume_id)
+        for patient, volume in zip(data.patient_id.tolist(), data.volume_id.tolist()):
+            by_volume[volume] = by_volume.get(volume, 0) + 1
+            by_patient.setdefault(patient, set()).add(volume)
         assert len(by_patient) == 15
         assert all(2 <= len(v) <= 4 for v in by_patient.values())
         assert all(3 <= n <= 6 for n in by_volume.values())
 
     def test_class_ratios_hold_at_scale(self):
         cfg = GenConfig(n_patients=600, class_ratios=(0.1, 0.8, 0.1), seed=5)
-        records = gen_t2_volumes(cfg)
-        volume_labels = {r.volume_id: int(r.label) for r in records}
+        data = gen_t2_volumes(cfg)
+        volume_labels = dict(zip(data.volume_id.tolist(), data.labels.tolist()))
         counts = np.bincount(list(volume_labels.values()), minlength=3)
         fractions = counts / counts.sum()
         np.testing.assert_allclose(fractions, (0.1, 0.8, 0.1), atol=0.02)
@@ -83,12 +92,11 @@ class TestT2Volumes:
                 patient_sigma=0.0, class_ratios=(1 / 3, 1 / 3, 1 / 3),
                 ordinal_direction=axis_direction(4), seed=11,
             )
-            records = gen_t2_volumes(cfg)
-            proj = np.array([r.features[0] for r in records])
-            labels = np.array([int(r.label) for r in records])
+            data = gen_t2_volumes(cfg)
+            proj = data.x[:, 0]
             centers = np.array([0.0, step, 2.0 * step])
             pred = np.argmin(np.abs(proj[:, None] - centers[None, :]), axis=1)
-            return float(np.mean(pred == labels))
+            return float(np.mean(pred == data.labels))
 
         assert projection_accuracy(3.0, 0.1) > 0.95
         assert projection_accuracy(0.1, 3.0) < 0.6
@@ -96,11 +104,8 @@ class TestT2Volumes:
     def test_patient_offsets_confound_features(self):
         def patient_spread(sigma):
             cfg = GenConfig(n_patients=30, noise_sigma=0.1, patient_sigma=sigma, seed=7)
-            records = gen_t2_volumes(cfg)
-            means = {}
-            for r in records:
-                means.setdefault(r.patient_id, []).append(r.features)
-            centers = np.array([np.mean(v, axis=0) for v in means.values()])
+            data = gen_t2_volumes(cfg)
+            centers = np.array([data.x[data.patient_id == p].mean(axis=0) for p in np.unique(data.patient_id)])
             return float(np.linalg.norm(centers - centers.mean(axis=0), axis=1).mean())
 
         assert patient_spread(5.0) > 3.0 * patient_spread(0.0)
@@ -111,10 +116,9 @@ class TestT1Pairs:
         a = gen_t1_pairs(GenConfig(n_patients=10, seed=3))
         b = gen_t1_pairs(GenConfig(n_patients=10, seed=3))
         assert len(a) == len(b)
-        for ra, rb in zip(a, b):
-            assert ra.label == rb.label
-            assert ra.features_a.tobytes() == rb.features_a.tobytes()
-            assert ra.features_b.tobytes() == rb.features_b.tobytes()
+        assert a.labels.tolist() == b.labels.tolist()
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.x_b.tobytes() == b.x_b.tobytes()
 
     def test_pair_count_is_visits_minus_one(self):
         cfg = GenConfig(n_patients=25, visits_per_patient=(4, 4), seed=9)
@@ -126,66 +130,33 @@ class TestT1Pairs:
             patient_sigma=0.0, other_rate=0.0, ordinal_direction=axis_direction(3),
             class_ratios=(0.3, 0.4, 0.3), seed=13,
         )
-        for rec in gen_t1_pairs(cfg):
-            delta = rec.features_b[0] - rec.features_a[0]
-            if rec.label is ClassLabel.REDUCED:
+        data = gen_t1_pairs(cfg)
+        for delta, label in zip((data.x_b[:, 0] - data.x[:, 0]).tolist(), data.labels.tolist()):
+            if label == ClassLabel.REDUCED:
                 assert delta < -0.5
-            elif rec.label is ClassLabel.STABLE:
+            elif label == ClassLabel.STABLE:
                 assert abs(delta) < 0.5
             else:
-                assert rec.label is ClassLabel.WORSENED and delta > 0.5
+                assert label == ClassLabel.WORSENED and delta > 0.5
 
     def test_other_rate_sets_other_fraction(self):
         cfg = GenConfig(n_patients=800, visits_per_patient=(4, 4), other_rate=0.10, seed=17)
-        records = gen_t1_pairs(cfg)
-        fraction = np.mean([r.label is ClassLabel.OTHER for r in records])
+        data = gen_t1_pairs(cfg)
+        fraction = np.mean(data.labels == ClassLabel.OTHER)
         assert abs(fraction - 0.10) < 0.02
 
     def test_other_rate_zero_never_emits_other(self):
-        records = gen_t1_pairs(GenConfig(n_patients=100, other_rate=0.0, seed=19))
-        assert all(r.label is not ClassLabel.OTHER for r in records)
+        data = gen_t1_pairs(GenConfig(n_patients=100, other_rate=0.0, seed=19))
+        assert not np.any(data.labels == ClassLabel.OTHER)
 
     def test_step_labels_follow_class_ratios(self):
         cfg = GenConfig(
             n_patients=1500, visits_per_patient=(3, 3), other_rate=0.0,
             class_ratios=(0.2, 0.6, 0.2), seed=23,
         )
-        records = gen_t1_pairs(cfg)
-        counts = np.bincount([int(r.label) for r in records], minlength=3)
+        counts = np.bincount(gen_t1_pairs(cfg).labels, minlength=3)
         np.testing.assert_allclose(counts / counts.sum(), (0.2, 0.6, 0.2), atol=0.02)
 
-
-class TestPretextPairs:
-    def test_change_rate_for_balanced_classes(self):
-        rng = np.random.default_rng(0)
-        feats = rng.normal(size=(1000, 4))
-        labels = np.arange(1000) % 4
-        pairs = gen_pretext_pairs(feats, labels, n_pairs=20000, seed=1)
-        assert len(pairs) == 20000
-        rate = np.mean([int(p.label) for p in pairs])
-        assert abs(rate - 0.75) < 0.02
-
-    def test_labels_are_binary_change_flags(self):
-        feats = np.array([[0.0], [1.0], [2.0]])
-        labels = np.array([0, 0, 1])
-        for p in gen_pretext_pairs(feats, labels, n_pairs=200, seed=2):
-            i, j = (int(s) for s in p.patient_id.split(":"))
-            assert int(p.label) == int(labels[i] != labels[j])
-            np.testing.assert_array_equal(p.features_a, feats[i])
-            np.testing.assert_array_equal(p.features_b, feats[j])
-
-    def test_determinism(self):
-        feats = np.random.default_rng(3).normal(size=(50, 2))
-        labels = np.zeros(50, dtype=int)
-        a = gen_pretext_pairs(feats, labels, n_pairs=64, seed=4)
-        b = gen_pretext_pairs(feats, labels, n_pairs=64, seed=4)
-        assert [p.patient_id for p in a] == [p.patient_id for p in b]
-
-    def test_input_validation(self):
-        feats = np.zeros((4, 2))
-        with pytest.raises(InvalidInputError):
-            gen_pretext_pairs(feats, np.zeros(3), n_pairs=4)
-        with pytest.raises(InvalidInputError):
-            gen_pretext_pairs(feats[:1], np.zeros(1), n_pairs=4)
-        with pytest.raises(InvalidInputError):
-            gen_pretext_pairs(feats, np.zeros(4), n_pairs=0)
+    def test_single_visit_patients_give_an_empty_dataset(self):
+        data = gen_t1_pairs(GenConfig(n_patients=3, visits_per_patient=(1, 1), feature_dim=4))
+        assert len(data) == 0 and data.x.shape == (0, 4) and data.task is Task.T1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ordchange.model as model_mod
-from ordchange.core import BscanRecord, ClassLabel, PairRecord, Task, softmax
+from ordchange.core import Dataset, Task, softmax
 from ordchange.errors import (
     CheckpointError,
     ConfigError,
@@ -37,8 +37,22 @@ from ordchange.model import (
 )
 
 
-def bscan(patient: str, volume: str, idx: int, feats, label) -> BscanRecord:
-    return BscanRecord(patient, "V0", volume, idx, np.asarray(feats, dtype=float), label)
+def t2_dataset(feats, labels, prefix: str = "P") -> Dataset:
+    """T2 rows with one B-scan per patient, each patient with one volume."""
+    patients = [f"{prefix}{i:04d}" for i in range(len(labels))]
+    return Dataset(
+        x=feats,
+        labels=labels,
+        patient_id=patients,
+        visit_id=["V0"] * len(labels),
+        volume_id=[f"{p}_V0" for p in patients],
+        bscan_index=np.zeros(len(labels), dtype=int),
+    )
+
+
+def t1_dataset(feats_a, feats_b, labels) -> Dataset:
+    """T1 pair rows, one patient per pair."""
+    return Dataset(x=feats_a, x_b=feats_b, labels=labels, patient_id=[f"P{i}" for i in range(len(labels))])
 
 
 def single_layer_params(w_head, b_head=None, encoder=(), dropout=0.0) -> ModelParams:
@@ -362,22 +376,15 @@ class TestSchedule:
             lr_schedule(-1, TrainConfig())
 
 
-def records_with_counts(counts: dict[int, int], dim: int = 3) -> list[BscanRecord]:
-    recs = []
-    i = 0
-    for label, count in counts.items():
-        for _ in range(count):
-            recs.append(bscan(f"P{i:04d}", f"P{i:04d}_V0", 0, np.full(dim, float(label)), ClassLabel(label)))
-            i += 1
-    return recs
+def labels_with_counts(counts: dict[int, int]) -> np.ndarray:
+    return np.repeat(list(counts), list(counts.values()))
 
 
 class TestBatching:
     def test_balanced_batches_equal_composition(self):
-        recs = records_with_counts({0: 800, 1: 150, 2: 50})
+        labels = labels_with_counts({0: 800, 1: 150, 2: 50})
         cfg = TrainConfig(balanced_batches=True, batch_size=30, encoder_dims=(3, 4), head_dims=(4, 3))
-        batches = make_batches(recs, cfg, np.random.default_rng(0))
-        labels = np.array([int(r.label) for r in recs])
+        batches = make_batches(labels, cfg, np.random.default_rng(0))
         assert len(batches) == math.ceil(800 / 10)
         for batch in batches:
             assert batch.size == 30
@@ -385,16 +392,15 @@ class TestBatching:
             np.testing.assert_array_equal(counts, [10, 10, 10])
 
     def test_balanced_requires_every_class(self):
-        recs = records_with_counts({0: 10, 1: 10})
+        labels = labels_with_counts({0: 10, 1: 10})
         cfg = TrainConfig(balanced_batches=True, batch_size=30, encoder_dims=(3, 4), head_dims=(4, 3))
         with pytest.raises(DataError, match="class 2"):
-            make_batches(recs, cfg, np.random.default_rng(0))
+            make_batches(labels, cfg, np.random.default_rng(0))
 
     def test_undersample_caps_majority(self):
-        recs = records_with_counts({0: 800, 1: 150, 2: 50})
+        labels = labels_with_counts({0: 800, 1: 150, 2: 50})
         cfg = TrainConfig(undersample_majority=1.0, batch_size=64, encoder_dims=(3, 4), head_dims=(4, 3))
-        batches = make_batches(recs, cfg, np.random.default_rng(0))
-        labels = np.array([int(r.label) for r in recs])
+        batches = make_batches(labels, cfg, np.random.default_rng(0))
         pooled = np.concatenate(batches)
         assert pooled.size == 150 + 150 + 50
         counts = np.bincount(labels[pooled], minlength=3)
@@ -402,18 +408,18 @@ class TestBatching:
         assert np.unique(pooled).size == pooled.size  # no duplication in this mode
 
     def test_plain_mode_covers_everything_once(self):
-        recs = records_with_counts({0: 17, 1: 6})
+        labels = labels_with_counts({0: 17, 1: 6})
         cfg = TrainConfig(batch_size=5, encoder_dims=(3, 4), head_dims=(4, 3))
-        batches = make_batches(recs, cfg, np.random.default_rng(1))
+        batches = make_batches(labels, cfg, np.random.default_rng(1))
         pooled = np.concatenate(batches)
         assert sorted(pooled.tolist()) == list(range(23))
         assert [b.size for b in batches] == [5, 5, 5, 5, 3]
 
     def test_same_seed_same_batches(self):
-        recs = records_with_counts({0: 40, 1: 30, 2: 20})
+        labels = labels_with_counts({0: 40, 1: 30, 2: 20})
         cfg = TrainConfig(balanced_batches=True, batch_size=12, encoder_dims=(3, 4), head_dims=(4, 3))
-        a = make_batches(recs, cfg, np.random.default_rng(7))
-        b = make_batches(recs, cfg, np.random.default_rng(7))
+        a = make_batches(labels, cfg, np.random.default_rng(7))
+        b = make_batches(labels, cfg, np.random.default_rng(7))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
@@ -447,17 +453,11 @@ class TestTrainConfig:
         assert cfg.task is Task.T1
 
 
-def separable_dataset(n_per_class: int, seed: int, prefix: str) -> list[BscanRecord]:
+def separable_dataset(n_per_class: int, seed: int, prefix: str) -> Dataset:
     rng = np.random.default_rng(seed)
-    recs = []
     centers = {0: (-3.0, 0.0), 1: (0.0, 0.0), 2: (3.0, 0.0)}
-    i = 0
-    for label, center in centers.items():
-        for _ in range(n_per_class):
-            feats = np.asarray(center) + rng.normal(0.0, 0.4, size=2)
-            recs.append(bscan(f"{prefix}{i:04d}", f"{prefix}{i:04d}_V0", 0, feats, ClassLabel(label)))
-            i += 1
-    return recs
+    feats = [np.asarray(c) + rng.normal(0.0, 0.4, size=2) for c in centers.values() for _ in range(n_per_class)]
+    return t2_dataset(np.array(feats), np.repeat(list(centers), n_per_class), prefix)
 
 
 SANITY_CFG = TrainConfig(
@@ -474,37 +474,42 @@ SANITY_CFG = TrainConfig(
 
 class TestTrain:
     def test_patient_overlap_rejected(self):
-        recs = separable_dataset(4, 0, "P")
+        data = separable_dataset(4, 0, "P")
         with pytest.raises(InvalidInputError, match="overlap"):
-            train(recs, recs[:3], SANITY_CFG)
+            train(data, data.take(np.arange(3)), SANITY_CFG)
 
     def test_feature_dim_mismatch_rejected(self):
-        recs = records_with_counts({0: 4, 1: 4, 2: 4}, dim=5)
+        data = t2_dataset(np.ones((12, 5)), labels_with_counts({0: 4, 1: 4, 2: 4}))
         with pytest.raises(ConfigError, match="feature dim"):
-            train(recs[:9], recs[9:], SANITY_CFG)
+            train(data.take(np.arange(9)), data.take(np.arange(9, 12)), SANITY_CFG)
+
+    def test_task_mismatch_rejected(self):
+        data = separable_dataset(4, 0, "A")
+        cfg = TrainConfig(task=Task.T1, loss_kind="focal", encoder_dims=(2, 8), head_dims=(16, 4))
+        with pytest.raises(InvalidInputError, match="holds t2 rows"):
+            train(data, separable_dataset(2, 1, "B"), cfg)
 
     def test_separable_sanity_run(self):
         # 200 training samples in three linearly separable 2-D blobs must be
         # fit almost perfectly within 30 epochs.
-        train_recs = separable_dataset(67, 1, "A")[:200]
-        val_recs = separable_dataset(10, 2, "B")
-        params, history = train(train_recs, val_recs, SANITY_CFG)
-        pred = [int(np.argmax(p)) for _, p in predict(params, train_recs)]
+        train_data = separable_dataset(67, 1, "A").take(np.arange(200))
+        val_data = separable_dataset(10, 2, "B")
+        params, history = train(train_data, val_data, SANITY_CFG)
+        pred = predict(params, train_data).argmax(axis=1)
         cm = np.zeros((3, 3), dtype=int)
-        for rec, p in zip(train_recs, pred):
-            cm[int(rec.label), p] += 1
+        np.add.at(cm, (train_data.labels, pred), 1)
         assert micro_f1(cm) >= 0.95
         assert len(history.entries) == 30
 
     def test_bitwise_determinism(self):
-        train_recs = separable_dataset(10, 3, "A")
-        val_recs = separable_dataset(4, 4, "B")
+        train_data = separable_dataset(10, 3, "A")
+        val_data = separable_dataset(4, 4, "B")
         cfg = TrainConfig(
             encoder_dims=(2, 6), head_dims=(6, 3), epochs=4, batch_size=8, seed=5,
             dropout=0.2, loss_kind="combined",
         )
-        p1, h1 = train(train_recs, val_recs, cfg)
-        p2, h2 = train(train_recs, val_recs, cfg)
+        p1, h1 = train(train_data, val_data, cfg)
+        p2, h2 = train(train_data, val_data, cfg)
         for (w1, b1), (w2, b2) in zip(
             (*p1.encoder_layers, *p1.head_layers), (*p2.encoder_layers, *p2.head_layers)
         ):
@@ -513,41 +518,41 @@ class TestTrain:
         assert [e.train_loss for e in h1.entries] == [e.train_loss for e in h2.entries]
 
     def test_best_epoch_is_argmax_of_history(self):
-        train_recs = separable_dataset(10, 5, "A")
-        val_recs = separable_dataset(5, 6, "B")
+        train_data = separable_dataset(10, 5, "A")
+        val_data = separable_dataset(5, 6, "B")
         cfg = TrainConfig(encoder_dims=(2, 6), head_dims=(6, 3), epochs=6, batch_size=8, seed=1)
-        _, history = train(train_recs, val_recs, cfg)
+        _, history = train(train_data, val_data, cfg)
         averages = [e.val_report.average for e in history.entries]
         assert averages[history.best_epoch] == max(averages)
 
     def test_early_stopping_breaks_after_patience(self):
-        train_recs = separable_dataset(10, 7, "A")
-        val_recs = separable_dataset(5, 8, "B")
+        train_data = separable_dataset(10, 7, "A")
+        val_data = separable_dataset(5, 8, "B")
         # lr tiny enough that validation never improves after epoch 0
         cfg = TrainConfig(
             encoder_dims=(2, 6), head_dims=(6, 3), epochs=30, batch_size=8, seed=2,
             lr=1e-12, early_stop_patience=3,
         )
-        _, history = train(train_recs, val_recs, cfg)
+        _, history = train(train_data, val_data, cfg)
         assert len(history.entries) < 30
         assert history.best_epoch == 0
 
     def test_freeze_head_epochs_keeps_head_fixed(self):
-        train_recs = separable_dataset(10, 9, "A")
-        val_recs = separable_dataset(5, 10, "B")
+        train_data = separable_dataset(10, 9, "A")
+        val_data = separable_dataset(5, 10, "B")
         cfg = TrainConfig(
             encoder_dims=(2, 6), head_dims=(6, 3), epochs=2, batch_size=8, seed=3,
             lr=0.05, freeze_head_epochs=2,
         )
-        params, _ = train(train_recs, val_recs, cfg)
+        params, _ = train(train_data, val_data, cfg)
         seed_init = np.random.SeedSequence(cfg.seed).spawn(3)[0]
         init = init_params(cfg.encoder_dims, cfg.head_dims, cfg.dropout, seed=seed_init)
         np.testing.assert_array_equal(params.head_layers[0][0], init.head_layers[0][0])
         assert not np.array_equal(params.encoder_layers[0][0], init.encoder_layers[0][0])
 
     def test_non_finite_loss_aborts_with_diagnostics(self, monkeypatch):
-        train_recs = separable_dataset(6, 11, "A")
-        val_recs = separable_dataset(3, 12, "B")
+        train_data = separable_dataset(6, 11, "A")
+        val_data = separable_dataset(3, 12, "B")
         cfg = TrainConfig(encoder_dims=(2, 6), head_dims=(6, 3), epochs=2, batch_size=8)
 
         def poisoned(kind, logits, targets, loss_cfg):
@@ -555,63 +560,57 @@ class TestTrain:
 
         monkeypatch.setattr(model_mod, "batch_loss_gradient", poisoned)
         with pytest.raises(NumericError, match="epoch 0 batch 0.*focal=.*emd="):
-            train(train_recs, val_recs, cfg)
+            train(train_data, val_data, cfg)
 
     def test_pair_records_train_siamese(self):
-        rng = np.random.default_rng(13)
-        recs = [
-            PairRecord(f"P{i}", rng.normal(size=3), rng.normal(size=3), ClassLabel(i % 4))
-            for i in range(24)
-        ]
+        feats = np.random.default_rng(13).normal(size=(24, 2, 3))
+        data = t1_dataset(feats[:, 0], feats[:, 1], np.arange(24) % 4)
         cfg = TrainConfig(
             task=Task.T1, loss_kind="focal", encoder_dims=(3, 5), head_dims=(10, 4),
             epochs=2, batch_size=8, seed=0,
         )
-        params, history = train(recs[:16], recs[16:], cfg)
+        params, history = train(data.take(np.arange(16)), data.take(np.arange(16, 24)), cfg)
         assert params.is_siamese
         assert len(history.entries) == 2
 
 
 class TestPredict:
-    def test_keys_and_simplex(self):
+    def test_rows_and_simplex(self):
         params = init_params((2, 6), (6, 3), seed=0)
-        recs = separable_dataset(2, 0, "A")
-        out = predict(params, recs)
-        assert [k for k, _ in out] == [r.key for r in recs]
-        for _, probs in out:
-            assert probs.shape == (3,)
-            assert abs(probs.sum() - 1.0) < 1e-9
+        data = separable_dataset(2, 0, "A")
+        out = predict(params, data)
+        assert out.shape == (len(data), 3)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
+        for i, row in enumerate(out):  # row i belongs to dataset row i
+            np.testing.assert_allclose(row, predict(params, data.take(np.array([i])))[0], rtol=1e-12)
 
     def test_duplicate_record_identical_probs(self):
         params = init_params((2, 6), (6, 3), seed=0)
-        rec = separable_dataset(1, 0, "A")[0]
-        out = predict(params, [rec, rec])
-        np.testing.assert_array_equal(out[0][1], out[1][1])
+        row = separable_dataset(1, 0, "A").x[0]
+        out = predict(params, t2_dataset(np.stack([row, row]), [0, 0]))
+        np.testing.assert_array_equal(out[0], out[1])
 
     def test_topology_mismatch(self):
         siam = init_params((2, 6), (12, 3))
         plain = init_params((2, 6), (6, 3))
-        recs = separable_dataset(1, 0, "A")
-        pair = PairRecord("P0", np.ones(2), np.ones(2), ClassLabel.STABLE)
+        data = separable_dataset(1, 0, "A")
+        pair = t1_dataset(np.ones((1, 2)), np.ones((1, 2)), [1])
         with pytest.raises(InvalidInputError):
-            predict(siam, recs)
+            predict(siam, data)
         with pytest.raises(InvalidInputError):
-            predict(plain, [pair])
+            predict(plain, pair)
 
     def test_empty_input(self):
-        assert predict(init_params((2, 4), (4, 3)), []) == []
+        out = predict(init_params((2, 4), (4, 3)), t2_dataset(np.zeros((0, 2)), []))
+        assert out.shape == (0, 3)
 
     def test_thousand_records_under_a_second(self):
         import time
 
         params = init_params((32, 64), (64, 3), seed=0)
-        rng = np.random.default_rng(0)
-        recs = [
-            bscan(f"P{i}", f"P{i}_V0", 0, rng.normal(size=32), ClassLabel.STABLE)
-            for i in range(1000)
-        ]
+        data = t2_dataset(np.random.default_rng(0).normal(size=(1000, 32)), np.ones(1000, dtype=int))
         start = time.perf_counter()
-        out = predict(params, recs)
+        out = predict(params, data)
         assert time.perf_counter() - start < 1.0
         assert len(out) == 1000
 
