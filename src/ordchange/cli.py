@@ -31,6 +31,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .core import ClassLabel, Dataset, Task, confusion_from_predictions
+from .core import ClassLabel, Dataset, Task, atomic_write, confusion_from_predictions
 from .datagen import GenConfig, gen_t1_pairs, gen_t2_volumes
 from .ensemble import (
     BscanPrediction,
@@ -97,19 +98,12 @@ def _fmt_metric(v: float) -> str:
     return f"{float(v):.6f}"
 
 
-def _atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write_text(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def _read_csv(path: str | os.PathLike) -> tuple[list[str], list[list[str]]]:
@@ -125,17 +119,16 @@ def _read_csv(path: str | os.PathLike) -> tuple[list[str], list[list[str]]]:
 
 def _write_manifest(
     path: str | os.PathLike,
-    command: str,
-    argv: Sequence[str],
-    config_text: str,
-    seed: int | None,
+    args,
+    started: float,
     inputs: Sequence[str],
     outputs: Sequence[str],
-    started: float,
+    config_text: str = "",
+    seed: int | None = None,
 ) -> None:
     payload = {
-        "command": command,
-        "argv": list(argv),
+        "command": args.command,
+        "argv": list(sys.argv[1:] if args.argv is None else args.argv),
         "config": config_text,
         "seed": seed,
         "inputs": list(inputs),
@@ -143,7 +136,7 @@ def _write_manifest(
         "version": __version__,
         "duration_seconds": round(time.monotonic() - started, 6),
     }
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # --- key=value configuration -------------------------------------------------------
@@ -438,6 +431,8 @@ def read_predictions_csv(path: str | os.PathLike) -> list[PredRow]:
     """Read a prediction CSV; probabilities are renormalized to counter the
     9-decimal serialization rounding."""
     header, rows = _read_csv(path)
+    if not rows:
+        raise DataError(f"{path}: holds no prediction rows")
     for n_classes in (4, 3):
         for with_final in (True, False):
             if header == _pred_header(n_classes, with_final):
@@ -476,9 +471,18 @@ def read_truth_csv(path: str | os.PathLike, task: Task) -> dict[str, int]:
     if header != expected:
         raise DataError(f"{path}: unrecognized truth header for task {task.value}")
     try:
-        return {row[0]: int(row[-1]) for row in rows}
+        truth = {row[0]: int(row[-1]) for row in rows}
     except (ValueError, IndexError) as exc:
         raise DataError(f"{path}: malformed truth row: {exc}") from exc
+    _check_unique(path, [row[0] for row in rows])
+    return truth
+
+
+def _check_unique(path: str | os.PathLike, case_ids: list[str]) -> None:
+    counts = Counter(case_ids)
+    if len(counts) != len(case_ids):
+        repeated = next(key for key, n in counts.items() if n > 1)
+        raise AlignmentError(f"{path}: case_id {repeated!r} appears more than once")
 
 
 # --- history and report CSVs ---------------------------------------------------------
@@ -524,16 +528,9 @@ def cmd_gen(args) -> int:
     counts = np.bincount(data.labels, minlength=task.n_classes)
     summary = ", ".join(f"{ClassLabel(c).name.lower()}={n}" for c, n in enumerate(counts.tolist()) if n)
     print(f"wrote {len(data)} {task.value} records to {dataset_path} ({summary})")
-    _write_manifest(
-        out_dir / "manifest.json",
-        command="gen",
-        argv=sys.argv[1:] if args.argv is None else args.argv,
-        config_text=config_text,
-        seed=cfg.seed,
-        inputs=[args.config] if args.config else [],
-        outputs=[str(dataset_path), str(truth_path)],
-        started=started,
-    )
+    inputs = [args.config] if args.config else []
+    outputs = [str(dataset_path), str(truth_path)]
+    _write_manifest(out_dir / "manifest.json", args, started, inputs, outputs, config_text, cfg.seed)
     return 0
 
 
@@ -599,16 +596,8 @@ def cmd_train(args) -> int:
     for _, line, outs in results:
         print(line)
         outputs.extend(outs)
-    _write_manifest(
-        f"{out}.manifest.json",
-        command="train",
-        argv=sys.argv[1:] if args.argv is None else args.argv,
-        config_text=config_text,
-        seed=cfg.seed,
-        inputs=[p for p in (args.config, args.data) if p],
-        outputs=outputs,
-        started=started,
-    )
+    inputs = [p for p in (args.config, args.data) if p]
+    _write_manifest(f"{out}.manifest.json", args, started, inputs, outputs, config_text, cfg.seed)
     return 0
 
 
@@ -637,23 +626,14 @@ def cmd_predict(args) -> int:
     ]
     write_predictions_csv(args.out, rows)
     print(f"wrote {len(rows)} predictions to {args.out}")
-    _write_manifest(
-        f"{args.out}.manifest.json",
-        command="predict",
-        argv=sys.argv[1:] if args.argv is None else args.argv,
-        config_text="",
-        seed=None,
-        inputs=[args.ckpt, args.data],
-        outputs=[str(args.out)],
-        started=started,
-    )
+    _write_manifest(f"{args.out}.manifest.json", args, started, [args.ckpt, args.data], [str(args.out)])
     return 0
 
 
 def cmd_ensemble(args) -> int:
     started = time.monotonic()
     all_rows = [read_predictions_csv(p) for p in args.preds]
-    widths = {rows[0].probs.shape[0] for rows in all_rows if rows}
+    widths = {rows[0].probs.shape[0] for rows in all_rows}
     if len(widths) != 1:
         raise ConfigError(f"prediction files mix class counts {sorted(widths)}; cannot ensemble")
     sets = [
@@ -710,16 +690,7 @@ def cmd_ensemble(args) -> int:
         + (", volume consistency applied" if post_flag else "")
         + f"; wrote {args.out}"
     )
-    _write_manifest(
-        f"{args.out}.manifest.json",
-        command="ensemble",
-        argv=sys.argv[1:] if args.argv is None else args.argv,
-        config_text="",
-        seed=None,
-        inputs=list(args.preds),
-        outputs=[str(args.out)],
-        started=started,
-    )
+    _write_manifest(f"{args.out}.manifest.json", args, started, args.preds, [str(args.out)])
     return 0
 
 
@@ -728,6 +699,7 @@ def cmd_eval(args) -> int:
     task = _parse_task(args.task)
     pred_rows = read_predictions_csv(args.pred)
     truth = read_truth_csv(args.truth, task)
+    _check_unique(args.pred, [r.case_id for r in pred_rows])
     pred_keys = {r.case_id for r in pred_rows}
     truth_keys = set(truth)
     if pred_keys != truth_keys:
@@ -755,16 +727,7 @@ def cmd_eval(args) -> int:
         print(f"flags               {';'.join(report.flags)}")
     out = args.out or f"{args.pred}.report.csv"
     _write_report_csv(out, report)
-    _write_manifest(
-        f"{out}.manifest.json",
-        command="eval",
-        argv=sys.argv[1:] if args.argv is None else args.argv,
-        config_text="",
-        seed=None,
-        inputs=[args.pred, args.truth],
-        outputs=[str(out)],
-        started=started,
-    )
+    _write_manifest(f"{out}.manifest.json", args, started, [args.pred, args.truth], [str(out)])
     return 0
 
 

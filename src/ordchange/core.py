@@ -1,6 +1,6 @@
 """Core domain types: change classes, tasks, probability vectors, confusion
-matrices, and the columnar ``Dataset`` carried through generation, training
-and prediction.
+matrices, the columnar ``Dataset`` carried through generation, training
+and prediction, and the atomic file write behind every output.
 
 Probability and logit vectors are plain float64 numpy arrays. The functions
 ``as_prob_vector`` and ``as_logits`` are the validation gates; everything
@@ -9,6 +9,8 @@ downstream assumes its inputs went through one of them.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from typing import Iterable, Sequence
@@ -268,3 +270,18 @@ class Dataset:
         """The rows picked by an index array or a boolean mask, in that order."""
         columns = {f.name: getattr(self, f.name) for f in fields(self)}
         return Dataset(**{name: None if col is None else col[rows] for name, col in columns.items()})
+
+
+def atomic_write(path: str | os.PathLike, data: str | bytes) -> None:
+    """Write bytes, or text as UTF-8, to ``path`` through a temporary file and
+    a rename, so ``path`` holds either its old content or all of the new. The
+    temporary file is removed when either step fails."""
+    tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data if isinstance(data, bytes) else data.encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

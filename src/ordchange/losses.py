@@ -11,10 +11,12 @@ The EMD term compares cumulative distributions, so it is only meaningful when
 class indices are ordinal; configuration for the 4-class pair task therefore
 rejects it (see ``validate_loss_for_task``).
 
-Public forward functions take single probability vectors. The ``*_rows``
-helpers used by the training loop evaluate whole batches with the same
-formulas; ``loss_gradient`` and ``batch_loss_gradient`` are thin wrappers
-around one shared gradient path, chained through softmax.
+Public forward functions take single probability vectors. Internally each
+term has one function that evaluates a whole batch and returns its per-row
+values together with their gradient with respect to the probabilities, so a
+training step computes the shared logs, powers and cumulative sums once.
+``loss_gradient`` and ``batch_loss_gradient`` are thin wrappers around that
+one path, chained through softmax.
 """
 
 from __future__ import annotations
@@ -82,27 +84,24 @@ def validate_loss_for_task(loss_kind: str, task: Task) -> None:
         )
 
 
-def _check_pair(p_hat: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scalar(kind: str, p_hat: np.ndarray, y: np.ndarray, cfg: LossConfig) -> float:
     p = as_prob_vector(p_hat)
     t = as_prob_vector(y)
     if p.shape != t.shape:
         raise InvalidInputError(f"prediction and target lengths differ: {p.shape[0]} vs {t.shape[0]}")
-    return p, t
+    return float(_terms(kind, p[None, :], t[None, :], cfg)[0][0])
 
 
 def cross_entropy(p_hat: np.ndarray, y: np.ndarray, eps: float = 1e-12) -> float:
     """Cross-entropy of a predicted distribution against a target distribution."""
     if not (0.0 < eps <= 1e-3):
         raise InvalidInputError(f"eps must lie in (0, 1e-3], got {eps}")
-    p, t = _check_pair(p_hat, y)
-    return float(-np.sum(t * np.log(np.maximum(p, eps))))
+    return _scalar("ce", p_hat, y, LossConfig(epsilon=eps))
 
 
 def focal_loss(p_hat: np.ndarray, y: np.ndarray, cfg: LossConfig | None = None) -> float:
     """Focal loss: cross-entropy with easy samples down-weighted by (1-p)^gamma."""
-    cfg = cfg or LossConfig()
-    p, t = _check_pair(p_hat, y)
-    return float(_focal_rows(p[None, :], t[None, :], cfg)[0])
+    return _scalar("focal", p_hat, y, cfg or LossConfig())
 
 
 def emd_loss(p_hat: np.ndarray, y: np.ndarray) -> float:
@@ -111,94 +110,75 @@ def emd_loss(p_hat: np.ndarray, y: np.ndarray) -> float:
     Symmetric in its arguments and zero exactly when the cumulative
     distributions coincide. Values stay within [0, 1].
     """
-    p, t = _check_pair(p_hat, y)
-    return float(_emd_rows(p[None, :], t[None, :])[0])
+    return _scalar("emd", p_hat, y, LossConfig())
 
 
 def combined_loss(p_hat: np.ndarray, y: np.ndarray, cfg: LossConfig | None = None) -> float:
     """Weighted sum of the focal and EMD terms (default weights 1:1)."""
-    cfg = cfg or LossConfig()
-    p, t = _check_pair(p_hat, y)
-    return float(
-        cfg.focal_weight * _focal_rows(p[None, :], t[None, :], cfg)[0]
-        + cfg.emd_weight * _emd_rows(p[None, :], t[None, :])[0]
-    )
+    return _scalar("combined", p_hat, y, cfg or LossConfig())
 
 
 # --- row-vectorized internals -------------------------------------------------
-# P and Y are (N, C) with each row a probability vector. These carry the only
-# copies of the formulas; the scalar API and the training loop both call them.
+# P and Y are (N, C) with each row a probability vector. Each term has one
+# function returning its per-row values and dL/dp together, so the log, the
+# focal weight and the cumulative sums are computed once per batch. These
+# carry the only copies of the formulas; the scalar API, the gradient checks
+# and the training loop all call them.
 
 
-def _ce_rows(P: np.ndarray, Y: np.ndarray, eps: float) -> np.ndarray:
-    return -np.sum(Y * np.log(np.maximum(P, eps)), axis=1)
-
-
-def _focal_rows(P: np.ndarray, Y: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    log_pc = np.log(np.maximum(P, cfg.epsilon))
-    return -cfg.alpha * np.sum(Y * (1.0 - P) ** cfg.gamma * log_pc, axis=1)
-
-
-def _emd_rows(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    diff = np.cumsum(Y, axis=1) - np.cumsum(P, axis=1)
-    return np.sqrt(np.mean(diff * diff, axis=1))
-
-
-def _loss_rows(kind: str, P: np.ndarray, Y: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    if kind == "ce":
-        return _ce_rows(P, Y, cfg.epsilon)
-    if kind == "focal":
-        return _focal_rows(P, Y, cfg)
-    if kind == "emd":
-        return _emd_rows(P, Y)
-    if kind == "combined":
-        return cfg.focal_weight * _focal_rows(P, Y, cfg) + cfg.emd_weight * _emd_rows(P, Y)
-    raise ConfigError(f"unknown loss kind {kind!r}, expected one of {LOSS_KINDS}")
-
-
-def _ce_grad_p(P: np.ndarray, Y: np.ndarray, eps: float) -> np.ndarray:
+def _ce_terms(P: np.ndarray, Y: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    clamped = np.maximum(P, eps)
+    values = -np.sum(Y * np.log(clamped), axis=1)
     # d/dp of -y log(max(p, eps)): the clamp region contributes zero slope.
-    return np.where(P > eps, -Y / np.maximum(P, eps), 0.0)
+    return values, np.where(P > eps, -Y / clamped, 0.0)
 
 
-def _focal_grad_p(P: np.ndarray, Y: np.ndarray, cfg: LossConfig) -> np.ndarray:
-    log_pc = np.log(np.maximum(P, cfg.epsilon))
+def _focal_terms(P: np.ndarray, Y: np.ndarray, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
+    clamped = np.maximum(P, cfg.epsilon)
+    log_pc = np.log(clamped)
     one_minus = 1.0 - P
-    d_log = np.where(P > cfg.epsilon, one_minus**cfg.gamma / np.maximum(P, cfg.epsilon), 0.0)
+    weight = one_minus**cfg.gamma
+    values = -cfg.alpha * np.sum(Y * weight * log_pc, axis=1)
+    d_log = np.where(P > cfg.epsilon, weight / clamped, 0.0)
     if cfg.gamma > 0:
         # Guarded so gamma < 1 does not produce 0^(negative) at p == 1; the
         # true limit of the product there is 0. The base is substituted before
         # the power because where() evaluates both branches.
-        safe_base = np.where(one_minus > 0, one_minus, 1.0)
-        d_pow = np.where(
-            one_minus > 0, cfg.gamma * safe_base ** (cfg.gamma - 1.0) * log_pc, 0.0
-        )
+        below_one = one_minus > 0
+        safe_base = np.where(below_one, one_minus, 1.0)
+        d_pow = np.where(below_one, cfg.gamma * safe_base ** (cfg.gamma - 1.0) * log_pc, 0.0)
     else:
         d_pow = np.zeros_like(P)
-    return -cfg.alpha * Y * (d_log - d_pow)
+    return values, -cfg.alpha * Y * (d_log - d_pow)
 
 
-def _emd_grad_p(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _emd_terms(P: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n_classes = P.shape[1]
     diff = np.cumsum(Y, axis=1) - np.cumsum(P, axis=1)
-    value = np.sqrt(np.mean(diff * diff, axis=1))
+    values = np.sqrt(np.mean(diff * diff, axis=1))
     # dL/dCDF_p(i) = -diff_i / (C * L); dCDF_p(i)/dp_k = 1 for i >= k, so the
     # per-probability gradient is the suffix sum. Defined as zero at L == 0.
     suffix = np.cumsum(diff[:, ::-1], axis=1)[:, ::-1]
-    safe = np.where(value > 0, value, 1.0)
-    grad = -suffix / (n_classes * safe[:, None])
-    return np.where(value[:, None] > 0, grad, 0.0)
+    nonzero = values > 0
+    grad = -suffix / (n_classes * np.where(nonzero, values, 1.0)[:, None])
+    return values, np.where(nonzero[:, None], grad, 0.0)
 
 
-def _grad_p_rows(kind: str, P: np.ndarray, Y: np.ndarray, cfg: LossConfig) -> np.ndarray:
+def _terms(kind: str, P: np.ndarray, Y: np.ndarray, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row loss values and their gradient with respect to P."""
     if kind == "ce":
-        return _ce_grad_p(P, Y, cfg.epsilon)
+        return _ce_terms(P, Y, cfg.epsilon)
     if kind == "focal":
-        return _focal_grad_p(P, Y, cfg)
+        return _focal_terms(P, Y, cfg)
     if kind == "emd":
-        return _emd_grad_p(P, Y)
+        return _emd_terms(P, Y)
     if kind == "combined":
-        return cfg.focal_weight * _focal_grad_p(P, Y, cfg) + cfg.emd_weight * _emd_grad_p(P, Y)
+        focal, focal_grad = _focal_terms(P, Y, cfg)
+        emd, emd_grad = _emd_terms(P, Y)
+        return (
+            cfg.focal_weight * focal + cfg.emd_weight * emd,
+            cfg.focal_weight * focal_grad + cfg.emd_weight * emd_grad,
+        )
     raise ConfigError(f"unknown loss kind {kind!r}, expected one of {LOSS_KINDS}")
 
 
@@ -229,10 +209,8 @@ def loss_gradient(loss_kind: str, z: np.ndarray, y: np.ndarray, cfg: LossConfig 
     if zv.shape != t.shape:
         raise InvalidInputError(f"logit and target lengths differ: {zv.shape[0]} vs {t.shape[0]}")
     P = softmax(zv)[None, :]
-    Y = t[None, :]
-    value = float(_loss_rows(loss_kind, P, Y, cfg)[0])
-    grad = _chain_softmax(P, _grad_p_rows(loss_kind, P, Y, cfg))[0]
-    return LossResult(value=value, grad_logits=grad)
+    values, grad_p = _terms(loss_kind, P, t[None, :], cfg)
+    return LossResult(value=float(values[0]), grad_logits=_chain_softmax(P, grad_p)[0])
 
 
 def batch_loss_gradient(
@@ -249,9 +227,8 @@ def batch_loss_gradient(
     if Z.ndim != 2 or Z.shape != Y.shape:
         raise InvalidInputError(f"expected matching (N, C) arrays, got {Z.shape} and {Y.shape}")
     P = softmax(Z)
-    values = _loss_rows(loss_kind, P, Y, cfg)
-    grad = _chain_softmax(P, _grad_p_rows(loss_kind, P, Y, cfg)) / Z.shape[0]
-    return float(np.mean(values)), grad
+    values, grad_p = _terms(loss_kind, P, Y, cfg)
+    return float(np.mean(values)), _chain_softmax(P, grad_p) / Z.shape[0]
 
 
 def finite_difference_check(
@@ -279,8 +256,8 @@ def finite_difference_check(
     for i in range(zv.shape[0]):
         bump = np.zeros_like(zv)
         bump[i] = h
-        up = float(_loss_rows(loss_kind, softmax(zv + bump)[None, :], t[None, :], cfg)[0])
-        down = float(_loss_rows(loss_kind, softmax(zv - bump)[None, :], t[None, :], cfg)[0])
+        up = float(_terms(loss_kind, softmax(zv + bump)[None, :], t[None, :], cfg)[0][0])
+        down = float(_terms(loss_kind, softmax(zv - bump)[None, :], t[None, :], cfg)[0][0])
         numeric = (up - down) / (2.0 * h)
         analytic = result.grad_logits[i]
         rel = abs(numeric - analytic) / max(abs(analytic), _REL_FLOOR)

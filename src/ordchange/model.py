@@ -9,6 +9,14 @@ inference needs no correction).
 
 Everything is numpy with explicit caches and hand-written backpropagation;
 ``forward``/``siamese_forward`` return the cache that ``backward`` consumes.
+
+Parameters, gradients and Adam moments each live in one contiguous float64
+vector laid out w0, b0, w1, b1, ... in encoder-then-head order (the
+checkpoint body's order); the per-layer (w, b) pairs are views into it.
+``backward`` writes every layer's gradient into its view of one buffer, and
+``optimizer_step`` is a few vector operations. ``ModelParams`` is validated
+when a model is built, loaded or saved; the parameters each optimizer step
+makes keep the checked layout and are only checked for non-finite entries.
 Parameter updates are functional: ``optimizer_step`` returns new parameter
 and state objects and never mutates its arguments.
 
@@ -28,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, Task, confusion_from_predictions, softmax
+from .core import Dataset, Task, atomic_write, confusion_from_predictions, softmax
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -39,8 +47,8 @@ from .errors import (
 )
 from .losses import (
     LossConfig,
-    _emd_rows,
-    _focal_rows,
+    _emd_terms,
+    _focal_terms,
     batch_loss_gradient,
     loss_gradient,
     validate_loss_for_task,
@@ -56,11 +64,40 @@ CHECKPOINT_VERSION = 1
 # --- parameters ----------------------------------------------------------------
 
 
-def _check_layer(w: np.ndarray, b: np.ndarray, where: str) -> None:
-    if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-        raise ConfigError(f"{where}: weight {w.shape} and bias {b.shape} are inconsistent")
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-        raise ConfigError(f"{where}: parameters contain non-finite entries")
+def _adopt(obj, vector: np.ndarray, layout: tuple) -> None:
+    """Make ``vector`` the storage of ``obj``, a ModelParams or Gradients.
+
+    ``layout`` is (number of encoder layers, (out, in) of every layer). The
+    vector holds w0, b0, w1, b1, ... in encoder-then-head order, and the
+    object's per-layer (w, b) pairs become views into it.
+    """
+    n_encoder, shapes = layout
+    views, off = [], 0
+    for out_dim, in_dim in shapes:
+        end = off + out_dim * in_dim
+        views.append((vector[off:end].reshape(out_dim, in_dim), vector[end : end + out_dim]))
+        off = end + out_dim
+    object.__setattr__(obj, "vector", vector)
+    object.__setattr__(obj, "layout", layout)
+    object.__setattr__(obj, "encoder_layers", tuple(views[:n_encoder]))
+    object.__setattr__(obj, "head_layers", tuple(views[n_encoder:]))
+
+
+def _pack(obj) -> None:
+    """Copy the per-layer arrays ``obj`` was built with into one vector it owns."""
+    layers = (*obj.encoder_layers, *obj.head_layers)
+    vector = np.concatenate([np.ravel(a) for layer in layers for a in layer]).astype(np.float64, copy=False)
+    _adopt(obj, vector, (len(obj.encoder_layers), tuple(np.shape(w) for w, _ in layers)))
+
+
+def _over(cls, vector: np.ndarray, layout: tuple, **fields):
+    """A ``cls`` (ModelParams or Gradients) over ``vector``, without the
+    constructor's checks: for vectors made from an already checked layout."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    _adopt(obj, vector, layout)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -69,34 +106,44 @@ class ModelParams:
 
     Each layer is a (weight, bias) pair with weight shape (out, in). A head
     input width equal to twice the encoder output marks the siamese topology.
+
+    The constructor validates the layers and copies them into ``vector``;
+    ``encoder_layers`` and ``head_layers`` are then views into it.
     """
 
     encoder_layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     head_layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     dropout_rate: float = 0.0
+    vector: np.ndarray = field(init=False, repr=False, compare=False)
+    layout: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.head_layers:
             raise ConfigError("model needs at least one head layer")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
-        object.__setattr__(self, "encoder_layers", tuple((w, b) for w, b in self.encoder_layers))
-        object.__setattr__(self, "head_layers", tuple((w, b) for w, b in self.head_layers))
-        for i, (w, b) in enumerate(self.encoder_layers):
-            _check_layer(w, b, f"encoder layer {i}")
-            if i > 0 and w.shape[1] != self.encoder_layers[i - 1][0].shape[0]:
-                raise ConfigError(f"encoder layer {i} input {w.shape[1]} breaks the chain")
-        for i, (w, b) in enumerate(self.head_layers):
-            _check_layer(w, b, f"head layer {i}")
-            if i > 0 and w.shape[1] != self.head_layers[i - 1][0].shape[0]:
-                raise ConfigError(f"head layer {i} input {w.shape[1]} breaks the chain")
-        if self.encoder_layers:
-            enc_out = self.encoder_layers[-1][0].shape[0]
-            head_in = self.head_layers[0][0].shape[1]
+        n_enc = len(self.encoder_layers)
+        layers = (*self.encoder_layers, *self.head_layers)
+        for i, (w, b) in enumerate(layers):
+            where = f"encoder layer {i}" if i < n_enc else f"head layer {i - n_enc}"
+            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
+                raise ConfigError(f"{where}: weight {w.shape} and bias {b.shape} are inconsistent")
+            if i not in (0, n_enc) and w.shape[1] != layers[i - 1][0].shape[0]:
+                raise ConfigError(f"{where} input {w.shape[1]} breaks the chain")
+        if n_enc:
+            enc_out, head_in = layers[n_enc - 1][0].shape[0], layers[n_enc][0].shape[1]
             if head_in not in (enc_out, 2 * enc_out):
                 raise ConfigError(
                     f"head input {head_in} must equal the encoder output {enc_out} or twice it"
                 )
+        _pack(self)
+        if not np.all(np.isfinite(self.vector)):
+            raise ConfigError("parameters contain non-finite entries")
+
+    @property
+    def head_offset(self) -> int:
+        """Where the head's parameters start in ``vector``."""
+        return sum(w.size + b.size for w, b in self.encoder_layers)
 
     @property
     def encoder_output_dim(self) -> int:
@@ -125,10 +172,16 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Gradients:
-    """Per-layer gradients mirroring the ModelParams layout."""
+    """Per-layer gradients in the ModelParams layout, held in one vector the
+    way ModelParams holds its parameters."""
 
     encoder_layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     head_layers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    vector: np.ndarray = field(init=False, repr=False, compare=False)
+    layout: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _pack(self)
 
 
 def init_params(
@@ -282,25 +335,34 @@ def siamese_forward(
     return (logits[0] if single_a else logits), cache
 
 
+def _layer_grad(g: np.ndarray, inp: np.ndarray, out: tuple[np.ndarray, np.ndarray]) -> None:
+    np.matmul(g.T, inp, out=out[0])
+    np.sum(g, axis=0, out=out[1])
+
+
 def _backprop_encoder(
-    params: ModelParams, x: np.ndarray, pres: list[np.ndarray], grad_emb: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.encoder_layers)  # type: ignore[list-item]
+    params: ModelParams,
+    x: np.ndarray,
+    pres: list[np.ndarray],
+    grad_emb: np.ndarray,
+    out: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> None:
     g = grad_emb
     for i in range(len(params.encoder_layers) - 1, -1, -1):
         g = g * (pres[i] > 0)
-        inp = x if i == 0 else np.maximum(pres[i - 1], 0.0)
-        grads[i] = (g.T @ inp, g.sum(axis=0))
-        g = g @ params.encoder_layers[i][0]
-    return grads
+        _layer_grad(g, x if i == 0 else np.maximum(pres[i - 1], 0.0), out[i])
+        if i > 0:
+            g = g @ params.encoder_layers[i][0]
 
 
 def backward(cache: dict, grad_logits: np.ndarray) -> Gradients:
     """Backpropagate a logit gradient through the cache from a forward pass.
 
     ``grad_logits`` must match the cached logits' shape; the returned
-    gradients have exactly the ModelParams layout. In the siamese topology
-    the two branches accumulate into the shared encoder gradients.
+    gradients have exactly the ModelParams layout, and every layer's gradient
+    is written straight into its view of the one gradient vector. In the
+    siamese topology the two branches accumulate into the shared encoder
+    gradients.
     """
     if not isinstance(cache, dict) or "mode" not in cache or "params" not in cache:
         raise InvalidStateError("backward needs the cache produced by a forward pass")
@@ -314,10 +376,10 @@ def backward(cache: dict, grad_logits: np.ndarray) -> Gradients:
     elif g.shape != expected:
         raise InvalidInputError(f"grad_logits shape {g.shape} does not match logits {expected}")
 
-    head_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.head_layers)  # type: ignore[list-item]
+    grads = _over(Gradients, np.empty_like(params.vector), params.layout)
     for i in range(len(params.head_layers) - 1, -1, -1):
         inp = cache["head_input"] if i == 0 else np.maximum(cache["head_pres"][i - 1], 0.0)
-        head_grads[i] = (g.T @ inp, g.sum(axis=0))
+        _layer_grad(g, inp, grads.head_layers[i])
         g = g @ params.head_layers[i][0]
         if i > 0:
             g = g * (cache["head_pres"][i - 1] > 0)
@@ -325,13 +387,15 @@ def backward(cache: dict, grad_logits: np.ndarray) -> Gradients:
         g = g * cache["drop_mask"]
 
     if cache["mode"] == "plain":
-        enc_grads = _backprop_encoder(params, cache["x"], cache["enc_pres"], g)
+        _backprop_encoder(params, cache["x"], cache["enc_pres"], g, grads.encoder_layers)
     else:
         e = params.encoder_output_dim
-        grads_a = _backprop_encoder(params, cache["x_a"], cache["enc_pres_a"], g[:, :e])
-        grads_b = _backprop_encoder(params, cache["x_b"], cache["enc_pres_b"], g[:, e:])
-        enc_grads = [(wa + wb, ba + bb) for (wa, ba), (wb, bb) in zip(grads_a, grads_b)]
-    return Gradients(encoder_layers=tuple(enc_grads), head_layers=tuple(head_grads))
+        _backprop_encoder(params, cache["x_a"], cache["enc_pres_a"], g[:, :e], grads.encoder_layers)
+        branch_b = _over(Gradients, np.empty_like(params.vector), params.layout)
+        _backprop_encoder(params, cache["x_b"], cache["enc_pres_b"], g[:, e:], branch_b.encoder_layers)
+        n = params.head_offset
+        grads.vector[:n] += branch_b.vector[:n]
+    return grads
 
 
 def finite_difference_check_params(
@@ -365,21 +429,19 @@ def finite_difference_check_params(
         return forward(p, inputs[0])
 
     logits, cache = run(params)
-    analytic = loss_gradient(loss_kind, logits, target, cfg)
-    flat_g = _flatten_grads(backward(cache, analytic.grad_logits))
-    flat_p = [np.array(a) for a in _flatten(params)]
+    analytic = backward(cache, loss_gradient(loss_kind, logits, target, cfg).grad_logits).vector
+    vector = params.vector.copy()
+    bumped = _over(ModelParams, vector, params.layout, dropout_rate=params.dropout_rate)
     worst = 0.0
-    for arr, g_arr in zip(flat_p, flat_g):
-        for idx in np.ndindex(arr.shape):
-            orig = arr[idx]
-            arr[idx] = orig + h
-            up = loss_gradient(loss_kind, run(_rebuild(params, flat_p))[0], target, cfg).value
-            arr[idx] = orig - h
-            down = loss_gradient(loss_kind, run(_rebuild(params, flat_p))[0], target, cfg).value
-            arr[idx] = orig
-            numeric = (up - down) / (2.0 * h)
-            ana = g_arr[idx]
-            worst = max(worst, abs(numeric - ana) / max(abs(ana), 1e-8))
+    for i, ana in enumerate(analytic):
+        orig = vector[i]
+        vector[i] = orig + h
+        up = loss_gradient(loss_kind, run(bumped)[0], target, cfg).value
+        vector[i] = orig - h
+        down = loss_gradient(loss_kind, run(bumped)[0], target, cfg).value
+        vector[i] = orig
+        numeric = (up - down) / (2.0 * h)
+        worst = max(worst, abs(numeric - ana) / max(abs(ana), 1e-8))
     return worst
 
 
@@ -413,69 +475,51 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Step counter and first/second moment estimates (empty for sgd)."""
+    """Step counter and first/second moment vectors (None for sgd), laid out
+    like ``ModelParams.vector``."""
 
     config: OptimizerConfig
     step: int
-    m: tuple[np.ndarray, ...]
-    v: tuple[np.ndarray, ...]
-
-
-def _flatten(params: ModelParams) -> list[np.ndarray]:
-    out = []
-    for w, b in (*params.encoder_layers, *params.head_layers):
-        out.extend((w, b))
-    return out
-
-
-def _flatten_grads(grads: Gradients) -> list[np.ndarray]:
-    out = []
-    for w, b in (*grads.encoder_layers, *grads.head_layers):
-        out.extend((w, b))
-    return out
-
-
-def _rebuild(params: ModelParams, flat: list[np.ndarray]) -> ModelParams:
-    n_enc = len(params.encoder_layers)
-    pairs = [(flat[2 * i], flat[2 * i + 1]) for i in range(len(flat) // 2)]
-    return ModelParams(
-        encoder_layers=tuple(pairs[:n_enc]),
-        head_layers=tuple(pairs[n_enc:]),
-        dropout_rate=params.dropout_rate,
-    )
+    m: np.ndarray | None
+    v: np.ndarray | None
 
 
 def init_optimizer_state(cfg: OptimizerConfig, params: ModelParams) -> OptimizerState:
     if cfg.kind == "adam":
-        zeros = tuple(np.zeros_like(a) for a in _flatten(params))
+        zeros = np.zeros_like(params.vector)
         return OptimizerState(config=cfg, step=0, m=zeros, v=zeros)
-    return OptimizerState(config=cfg, step=0, m=(), v=())
+    return OptimizerState(config=cfg, step=0, m=None, v=None)
 
 
 def optimizer_step(
     state: OptimizerState, params: ModelParams, grads: Gradients, lr: float
 ) -> tuple[ModelParams, OptimizerState]:
-    """Apply one update and return the new parameters and optimizer state."""
+    """Apply one update and return the new parameters and optimizer state.
+
+    The update is a handful of vector operations on the flat parameter and
+    gradient vectors; every entry gets the same arithmetic a per-layer update
+    gives it. The new parameters share the old layout and are checked for
+    non-finite entries only.
+    """
     if not (np.isfinite(lr) and lr > 0):
         raise InvalidInputError(f"learning rate must be finite and > 0, got {lr}")
-    flat_p = _flatten(params)
-    flat_g = _flatten_grads(grads)
-    if len(flat_p) != len(flat_g) or any(p.shape != g.shape for p, g in zip(flat_p, flat_g)):
+    if grads.layout != params.layout:
         raise InvalidInputError("gradient layout does not match the parameters")
     cfg = state.config
+    p, g = params.vector, grads.vector
+    m = v = None
     if cfg.kind == "sgd":
-        new = [p - lr * g - lr * cfg.weight_decay * p for p, g in zip(flat_p, flat_g)]
-        return _rebuild(params, new), OptimizerState(cfg, state.step + 1, (), ())
-    t = state.step + 1
-    new_m = tuple(cfg.beta1 * m + (1 - cfg.beta1) * g for m, g in zip(state.m, flat_g))
-    new_v = tuple(cfg.beta2 * v + (1 - cfg.beta2) * g * g for v, g in zip(state.v, flat_g))
-    bias1 = 1 - cfg.beta1**t
-    bias2 = 1 - cfg.beta2**t
-    new = [
-        p - lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps) - lr * cfg.weight_decay * p
-        for p, m, v in zip(flat_p, new_m, new_v)
-    ]
-    return _rebuild(params, new), OptimizerState(cfg, t, new_m, new_v)
+        new = p - lr * g - lr * cfg.weight_decay * p
+    else:
+        m = cfg.beta1 * state.m + (1 - cfg.beta1) * g
+        v = cfg.beta2 * state.v + (1 - cfg.beta2) * g * g
+        bias1 = 1 - cfg.beta1 ** (state.step + 1)
+        bias2 = 1 - cfg.beta2 ** (state.step + 1)
+        new = p - lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps) - lr * cfg.weight_decay * p
+    if not np.all(np.isfinite(new)):
+        raise ConfigError("the optimizer step produced non-finite parameters")
+    new_params = _over(ModelParams, new, params.layout, dropout_rate=params.dropout_rate)
+    return new_params, OptimizerState(cfg, state.step + 1, m, v)
 
 
 # --- training configuration ------------------------------------------------------
@@ -641,8 +685,8 @@ def _logits_for(params: ModelParams, data: Dataset) -> np.ndarray:
 
 def _loss_diagnostics(logits: np.ndarray, targets: np.ndarray, cfg: LossConfig) -> str:
     probs = softmax(logits)
-    focal = float(np.mean(_focal_rows(probs, targets, cfg)))
-    emd = float(np.mean(_emd_rows(probs, targets)))
+    focal = float(np.mean(_focal_terms(probs, targets, cfg)[0]))
+    emd = float(np.mean(_emd_terms(probs, targets)[0]))
     return f"focal={focal!r} emd={emd!r}"
 
 
@@ -685,6 +729,7 @@ def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelPara
     rng_batch = np.random.default_rng(seed_batch)
     rng_drop = np.random.default_rng(seed_drop)
 
+    head_offset = params.head_offset
     history: list[EpochStats] = []
     best_params = params
     best_epoch = 0
@@ -710,10 +755,7 @@ def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelPara
                 )
             grads = backward(cache, grad_logits)
             if epoch < cfg.freeze_head_epochs:
-                grads = Gradients(
-                    encoder_layers=grads.encoder_layers,
-                    head_layers=tuple((np.zeros_like(w), np.zeros_like(b)) for w, b in grads.head_layers),
-                )
+                grads.vector[head_offset:] = 0.0
             params, opt_state = optimizer_step(opt_state, params, grads, lr)
             loss_sum += loss_value * idx.size
             sample_count += idx.size
@@ -748,33 +790,27 @@ def predict(params: ModelParams, data: Dataset) -> np.ndarray:
 
 
 def save_checkpoint(path: str | os.PathLike, params: ModelParams) -> None:
-    """Write parameters to a binary checkpoint, atomically.
+    """Validate the parameters and write them to a binary checkpoint, atomically.
 
     Layout: 8-byte magic, u32 version, f64 dropout rate, u32 layer counts for
-    encoder and head, per-layer (out, in) u32 pairs, row-major little-endian
-    f64 weight then bias arrays in order, and a trailing CRC32 of everything
-    before it.
+    encoder and head, per-layer (out, in) u32 pairs, the parameter vector as
+    row-major little-endian f64 (each layer's weight then bias, in order), and
+    a trailing CRC32 of everything before it.
     """
+    params = ModelParams(params.encoder_layers, params.head_layers, params.dropout_rate)
     header = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     header.append(struct.pack("<d", params.dropout_rate))
     header.append(struct.pack("<II", len(params.encoder_layers), len(params.head_layers)))
-    all_layers = (*params.encoder_layers, *params.head_layers)
-    for w, _ in all_layers:
-        header.append(struct.pack("<II", w.shape[0], w.shape[1]))
-    body = [np.ascontiguousarray(a, dtype="<f8").tobytes() for w, b in all_layers for a in (w, b)]
-    payload = b"".join(header) + b"".join(body)
-    blob = payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    header += [struct.pack("<II", out_dim, in_dim) for out_dim, in_dim in params.layout[1]]
+    payload = b"".join(header) + params.vector.astype("<f8", copy=False).tobytes()
+    atomic_write(path, payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
 def load_checkpoint(path: str | os.PathLike) -> ModelParams:
-    """Read a checkpoint written by ``save_checkpoint``.
+    """Read and validate a checkpoint written by ``save_checkpoint``.
 
     Raises CheckpointError on a bad magic string, version mismatch, truncated
-    data, or checksum failure.
+    data, checksum failure, or parameters that do not form a model.
     """
     try:
         with open(path, "rb") as fh:
@@ -806,25 +842,15 @@ def load_checkpoint(path: str | os.PathLike) -> ModelParams:
         )
     (dropout,) = take("<d")
     n_enc, n_head = take("<II")
-    shapes = [take("<II") for _ in range(n_enc + n_head)]
-    layers = []
-    for out_dim, in_dim in shapes:
-        (w_bytes,) = (payload[off : off + 8 * out_dim * in_dim],)
-        off += 8 * out_dim * in_dim
-        b_bytes = payload[off : off + 8 * out_dim]
-        off += 8 * out_dim
-        if len(w_bytes) != 8 * out_dim * in_dim or len(b_bytes) != 8 * out_dim:
-            raise CheckpointError(f"checkpoint {path} is truncated")
-        w = np.frombuffer(w_bytes, dtype="<f8").reshape(out_dim, in_dim).copy()
-        b = np.frombuffer(b_bytes, dtype="<f8").copy()
-        layers.append((w, b))
-    if off != len(payload):
-        raise CheckpointError(f"checkpoint {path} carries {len(payload) - off} unexpected trailing bytes")
+    shapes = tuple(take("<II") for _ in range(n_enc + n_head))
+    body = len(payload) - off
+    expected = 8 * sum(out_dim * (in_dim + 1) for out_dim, in_dim in shapes)
+    if body < expected:
+        raise CheckpointError(f"checkpoint {path} is truncated")
+    if body > expected:
+        raise CheckpointError(f"checkpoint {path} carries {body - expected} unexpected trailing bytes")
+    raw = _over(ModelParams, np.frombuffer(payload, dtype="<f8", offset=off), (n_enc, shapes))
     try:
-        return ModelParams(
-            encoder_layers=tuple(layers[:n_enc]),
-            head_layers=tuple(layers[n_enc:]),
-            dropout_rate=dropout,
-        )
+        return ModelParams(raw.encoder_layers, raw.head_layers, dropout)
     except ConfigError as exc:
         raise CheckpointError(f"checkpoint {path} holds inconsistent parameters: {exc}") from exc

@@ -1,0 +1,179 @@
+"""The per-layer training step that the flat parameter vector replaced.
+
+Parameters, gradients and Adam moments are lists of per-layer arrays here:
+every optimizer step flattens the layers, updates each array on its own and
+rebuilds (and re-validates) a ``ModelParams``. Backward allocates one fresh
+array per layer, and each loss term has one function for its per-row values
+and another for its derivative with respect to the probabilities. The
+arithmetic of each array is what ``ordchange.model`` and ``ordchange.losses``
+now do on one vector, so the two must agree bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ordchange.core import softmax
+from ordchange.model import Gradients, ModelParams
+
+# --- optimizer ---------------------------------------------------------------------
+
+
+def _flatten(params) -> list[np.ndarray]:
+    out = []
+    for w, b in (*params.encoder_layers, *params.head_layers):
+        out.extend((w, b))
+    return out
+
+
+def _flatten_grads(grads) -> list[np.ndarray]:
+    out = []
+    for w, b in (*grads.encoder_layers, *grads.head_layers):
+        out.extend((w, b))
+    return out
+
+
+def _rebuild(params: ModelParams, flat: list[np.ndarray]) -> ModelParams:
+    n_enc = len(params.encoder_layers)
+    pairs = [(flat[2 * i], flat[2 * i + 1]) for i in range(len(flat) // 2)]
+    return ModelParams(
+        encoder_layers=tuple(pairs[:n_enc]),
+        head_layers=tuple(pairs[n_enc:]),
+        dropout_rate=params.dropout_rate,
+    )
+
+
+def init_moments(kind: str, params) -> tuple[tuple, tuple]:
+    if kind == "adam":
+        zeros = tuple(np.zeros_like(a) for a in _flatten(params))
+        return zeros, zeros
+    return (), ()
+
+
+def optimizer_step(cfg, step: int, m: tuple, v: tuple, params, grads, lr: float):
+    """One update; returns (params, step, m, v)."""
+    flat_p = _flatten(params)
+    flat_g = _flatten_grads(grads)
+    if cfg.kind == "sgd":
+        new = [p - lr * g - lr * cfg.weight_decay * p for p, g in zip(flat_p, flat_g)]
+        return _rebuild(params, new), step + 1, (), ()
+    t = step + 1
+    new_m = tuple(cfg.beta1 * m + (1 - cfg.beta1) * g for m, g in zip(m, flat_g))
+    new_v = tuple(cfg.beta2 * v + (1 - cfg.beta2) * g * g for v, g in zip(v, flat_g))
+    bias1 = 1 - cfg.beta1**t
+    bias2 = 1 - cfg.beta2**t
+    new = [
+        p - lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps) - lr * cfg.weight_decay * p
+        for p, m, v in zip(flat_p, new_m, new_v)
+    ]
+    return _rebuild(params, new), t, new_m, new_v
+
+
+# --- backward ----------------------------------------------------------------------
+
+
+def _backprop_encoder(params, x, pres, grad_emb):
+    grads = [None] * len(params.encoder_layers)
+    g = grad_emb
+    for i in range(len(params.encoder_layers) - 1, -1, -1):
+        g = g * (pres[i] > 0)
+        inp = x if i == 0 else np.maximum(pres[i - 1], 0.0)
+        grads[i] = (g.T @ inp, g.sum(axis=0))
+        g = g @ params.encoder_layers[i][0]
+    return grads
+
+
+def backward(cache: dict, grad_logits: np.ndarray) -> Gradients:
+    """Per-layer backward over a batch cache from ``forward``/``siamese_forward``."""
+    params = cache["params"]
+    g = np.asarray(grad_logits, dtype=np.float64)
+    head_grads = [None] * len(params.head_layers)
+    for i in range(len(params.head_layers) - 1, -1, -1):
+        inp = cache["head_input"] if i == 0 else np.maximum(cache["head_pres"][i - 1], 0.0)
+        head_grads[i] = (g.T @ inp, g.sum(axis=0))
+        g = g @ params.head_layers[i][0]
+        if i > 0:
+            g = g * (cache["head_pres"][i - 1] > 0)
+    if cache["drop_mask"] is not None:
+        g = g * cache["drop_mask"]
+    if cache["mode"] == "plain":
+        enc_grads = _backprop_encoder(params, cache["x"], cache["enc_pres"], g)
+    else:
+        e = params.encoder_output_dim
+        grads_a = _backprop_encoder(params, cache["x_a"], cache["enc_pres_a"], g[:, :e])
+        grads_b = _backprop_encoder(params, cache["x_b"], cache["enc_pres_b"], g[:, e:])
+        enc_grads = [(wa + wb, ba + bb) for (wa, ba), (wb, bb) in zip(grads_a, grads_b)]
+    return Gradients(encoder_layers=tuple(enc_grads), head_layers=tuple(head_grads))
+
+
+# --- losses ------------------------------------------------------------------------
+
+
+def _ce_rows(P, Y, eps):
+    return -np.sum(Y * np.log(np.maximum(P, eps)), axis=1)
+
+
+def _focal_rows(P, Y, cfg):
+    log_pc = np.log(np.maximum(P, cfg.epsilon))
+    return -cfg.alpha * np.sum(Y * (1.0 - P) ** cfg.gamma * log_pc, axis=1)
+
+
+def _emd_rows(P, Y):
+    diff = np.cumsum(Y, axis=1) - np.cumsum(P, axis=1)
+    return np.sqrt(np.mean(diff * diff, axis=1))
+
+
+def _loss_rows(kind, P, Y, cfg):
+    if kind == "ce":
+        return _ce_rows(P, Y, cfg.epsilon)
+    if kind == "focal":
+        return _focal_rows(P, Y, cfg)
+    if kind == "emd":
+        return _emd_rows(P, Y)
+    return cfg.focal_weight * _focal_rows(P, Y, cfg) + cfg.emd_weight * _emd_rows(P, Y)
+
+
+def _ce_grad_p(P, Y, eps):
+    return np.where(P > eps, -Y / np.maximum(P, eps), 0.0)
+
+
+def _focal_grad_p(P, Y, cfg):
+    log_pc = np.log(np.maximum(P, cfg.epsilon))
+    one_minus = 1.0 - P
+    d_log = np.where(P > cfg.epsilon, one_minus**cfg.gamma / np.maximum(P, cfg.epsilon), 0.0)
+    if cfg.gamma > 0:
+        safe_base = np.where(one_minus > 0, one_minus, 1.0)
+        d_pow = np.where(one_minus > 0, cfg.gamma * safe_base ** (cfg.gamma - 1.0) * log_pc, 0.0)
+    else:
+        d_pow = np.zeros_like(P)
+    return -cfg.alpha * Y * (d_log - d_pow)
+
+
+def _emd_grad_p(P, Y):
+    n_classes = P.shape[1]
+    diff = np.cumsum(Y, axis=1) - np.cumsum(P, axis=1)
+    value = np.sqrt(np.mean(diff * diff, axis=1))
+    suffix = np.cumsum(diff[:, ::-1], axis=1)[:, ::-1]
+    safe = np.where(value > 0, value, 1.0)
+    grad = -suffix / (n_classes * safe[:, None])
+    return np.where(value[:, None] > 0, grad, 0.0)
+
+
+def _grad_p_rows(kind, P, Y, cfg):
+    if kind == "ce":
+        return _ce_grad_p(P, Y, cfg.epsilon)
+    if kind == "focal":
+        return _focal_grad_p(P, Y, cfg)
+    if kind == "emd":
+        return _emd_grad_p(P, Y)
+    return cfg.focal_weight * _focal_grad_p(P, Y, cfg) + cfg.emd_weight * _emd_grad_p(P, Y)
+
+
+def batch_loss_gradient(kind, logits, targets, cfg) -> tuple[float, np.ndarray]:
+    Z = np.asarray(logits, dtype=np.float64)
+    Y = np.asarray(targets, dtype=np.float64)
+    P = softmax(Z)
+    values = _loss_rows(kind, P, Y, cfg)
+    grad_p = _grad_p_rows(kind, P, Y, cfg)
+    grad = P * (grad_p - np.sum(grad_p * P, axis=1, keepdims=True)) / Z.shape[0]
+    return float(np.mean(values)), grad

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +397,26 @@ class TestBadDataset:
         self.check(workdir, tmp_path, capsys, "predict", relabel_volume, "label 3 is not valid for task t2")
 
 
+class TestFailedWrite:
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_failed_rename_exits_2_and_leaves_no_temp_file(self, workdir, tmp_path, monkeypatch, capsys, command):
+        # gen's first output is dataset.csv (text); train's is the checkpoint (bytes).
+        def refuse(src, dst):
+            raise OSError(f"cannot rename {src}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        if command == "gen":
+            argv = ["gen", "--config", str(workdir / "gen.cfg"), "--out", str(tmp_path / "out")]
+        else:
+            argv = [
+                "train", "--config", str(workdir / "train.cfg"),
+                "--data", str(workdir / "data" / "dataset.csv"), "--out", str(tmp_path / "out" / "m.ckpt"),
+            ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: cannot rename")
+        assert not list((tmp_path / "out").glob("*.tmp.*"))
+
+
 def stable_row(case: str, vol: str, peak_class: int = 1) -> PredRow:
     probs = np.full(3, 0.05)
     probs[peak_class] = 0.9
@@ -503,6 +524,17 @@ class TestEnsemble:
         assert rc == 3
         assert "volume ids" in capsys.readouterr().err
 
+    def test_header_only_prediction_file_exit_2(self, workdir, tmp_path, capsys):
+        empty = header_only(workdir / "preds.csv", tmp_path / "empty.csv")
+        rc = main(["ensemble", str(workdir / "preds.csv"), str(empty), "--out", str(tmp_path / "comb.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {empty}: holds no prediction rows\n"
+
+
+def header_only(source: Path, out: Path) -> Path:
+    out.write_text(source.read_text().splitlines(keepends=True)[0])
+    return out
+
 
 class TestEval:
     def test_perfect_predictions_score_one(self, workdir, tmp_path, capsys):
@@ -578,6 +610,32 @@ class TestEval:
         assert rc == 6
         err = capsys.readouterr().err
         assert "offenders" in err and rows[-1].case_id in err
+
+    def eval_rc(self, workdir, pred: Path, truth: Path | None = None) -> int:
+        truth = truth or workdir / "data" / "truth.csv"
+        return main(["eval", "--pred", str(pred), "--truth", str(truth), "--task", "t2"])
+
+    def test_repeated_prediction_row_exit_6(self, workdir, tmp_path, capsys):
+        lines = (workdir / "preds.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "twice.csv").write_text("".join(lines + lines[1:2]))
+        assert self.eval_rc(workdir, tmp_path / "twice.csv") == 6
+        err = capsys.readouterr().err
+        case_id = lines[1].split(",")[0]
+        assert err == f"error: {tmp_path / 'twice.csv'}: case_id {case_id!r} appears more than once\n"
+
+    def test_repeated_truth_key_exit_6(self, workdir, tmp_path, capsys):
+        lines = (workdir / "data" / "truth.csv").read_text().splitlines(keepends=True)
+        first = lines[1].rstrip("\n").split(",")
+        relabeled = ",".join(first[:-1] + [str((int(first[-1]) + 1) % 3)]) + "\n"
+        (tmp_path / "truth.csv").write_text("".join(lines + [relabeled]))
+        assert self.eval_rc(workdir, workdir / "preds.csv", tmp_path / "truth.csv") == 6
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'truth.csv'}: case_id {first[0]!r} appears more than once\n"
+
+    def test_header_only_prediction_file_exit_2(self, workdir, tmp_path, capsys):
+        empty = header_only(workdir / "preds.csv", tmp_path / "empty.csv")
+        assert self.eval_rc(workdir, empty) == 2
+        assert capsys.readouterr().err == f"error: {empty}: holds no prediction rows\n"
 
     def test_width_mismatch_exit_3(self, workdir, tmp_path):
         truth = read_truth_csv(workdir / "data" / "truth.csv", Task.T2)

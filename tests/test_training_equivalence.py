@@ -1,0 +1,171 @@
+"""The flat-vector training step against the per-layer oracle in
+``reference_training``, and golden digests of ``train``'s output files."""
+
+import hashlib
+
+import numpy as np
+import pytest
+import reference_training as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ordchange.cli import main
+from ordchange.losses import LOSS_KINDS, LossConfig, batch_loss_gradient
+from ordchange.model import (
+    OptimizerConfig,
+    backward,
+    forward,
+    init_optimizer_state,
+    init_params,
+    optimizer_step,
+    siamese_forward,
+)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def layers(params) -> list[np.ndarray]:
+    return [a for w, b in (*params.encoder_layers, *params.head_layers) for a in (w, b)]
+
+
+@st.composite
+def training_runs(draw):
+    siamese = draw(st.booleans())
+    # One entry means no encoder layers, which only the plain topology allows.
+    enc = draw(st.lists(st.integers(1, 6), min_size=1 + siamese, max_size=3))
+    head_in = 2 * enc[-1] if siamese else enc[-1]
+    head = [head_in, *draw(st.lists(st.integers(1, 6), max_size=2)), draw(st.integers(2, 4))]
+    optimizer = OptimizerConfig(
+        kind=draw(st.sampled_from(["sgd", "adam"])),
+        weight_decay=draw(st.sampled_from([0.0, 1e-4, 0.05])),
+    )
+    return dict(
+        siamese=siamese,
+        enc=enc,
+        head=head,
+        optimizer=optimizer,
+        dropout=draw(st.sampled_from([0.0, 0.3])),
+        batch=draw(st.integers(1, 9)),
+        steps=draw(st.integers(1, 4)),
+        lr=draw(st.sampled_from([1e-3, 0.05, 0.5])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(run=training_runs())
+def test_training_steps_match_per_layer_oracle(run):
+    """Backward into one buffer and vector-op updates reproduce the per-layer
+    arrays bit for bit, step after step, moments included."""
+    rng = np.random.default_rng(run["seed"])
+    params = init_params(run["enc"], run["head"], run["dropout"], seed=run["seed"])
+    ref_params = params
+    state = init_optimizer_state(run["optimizer"], params)
+    ref_step, ref_m, ref_v = 0, *ref.init_moments(run["optimizer"].kind, params)
+    n_classes = run["head"][-1]
+    for _ in range(run["steps"]):
+        xs = [rng.normal(size=(run["batch"], run["enc"][0])) for _ in range(1 + run["siamese"])]
+        mask_seed = int(rng.integers(2**32))
+        caches = []
+        for p in (params, ref_params):
+            drop = np.random.default_rng(mask_seed)
+            if run["siamese"]:
+                caches.append(siamese_forward(p, *xs, training=True, rng=drop))
+            else:
+                caches.append(forward(p, xs[0], training=True, rng=drop))
+        assert same_bits(caches[0][0], caches[1][0])
+        grad_logits = rng.normal(size=(run["batch"], n_classes))
+        grads = backward(caches[0][1], grad_logits)
+        ref_grads = ref.backward(caches[1][1], grad_logits)
+        assert all(same_bits(a, b) for a, b in zip(layers(grads), layers(ref_grads)))
+
+        params, state = optimizer_step(state, params, grads, run["lr"])
+        ref_params, ref_step, ref_m, ref_v = ref.optimizer_step(
+            run["optimizer"], ref_step, ref_m, ref_v, ref_params, ref_grads, run["lr"]
+        )
+        assert all(same_bits(a, b) for a, b in zip(layers(params), layers(ref_params)))
+        assert state.step == ref_step
+        if run["optimizer"].kind == "adam":
+            assert same_bits(state.m, np.concatenate([a.ravel() for a in ref_m]))
+            assert same_bits(state.v, np.concatenate([a.ravel() for a in ref_v]))
+
+
+@st.composite
+def loss_batches(draw):
+    # Logits up to 80 apart push probabilities below the 1e-12 clamp and round
+    # others to exactly 1.
+    width = draw(st.integers(3, 5))
+    rows = draw(st.lists(st.lists(st.floats(-40, 40), min_size=width, max_size=width), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        targets = np.eye(width)[draw(st.lists(st.integers(0, width - 1), min_size=len(rows), max_size=len(rows)))]
+    else:  # soft targets, so that no product with a target is exact
+        targets = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).dirichlet(np.ones(width), len(rows))
+    cfg = LossConfig(
+        alpha=draw(st.sampled_from([1.0, 0.25])),
+        gamma=draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7])),
+        focal_weight=draw(st.sampled_from([1.0, 0.5])),
+        emd_weight=draw(st.sampled_from([1.0, 2.0])),
+        epsilon=draw(st.sampled_from([1e-12, 1e-3])),
+    )
+    return np.array(rows), targets, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=loss_batches(), kind=st.sampled_from(LOSS_KINDS))
+def test_batch_loss_gradient_matches_per_term_oracle(batch, kind):
+    logits, targets, cfg = batch
+    value, grad = batch_loss_gradient(kind, logits, targets, cfg)
+    ref_value, ref_grad = ref.batch_loss_gradient(kind, logits, targets, cfg)
+    assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+    assert same_bits(grad, ref_grad)
+
+
+def test_clamped_and_certain_probabilities_match_oracle():
+    # Both guarded regions of the focal gradient, at gamma 0 and below 1.
+    logits = np.array([[40.0, -40.0, 0.0], [-40.0, 40.0, -40.0]])
+    targets = np.eye(3)[[1, 1]]
+    for kind in LOSS_KINDS:
+        for gamma in (0.0, 0.5):
+            cfg = LossConfig(gamma=gamma)
+            value, grad = batch_loss_gradient(kind, logits, targets, cfg)
+            ref_value, ref_grad = ref.batch_loss_gradient(kind, logits, targets, cfg)
+            assert value == ref_value and same_bits(grad, ref_grad)
+            assert np.all(np.isfinite(grad))
+
+
+# sha256 of the checkpoint and history CSV of one gen + train, taken from the
+# per-layer training step that the flat parameter vector replaced.
+GOLDEN = {
+    # adam, combined loss, dropout, warmup and a frozen head
+    "t2": (
+        "task=t2\nn_patients=6\nvisits_min=2\nvisits_max=3\nbscans_min=2\nbscans_max=4\n"
+        "feature_dim=5\nclass_ratios=0.3,0.4,0.3\nseed=3\n",
+        "task=t2\nloss=combined\nencoder_dims=5,8\nhead_dims=8,3\ndropout=0.25\nepochs=6\n"
+        "warmup_epochs=2\nfreeze_head_epochs=2\nlr=0.01\nbatch_size=8\noptimizer=adam\nseed=4\n",
+        "33ad19b56caea29db2a5fe8fff145152fe2a01b59fbf9c738519a89a2dae1756",
+        "765c8f6f3e6ed82b860c855be9b6271b2662d22aa880da40ac145fa95a03c674",
+    ),
+    # siamese pairs, focal loss, sgd with weight decay, undersampling
+    "t1": (
+        "task=t1\nn_patients=12\nvisits_min=3\nvisits_max=4\nfeature_dim=4\n"
+        "class_ratios=0.3,0.4,0.3\nother_rate=0.2\nseed=3\n",
+        "task=t1\nloss=focal\ngamma=1.5\nencoder_dims=4,6\nhead_dims=12,4\nepochs=5\nlr=0.05\n"
+        "batch_size=8\noptimizer=sgd\nweight_decay=0.01\nundersample_majority=1.0\nseed=4\n",
+        "f4149589b4c32e8b5c80ab4aae679e38634f949ec665cec55195197e1fc5577d",
+        "1517ecb9b597547cec88429aa37c448d91d0295ac7b37391ef25a6f6a4b8d77c",
+    ),
+}
+
+
+@pytest.mark.parametrize("task", sorted(GOLDEN))
+def test_train_output_matches_golden_digest(task, tmp_path):
+    gen_cfg, train_cfg, ckpt_sha, history_sha = GOLDEN[task]
+    (tmp_path / "gen.cfg").write_text(gen_cfg)
+    (tmp_path / "train.cfg").write_text(train_cfg)
+    assert main(["gen", "--config", str(tmp_path / "gen.cfg"), "--out", str(tmp_path / "d")]) == 0
+    argv = ["train", "--config", str(tmp_path / "train.cfg"), "--data", str(tmp_path / "d" / "dataset.csv")]
+    assert main([*argv, "--out", str(tmp_path / "m.ckpt")]) == 0
+    assert hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest() == ckpt_sha
+    assert hashlib.sha256((tmp_path / "m.ckpt.history.csv").read_bytes()).hexdigest() == history_sha
