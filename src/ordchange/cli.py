@@ -39,10 +39,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .core import ClassLabel, Dataset, Task, atomic_write, confusion_from_predictions
+from .core import ClassLabel, Dataset, Task, as_prob_rows, atomic_write, confusion_from_predictions
 from .datagen import GenConfig, gen_t1_pairs, gen_t2_volumes
 from .ensemble import (
-    BscanPrediction,
     PostprocessConfig,
     PredictionSet,
     TieBreak,
@@ -107,6 +106,7 @@ def _write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Se
 
 
 def _read_csv(path: str | os.PathLike) -> tuple[list[str], list[list[str]]]:
+    """The header and the rows of a CSV whose every row has the header's field count."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -114,6 +114,9 @@ def _read_csv(path: str | os.PathLike) -> tuple[list[str], list[list[str]]]:
         except StopIteration:
             raise DataError(f"{path}: empty CSV") from None
         rows = [row for row in reader]
+    ragged = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
+    if ragged is not None:
+        raise DataError(f"{path}: line {ragged + 2} has {len(rows[ragged])} fields, expected {len(header)}")
     return header, rows
 
 
@@ -367,8 +370,6 @@ def read_dataset_csv(path: str | os.PathLike) -> tuple[Task, Dataset, list[str]]
     x_b = np.empty((len(rows), dim)) if task is Task.T1 else None
     try:
         for i, row in enumerate(rows):
-            if len(row) != len(header):
-                raise DataError(f"{path}: line {i + 2} has {len(row)} fields, expected {len(header)}")
             x[i] = row[n_ids : n_ids + dim]
             if x_b is not None:
                 x_b[i] = row[n_ids + dim :]
@@ -429,37 +430,43 @@ def write_predictions_csv(path: str | os.PathLike, rows: Sequence[PredRow]) -> N
 
 def read_predictions_csv(path: str | os.PathLike) -> list[PredRow]:
     """Read a prediction CSV; probabilities are renormalized to counter the
-    9-decimal serialization rounding."""
+    9-decimal serialization rounding and must then pass the simplex gate, and
+    every label column must name a class of the file's width."""
     header, rows = _read_csv(path)
     if not rows:
         raise DataError(f"{path}: holds no prediction rows")
-    for n_classes in (4, 3):
-        for with_final in (True, False):
-            if header == _pred_header(n_classes, with_final):
-                out = []
-                try:
-                    for row in rows:
-                        probs = np.array([float(v) for v in row[5 : 5 + n_classes]])
-                        total = probs.sum()
-                        if total <= 0 or not np.isfinite(total):
-                            raise DataError(f"{path}: row {row[0]!r} has invalid probabilities")
-                        out.append(
-                            PredRow(
-                                case_id=row[0],
-                                patient_id=row[1],
-                                volume_id=row[2],
-                                bscan_index=row[3],
-                                true_label=int(row[4]),
-                                probs=probs / total,
-                                pred_label=int(row[5 + n_classes]),
-                                final_label=int(row[6 + n_classes]) if with_final else None,
-                                postprocessed=int(row[7 + n_classes]) if with_final else None,
-                            )
-                        )
-                except (ValueError, IndexError) as exc:
-                    raise DataError(f"{path}: malformed prediction row: {exc}") from exc
-                return out
-    raise DataError(f"{path}: unrecognized prediction header")
+    layouts = [(c, f) for c in (4, 3) for f in (True, False) if header == _pred_header(c, f)]
+    if not layouts:
+        raise DataError(f"{path}: unrecognized prediction header")
+    n_classes, with_final = layouts[0]
+    # true_label, pred_label[, final_label, postprocessed]: all but the flag are labels.
+    int_columns = [4, *range(5 + n_classes, len(header))]
+    try:
+        probs = np.array([row[5 : 5 + n_classes] for row in rows], dtype=np.float64)
+        ints = np.array([[int(row[j]) for j in int_columns] for row in rows], dtype=np.int64)
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed prediction row: {exc}") from exc
+    totals = probs.sum(axis=1, keepdims=True)
+    invalid = np.flatnonzero(~(np.isfinite(totals[:, 0]) & (totals[:, 0] > 0)))
+    if invalid.size:
+        raise DataError(f"{path}: row {rows[invalid[0]][0]!r} has invalid probabilities")
+    try:
+        probs = as_prob_rows(probs / totals)
+    except InvalidInputError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    labels = ints[:, :3]
+    off = np.argwhere((labels < 0) | (labels >= n_classes))
+    if off.size:
+        i, j = off[0]
+        raise DataError(f"{path}: line {i + 2}: {header[int_columns[j]]} {labels[i, j]} outside [0, {n_classes})")
+    return [
+        PredRow(
+            case_id=row[0], patient_id=row[1], volume_id=row[2], bscan_index=row[3], true_label=v[0],
+            probs=p, pred_label=v[1], final_label=v[2] if with_final else None,
+            postprocessed=v[3] if with_final else None,
+        )
+        for row, p, v in zip(rows, probs, ints.tolist())
+    ]
 
 
 def read_truth_csv(path: str | os.PathLike, task: Task) -> dict[str, int]:
@@ -471,11 +478,15 @@ def read_truth_csv(path: str | os.PathLike, task: Task) -> dict[str, int]:
     if header != expected:
         raise DataError(f"{path}: unrecognized truth header for task {task.value}")
     try:
-        truth = {row[0]: int(row[-1]) for row in rows}
-    except (ValueError, IndexError) as exc:
+        labels = [int(row[-1]) for row in rows]
+    except ValueError as exc:
         raise DataError(f"{path}: malformed truth row: {exc}") from exc
-    _check_unique(path, [row[0] for row in rows])
-    return truth
+    off = next((i for i, label in enumerate(labels) if not 0 <= label < task.n_classes), None)
+    if off is not None:
+        raise DataError(f"{path}: line {off + 2}: label {labels[off]} is not valid for task {task.value}")
+    case_ids = [row[0] for row in rows]
+    _check_unique(path, case_ids)
+    return dict(zip(case_ids, labels))
 
 
 def _check_unique(path: str | os.PathLike, case_ids: list[str]) -> None:
@@ -633,11 +644,13 @@ def cmd_predict(args) -> int:
 def cmd_ensemble(args) -> int:
     started = time.monotonic()
     all_rows = [read_predictions_csv(p) for p in args.preds]
+    for path, rows in zip(args.preds, all_rows):
+        _check_unique(path, [r.case_id for r in rows])
     widths = {rows[0].probs.shape[0] for rows in all_rows}
     if len(widths) != 1:
         raise ConfigError(f"prediction files mix class counts {sorted(widths)}; cannot ensemble")
     sets = [
-        PredictionSet(model_id=path, entries=tuple((r.case_id, r.probs) for r in rows))
+        PredictionSet(path, [r.case_id for r in rows], np.stack([r.probs for r in rows]))
         for path, rows in zip(args.preds, all_rows)
     ]
     pp_cfg = PostprocessConfig(
@@ -646,48 +659,20 @@ def cmd_ensemble(args) -> int:
         majority_includes_stable=args.majority_includes_stable,
     )
     if args.mode == "mean":
-        combined = mean_ensemble(sets)
+        labels, probs = mean_ensemble(sets)
     else:
-        combined = unanimity_ensemble(sets, pp_cfg)
-
-    base_rows = {r.case_id: r for r in all_rows[0]}
+        labels, probs = unanimity_ensemble(sets, pp_cfg)
+    final = labels
     if args.postprocess:
-        missing_vol = [key for key, _, _ in combined if not base_rows[key].volume_id]
-        if missing_vol:
-            raise ConfigError(
-                f"--postprocess needs volume ids on every record; missing for {missing_vol[:5]}"
-            )
-        bscan_preds = [
-            BscanPrediction(key=key, volume_id=base_rows[key].volume_id, label=label, probs=probs)
-            for key, label, probs in combined
-        ]
-        _, relabeled = volume_consistency(bscan_preds, pp_cfg)
-        final = {p.key: int(p.label) for p in relabeled}
-        post_flag = 1
-    else:
-        final = {key: label for key, label, _ in combined}
-        post_flag = 0
-
-    out_rows = []
-    for key, label, probs in combined:
-        base = base_rows[key]
-        out_rows.append(
-            PredRow(
-                case_id=key,
-                patient_id=base.patient_id,
-                volume_id=base.volume_id,
-                bscan_index=base.bscan_index,
-                true_label=base.true_label,
-                probs=probs,
-                pred_label=label,
-                final_label=final[key],
-                postprocessed=post_flag,
-            )
-        )
+        final = volume_consistency([r.volume_id for r in all_rows[0]], labels, probs, pp_cfg)
+    out_rows = [
+        replace(base, probs=p, pred_label=label, final_label=final_label, postprocessed=int(args.postprocess))
+        for base, p, label, final_label in zip(all_rows[0], probs, labels.tolist(), final.tolist())
+    ]
     write_predictions_csv(args.out, out_rows)
     print(
         f"combined {len(args.preds)} prediction file(s) with mode={args.mode}"
-        + (", volume consistency applied" if post_flag else "")
+        + (", volume consistency applied" if args.postprocess else "")
         + f"; wrote {args.out}"
     )
     _write_manifest(f"{args.out}.manifest.json", args, started, args.preds, [str(args.out)])

@@ -3,8 +3,9 @@ matrices, the columnar ``Dataset`` carried through generation, training
 and prediction, and the atomic file write behind every output.
 
 Probability and logit vectors are plain float64 numpy arrays. The functions
-``as_prob_vector`` and ``as_logits`` are the validation gates; everything
-downstream assumes its inputs went through one of them.
+``as_prob_rows`` (a matrix of probability rows), ``as_prob_vector`` (one
+row, through the same gate) and ``as_logits`` are the validation gates;
+everything downstream assumes its inputs went through one of them.
 """
 
 from __future__ import annotations
@@ -99,19 +100,32 @@ def as_logits(z: Sequence[float] | np.ndarray) -> np.ndarray:
     return arr
 
 
-def as_prob_vector(p: Sequence[float] | np.ndarray, *, tol: float = PROB_TOL) -> np.ndarray:
-    """Validate a probability vector: entries in [0, 1], summing to 1 within tol."""
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] < 2:
-        raise InvalidInputError(f"probability vector must be 1-D of length >= 2, got shape {arr.shape}")
+def as_prob_rows(p: Sequence[Sequence[float]] | np.ndarray, *, tol: float = PROB_TOL) -> np.ndarray:
+    """Validate an (N, C >= 2) matrix whose every row is a probability vector:
+    entries in [0, 1] and each row summing to 1, both within tol."""
+    try:
+        arr = np.asarray(p, dtype=np.float64)
+    except ValueError as exc:
+        raise InvalidInputError(f"probability matrix mixes row lengths: {exc}") from None
+    if arr.ndim != 2 or arr.shape[1] < 2:
+        raise InvalidInputError(f"probability rows must form an (N, C >= 2) matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("probability vector contains non-finite entries")
     if np.any(arr < -tol) or np.any(arr > 1.0 + tol):
         raise InvalidInputError("probability entries must lie in [0, 1]")
-    total = float(arr.sum())
-    if abs(total - 1.0) > tol:
-        raise InvalidInputError(f"probabilities sum to {total!r}, expected 1 within {tol}")
+    totals = arr.sum(axis=1)
+    off = np.flatnonzero(np.abs(totals - 1.0) > tol)
+    if off.size:
+        raise InvalidInputError(f"probabilities sum to {float(totals[off[0]])!r}, expected 1 within {tol}")
     return arr
+
+
+def as_prob_vector(p: Sequence[float] | np.ndarray, *, tol: float = PROB_TOL) -> np.ndarray:
+    """Validate one probability vector through the row gate ``as_prob_rows``."""
+    arr = np.asarray(p, dtype=np.float64)
+    if arr.ndim != 1 or arr.shape[0] < 2:
+        raise InvalidInputError(f"probability vector must be 1-D of length >= 2, got shape {arr.shape}")
+    return as_prob_rows(arr[np.newaxis], tol=tol)[0]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -1,30 +1,40 @@
 """Combining predictions across models and enforcing volume-level agreement.
 
-Three rules live here:
+Predictions are arrays. A ``PredictionSet`` is one model's read-only (N, C)
+probability matrix with its N record keys, checked once when it is built.
+Both voting rules are one kernel, ``group_vote``, which gives each group of
+rows one label:
 
-  * ``mean_ensemble``: average class probabilities across models, argmax.
-  * ``stable_unanimity_vote``: a record is Stable only when every model says
-    Stable; otherwise the majority among the non-Stable predictions wins.
-  * ``volume_consistency``: a volume becomes Stable when at least the
-    configured fraction of its B-scan predictions are Stable, otherwise the
-    majority among its non-Stable predictions; the volume label is then
-    broadcast to every B-scan.
+  * a group is Stable when the fraction of its rows labeled Stable is at
+    least the threshold;
+  * otherwise the majority among its non-Stable rows wins (among all rows
+    with ``majority_includes_stable``), and a tied majority breaks by the
+    configured rule: the highest mean probability over the counted rows and
+    then the lower class, or the most severe class.
 
-Ties everywhere break by the configured rule, mean probability by default,
-and then by the lower class index. The non-Stable-majority reading keeps the
-two rules from collapsing into plain majority voting; the conventional
-all-predictions majority is available via ``majority_includes_stable``.
+The non-Stable-majority reading keeps the rules from collapsing into plain
+majority voting. Three entry points use the stacked (M, N, C) matrices of
+aligned sets:
+
+  * ``mean_ensemble``: the mean over models, then the argmax (ties to the
+    lower class).
+  * ``unanimity_ensemble``: ``group_vote`` over each record's M argmax
+    labels at threshold 1.0, so a record is Stable only when every model
+    says Stable; the probabilities reported are the across-model means.
+  * ``volume_consistency``: ``group_vote`` over the B-scans of each volume
+    at ``stable_ratio_threshold``, broadcast back to every B-scan.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import ClassLabel, as_prob_vector
+from .core import ClassLabel, as_prob_rows
 from .errors import AlignmentError, ConfigError, InvalidInputError
 
 
@@ -37,14 +47,11 @@ class TieBreak(Enum):
 class PostprocessConfig:
     """Knobs for the voting and volume-consistency rules."""
 
-    stable_class: int = int(ClassLabel.STABLE)
     stable_ratio_threshold: float = 0.8
     tie_break: TieBreak = TieBreak.MEAN_PROBABILITY
     majority_includes_stable: bool = False
 
     def __post_init__(self) -> None:
-        if self.stable_class < 0:
-            raise ConfigError(f"stable_class must be >= 0, got {self.stable_class}")
         if not (0.0 < self.stable_ratio_threshold <= 1.0):
             raise ConfigError(
                 f"stable_ratio_threshold must lie in (0, 1], got {self.stable_ratio_threshold}"
@@ -53,180 +60,143 @@ class PostprocessConfig:
             raise ConfigError(f"tie_break must be a TieBreak, got {self.tie_break!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionSet:
-    """One model's probabilities, keyed by record."""
+    """One model's probabilities: row i of the (N, C) matrix ``probs`` belongs
+    to ``keys[i]``. Keys must be unique and every row a probability vector."""
 
     model_id: str
-    entries: tuple[tuple[str, np.ndarray], ...]
-
-    def __post_init__(self) -> None:
-        checked = []
-        seen = set()
-        width = None
-        for key, probs in self.entries:
-            if key in seen:
-                raise InvalidInputError(f"prediction set {self.model_id} repeats key {key!r}")
-            seen.add(key)
-            vec = as_prob_vector(probs)
-            if width is None:
-                width = vec.shape[0]
-            elif vec.shape[0] != width:
-                raise InvalidInputError(
-                    f"prediction set {self.model_id} mixes {width}- and {vec.shape[0]}-class rows"
-                )
-            checked.append((key, vec))
-        object.__setattr__(self, "entries", tuple(checked))
-
-    @property
-    def keys(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.entries)
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return dict(self.entries)
-
-
-class BscanPrediction(NamedTuple):
-    """A per-B-scan label with its volume membership and probabilities."""
-
-    key: str
-    volume_id: str
-    label: int
+    keys: tuple[str, ...]
     probs: np.ndarray
 
+    def __post_init__(self) -> None:
+        keys = tuple(self.keys)
+        if len(set(keys)) != len(keys):
+            repeated = next(key for key, n in Counter(keys).items() if n > 1)
+            raise InvalidInputError(f"prediction set {self.model_id} repeats key {repeated!r}")
+        probs = as_prob_rows(self.probs).view()
+        if probs.shape[0] != len(keys):
+            raise InvalidInputError(
+                f"prediction set {self.model_id} has {len(keys)} keys for {probs.shape[0]} rows"
+            )
+        probs.setflags(write=False)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "probs", probs)
 
-def _check_aligned(sets: Sequence[PredictionSet]) -> None:
+
+def _stack(sets: Sequence[PredictionSet]) -> np.ndarray:
+    """The (M, N, C) probabilities of aligned sets, rows in the first set's key order."""
     if not sets:
         raise InvalidInputError("need at least one prediction set")
-    base = set(sets[0].keys)
-    width = sets[0].entries[0][1].shape[0] if sets[0].entries else None
+    base = sets[0]
+    stack = [base.probs]
     for ps in sets[1:]:
-        other = set(ps.keys)
-        if other != base:
-            missing = sorted(base ^ other)[:10]
+        if set(ps.keys) != set(base.keys):
+            missing = sorted(set(base.keys) ^ set(ps.keys))[:10]
             raise AlignmentError(
-                f"prediction sets {sets[0].model_id!r} and {ps.model_id!r} disagree on keys; "
+                f"prediction sets {base.model_id!r} and {ps.model_id!r} disagree on keys; "
                 f"first offenders: {missing}"
             )
-        if ps.entries and ps.entries[0][1].shape[0] != width:
+        if ps.probs.shape[1] != base.probs.shape[1]:
             raise InvalidInputError("prediction sets disagree on the number of classes")
+        row_of = dict(zip(ps.keys, range(len(ps.keys))))
+        stack.append(ps.probs[[row_of[key] for key in base.keys]])
+    return np.stack(stack)
 
 
-def _argmax_lowest(probs: np.ndarray) -> int:
-    # np.argmax already returns the first maximum, i.e. the lower class index.
-    return int(np.argmax(probs))
+def group_vote(
+    groups: np.ndarray, labels: np.ndarray, probs: np.ndarray, threshold: float, cfg: PostprocessConfig
+) -> np.ndarray:
+    """One label per group of rows, by the rule in the module docstring.
+
+    Args:
+        groups: (N,) group ids; every id in [0, G) must occur.
+        labels: (N,) class labels in [0, C).
+        probs: (N, C) probability rows, already validated.
+        threshold: the stable fraction at or above which a group is Stable.
+        cfg: the tie-break and ``majority_includes_stable`` settings.
+
+    Returns:
+        (G,) int64 labels. Sums run in row order, so a group's mean equals
+        ``np.mean`` over its counted rows bit for bit.
+    """
+    n_groups = int(groups.max()) + 1 if groups.size else 0
+    n_classes = probs.shape[1]
+    stable = labels == ClassLabel.STABLE
+    stable_group = np.bincount(groups, stable, n_groups) / np.bincount(groups, minlength=n_groups) >= threshold
+    counted = np.ones_like(stable) if cfg.majority_includes_stable else ~stable
+    # Each (group, class) pair is one bincount cell, group-major.
+    first_cell = groups[counted] * n_classes
+    votes = np.bincount(first_cell + labels[counted], minlength=n_groups * n_classes).reshape(n_groups, n_classes)
+    tied = votes == votes.max(axis=1, keepdims=True)
+    if cfg.tie_break is TieBreak.MOST_SEVERE:
+        winner = n_classes - 1 - np.argmax(tied[:, ::-1], axis=1)
+    else:
+        cells = (first_cell[:, np.newaxis] + np.arange(n_classes)).ravel()
+        sums = np.bincount(cells, probs[counted].ravel(), n_groups * n_classes).reshape(n_groups, n_classes)
+        mean = sums / np.maximum(votes.sum(axis=1, keepdims=True), 1)
+        # argmax takes the first of equal means, i.e. the lower class.
+        winner = np.argmax(np.where(tied, mean, -np.inf), axis=1)
+    return np.where(stable_group, int(ClassLabel.STABLE), winner)
 
 
-def mean_ensemble(sets: Sequence[PredictionSet]) -> list[tuple[str, int, np.ndarray]]:
+def mean_ensemble(sets: Sequence[PredictionSet]) -> tuple[np.ndarray, np.ndarray]:
     """Average probabilities across models and take the argmax per record.
 
-    Record order follows the first set. All sets must cover identical keys.
-    Ties at the argmax resolve to the lower class index.
+    All sets must cover identical keys. Returns (labels, mean probabilities)
+    in the first set's key order; argmax ties resolve to the lower class.
     """
-    _check_aligned(sets)
-    lookups = [ps.as_dict() for ps in sets[1:]]
-    out = []
-    for key, probs in sets[0].entries:
-        stack = [probs] + [lk[key] for lk in lookups]
-        mean = np.mean(stack, axis=0)
-        out.append((key, _argmax_lowest(mean), mean))
-    return out
-
-
-def _majority(
-    labels: Sequence[int], probs: Sequence[np.ndarray], cfg: PostprocessConfig
-) -> int:
-    """Majority vote with the configured tie-breaking, assuming labels non-empty."""
-    counts: dict[int, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    top = max(counts.values())
-    tied = sorted(c for c, n in counts.items() if n == top)
-    if len(tied) == 1:
-        return tied[0]
-    if cfg.tie_break is TieBreak.MOST_SEVERE:
-        return tied[-1]
-    mean = np.mean(np.stack(probs), axis=0)
-    best = max(tied, key=lambda c: (mean[c], -c))
-    return best
-
-
-def stable_unanimity_vote(
-    preds: Sequence[tuple[int, np.ndarray]], cfg: PostprocessConfig | None = None
-) -> int:
-    """Combine one record's predictions from several models.
-
-    Stable wins only when every model predicts Stable. Otherwise the majority
-    among the non-Stable predictions decides (or among all predictions when
-    ``majority_includes_stable`` is set).
-    """
-    cfg = cfg or PostprocessConfig()
-    if not preds:
-        raise InvalidInputError("unanimity vote needs at least one prediction")
-    labels = [int(lab) for lab, _ in preds]
-    probs = [as_prob_vector(p) for _, p in preds]
-    if all(lab == cfg.stable_class for lab in labels):
-        return cfg.stable_class
-    if cfg.majority_includes_stable:
-        return _majority(labels, probs, cfg)
-    keep = [i for i, lab in enumerate(labels) if lab != cfg.stable_class]
-    return _majority([labels[i] for i in keep], [probs[i] for i in keep], cfg)
+    mean = np.mean(_stack(sets), axis=0)
+    return mean.argmax(axis=1), mean
 
 
 def unanimity_ensemble(
     sets: Sequence[PredictionSet], cfg: PostprocessConfig | None = None
-) -> list[tuple[str, int, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Apply the unanimity vote per record across aligned prediction sets.
 
-    The reported probabilities are the across-model means, which downstream
-    volume tie-breaking uses.
+    Each record's group holds its models' rows in set order. Returns
+    (labels, mean probabilities) in the first set's key order; downstream
+    volume tie-breaking uses the means.
     """
-    cfg = cfg or PostprocessConfig()
-    _check_aligned(sets)
-    lookups = [ps.as_dict() for ps in sets[1:]]
-    out = []
-    for key, probs in sets[0].entries:
-        stack = [probs] + [lk[key] for lk in lookups]
-        votes = [(_argmax_lowest(p), p) for p in stack]
-        label = stable_unanimity_vote(votes, cfg)
-        out.append((key, label, np.mean(stack, axis=0)))
-    return out
+    stack = _stack(sets)
+    n_models, n_records, n_classes = stack.shape
+    rows = stack.transpose(1, 0, 2).reshape(-1, n_classes)
+    groups = np.repeat(np.arange(n_records), n_models)
+    labels = group_vote(groups, rows.argmax(axis=1), rows, 1.0, cfg or PostprocessConfig())
+    return labels, np.mean(stack, axis=0)
 
 
 def volume_consistency(
-    preds: Sequence[BscanPrediction], cfg: PostprocessConfig | None = None
-) -> tuple[dict[str, int], list[BscanPrediction]]:
+    volume_ids: Sequence[str] | np.ndarray,
+    labels: np.ndarray,
+    probs: np.ndarray,
+    cfg: PostprocessConfig | None = None,
+) -> np.ndarray:
     """Force one label per volume and broadcast it to the B-scans.
 
-    A volume is Stable when the fraction of its B-scans predicted Stable is
-    at least ``stable_ratio_threshold`` (inclusive); otherwise the majority
-    among its non-Stable B-scan predictions wins, ties per the config.
-
-    Returns:
-        A volume_id -> label map and the input predictions relabeled, in the
-        original order.
+    A volume is Stable when the fraction of its B-scans labeled Stable is at
+    least ``stable_ratio_threshold`` (inclusive); otherwise the majority
+    among its non-Stable B-scans wins, ties per the config. Returns the (N,)
+    relabeled B-scans in input order.
     """
     cfg = cfg or PostprocessConfig()
-    if not preds:
+    volume_ids = np.asarray(volume_ids, dtype=str)
+    if not volume_ids.size:
         raise InvalidInputError("volume consistency needs at least one prediction")
-    by_volume: dict[str, list[BscanPrediction]] = {}
-    for p in preds:
-        if not p.volume_id:
-            raise InvalidInputError(f"record {p.key!r} carries no volume_id")
-        by_volume.setdefault(p.volume_id, []).append(p)
-
-    volume_labels: dict[str, int] = {}
-    for vol, group in by_volume.items():
-        labels = [int(g.label) for g in group]
-        probs = [as_prob_vector(g.probs) for g in group]
-        stable_fraction = sum(1 for lab in labels if lab == cfg.stable_class) / len(labels)
-        if stable_fraction >= cfg.stable_ratio_threshold:
-            volume_labels[vol] = cfg.stable_class
-        elif cfg.majority_includes_stable:
-            volume_labels[vol] = _majority(labels, probs, cfg)
-        else:
-            keep = [i for i, lab in enumerate(labels) if lab != cfg.stable_class]
-            volume_labels[vol] = _majority([labels[i] for i in keep], [probs[i] for i in keep], cfg)
-
-    relabeled = [p._replace(label=volume_labels[p.volume_id]) for p in preds]
-    return volume_labels, relabeled
+    labels, probs = np.asarray(labels, dtype=np.int64), as_prob_rows(probs)
+    if volume_ids.shape != labels.shape or labels.shape != probs.shape[:1]:
+        raise InvalidInputError(
+            f"volume ids, labels and probabilities disagree on the row count: "
+            f"{volume_ids.shape}, {labels.shape}, {probs.shape}"
+        )
+    missing = np.flatnonzero(volume_ids == "")
+    if missing.size:
+        raise InvalidInputError(
+            f"volume consistency needs volume ids on every record; {missing.size} of "
+            f"{volume_ids.size} rows carry no volume_id, the first is row {missing[0]}"
+        )
+    if labels.min() < 0 or labels.max() >= probs.shape[1]:
+        raise InvalidInputError(f"labels must lie in [0, {probs.shape[1]})")
+    _, volume = np.unique(volume_ids, return_inverse=True)
+    return group_vote(volume, labels, probs, cfg.stable_ratio_threshold, cfg)[volume]

@@ -18,7 +18,6 @@ from ordchange.cli import main
 from ordchange.core import Task, confusion_from_predictions
 from ordchange.datagen import GenConfig, gen_t2_volumes
 from ordchange.ensemble import (
-    BscanPrediction,
     PostprocessConfig,
     PredictionSet,
     unanimity_ensemble,
@@ -231,27 +230,24 @@ def _run_experiment(seed: int) -> dict:
     rep_claim = _report(true_test, pred_claim)
     rep_base = _report(true_test, pred_base)
 
-    fold_sets = [PredictionSet("fold0", tuple(zip(test_keys, claim_probs)))]
+    fold_sets = [PredictionSet("fold0", test_keys, claim_probs)]
     for i in (1, 2):
         train_i, val_i = fold_split(i)
         params_i, _ = train(
             train_i, val_i,
             TrainConfig(loss_kind="combined", balanced_batches=True, seed=seed + i, **base),
         )
-        fold_sets.append(PredictionSet(f"fold{i}", tuple(zip(test_keys, predict(params_i, test)))))
-    voted = unanimity_ensemble(fold_sets)
-    volume_of = dict(zip(test_keys, test.volume_id.tolist()))
+        fold_sets.append(PredictionSet(f"fold{i}", test_keys, predict(params_i, test)))
+    voted, voted_probs = unanimity_ensemble(fold_sets)
     # 0.45: unanimity over three balance-trained folds thins out Stable votes,
     # so the volume rule needs a majority-style threshold at this noise level.
-    _, relabeled = volume_consistency(
-        [BscanPrediction(k, volume_of[k], lab, probs) for k, lab, probs in voted],
-        PostprocessConfig(stable_ratio_threshold=0.45),
-    )
-    truth_of = dict(zip(test_keys, true_test))
-    rep_post = _report([truth_of[p.key] for p in relabeled], [p.label for p in relabeled])
+    relabeled = volume_consistency(
+        test.volume_id, voted, voted_probs, PostprocessConfig(stable_ratio_threshold=0.45)
+    ).tolist()
+    rep_post = _report(true_test, relabeled)
     labels_by_volume: dict[str, set[int]] = {}
-    for p in relabeled:
-        labels_by_volume.setdefault(p.volume_id, set()).add(p.label)
+    for volume, label in zip(test.volume_id.tolist(), relabeled):
+        labels_by_volume.setdefault(volume, set()).add(label)
 
     return {
         "rk_claim": rep_claim["rk_correlation"],

@@ -530,6 +530,16 @@ class TestEnsemble:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {empty}: holds no prediction rows\n"
 
+    def test_repeated_prediction_row_exit_6(self, workdir, tmp_path, capsys):
+        # The same exit code and message as eval's.
+        lines = (workdir / "preds.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "twice.csv").write_text("".join(lines + lines[1:2]))
+        rc = main(["ensemble", str(tmp_path / "twice.csv"), "--out", str(tmp_path / "comb.csv")])
+        assert rc == 6
+        case_id = lines[1].split(",")[0]
+        assert capsys.readouterr().err == f"error: {tmp_path / 'twice.csv'}: case_id {case_id!r} appears more than once\n"
+        assert not (tmp_path / "comb.csv").exists()
+
 
 def header_only(source: Path, out: Path) -> Path:
     out.write_text(source.read_text().splitlines(keepends=True)[0])
@@ -656,6 +666,67 @@ class TestEval:
             ]
         )
         assert rc == 3
+
+
+def edited_copy(source: Path, out: Path, line: int, edit) -> Path:
+    """Copy ``source`` with ``edit`` applied to the field list of one line."""
+    lines = source.read_text().splitlines(keepends=True)
+    fields = lines[line].rstrip("\n").split(",")
+    edit(fields)
+    lines[line] = ",".join(fields) + "\n"
+    out.write_text("".join(lines))
+    return out
+
+
+class TestBadPredictionAndTruthFiles:
+    """A malformed prediction or truth row ends ensemble and eval with exit 2
+    and one line that names the file."""
+
+    def run(self, workdir, command: str, pred: Path, truth: Path | None = None) -> int:
+        if command == "ensemble":
+            return main(["ensemble", str(pred), "--out", str(pred.parent / "comb.csv")])
+        truth = truth or workdir / "data" / "truth.csv"
+        return main(["eval", "--pred", str(pred), "--truth", str(truth), "--task", "t2",
+                     "--out", str(pred.parent / "report.csv")])
+
+    def check(self, capsys, rc: int, path: Path, message: str) -> None:
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (path.parent / "comb.csv").exists() and not (path.parent / "report.csv").exists()
+
+    @pytest.mark.parametrize("command", ["ensemble", "eval"])
+    def test_prediction_row_with_extra_field_exit_2(self, workdir, tmp_path, capsys, command):
+        bad = edited_copy(workdir / "preds.csv", tmp_path / "bad.csv", 3, lambda f: f.append("0"))
+        self.check(capsys, self.run(workdir, command, bad), bad, "line 4 has 10 fields, expected 9")
+
+    def test_truth_row_with_extra_field_exit_2(self, workdir, tmp_path, capsys):
+        # Read as the last field, the appended 2 used to be scored as the label.
+        truth = edited_copy(workdir / "data" / "truth.csv", tmp_path / "truth.csv", 1, lambda f: f.append("2"))
+        rc = self.run(workdir, "eval", workdir / "preds.csv", truth)
+        self.check(capsys, rc, truth, "line 2 has 6 fields, expected 5")
+
+    def test_pred_label_out_of_range_exit_2(self, workdir, tmp_path, capsys):
+        def set_pred_label(fields):
+            fields[8] = "7"
+
+        bad = edited_copy(workdir / "preds.csv", tmp_path / "bad.csv", 2, set_pred_label)
+        self.check(capsys, self.run(workdir, "eval", bad), bad, "line 3: pred_label 7 outside [0, 3)")
+
+    def test_truth_label_out_of_range_exit_2(self, workdir, tmp_path, capsys):
+        def set_label(fields):
+            fields[-1] = "9"
+
+        truth = edited_copy(workdir / "data" / "truth.csv", tmp_path / "truth.csv", 2, set_label)
+        rc = self.run(workdir, "eval", workdir / "preds.csv", truth)
+        self.check(capsys, rc, truth, "line 3: label 9 is not valid for task t2")
+
+    @pytest.mark.parametrize("command", ["ensemble", "eval"])
+    def test_negative_probability_exit_2(self, workdir, tmp_path, capsys, command):
+        def set_probs(fields):
+            fields[5:8] = ["-0.1", "0.6", "0.5"]
+
+        bad = edited_copy(workdir / "preds.csv", tmp_path / "bad.csv", 2, set_probs)
+        self.check(capsys, self.run(workdir, command, bad), bad, "probability entries must lie in [0, 1]")
 
 
 class TestGradcheck:
