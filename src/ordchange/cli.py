@@ -9,25 +9,32 @@ Commands:
     eval       score a prediction CSV against a truth CSV
     gradcheck  compare analytic gradients against central finite differences
 
-Exit codes: 0 ok, 2 io, 3 configuration, 4 numeric failure, 5 checkpoint,
-6 record-key misalignment, 7 gradient check failure. (Bad command lines exit
-2 via argparse.)
+Exit codes: 0 ok, 2 io, 3 configuration, 4 numeric failure (a training run
+that diverges), 5 checkpoint, 6 record-key misalignment, 7 gradient check
+failure. (Bad command lines exit 2 via argparse.)
 
 Configuration files are flat ``key=value`` lines; ``#`` starts a comment and
-blank lines are skipped. Unknown or repeated keys are rejected. Every command
-writes a run manifest (JSON) next to its outputs; reruns with identical
-inputs and seed produce byte-identical outputs, manifests excepted for their
-timing field. The ``ORDCHANGE_THREADS`` environment variable (default 1) caps
-the worker threads used for fold-level parallelism in ``train``.
+blank lines are skipped. Unknown or repeated keys, and numbers that are not
+finite, are rejected. Every command writes a run manifest (JSON) next to its
+outputs; reruns with identical inputs and seed produce byte-identical
+outputs, manifests excepted for their timing field. ``train`` fits its folds
+one after another.
+
+A dataset CSV becomes a ``core.Dataset``; a prediction CSV becomes a
+``Predictions`` table of columns. ``predict`` builds that table from the
+dataset's columns and the model's (N, C) probabilities, ``ensemble`` votes
+on the ``probs`` matrices of its input tables and writes the first one's
+with its label columns replaced, and ``eval`` scores one label column. Each
+file is checked once, when it is read.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -39,7 +46,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .core import ClassLabel, Dataset, Task, as_prob_rows, atomic_write, confusion_from_predictions
+from .core import ClassLabel, Dataset, Task, _column, as_prob_rows, atomic_write, confusion_from_predictions
 from .datagen import GenConfig, gen_t1_pairs, gen_t2_volumes
 from .ensemble import (
     PostprocessConfig,
@@ -154,8 +161,15 @@ def _as_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+def _as_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _as_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in raw.split(","))
+    return tuple(_as_float(part) for part in raw.split(","))
 
 
 def _as_int_list(raw: str) -> tuple[int, ...]:
@@ -171,40 +185,40 @@ GEN_SCHEMA: dict[str, Callable[[str], object]] = {
     "bscans_max": int,
     "feature_dim": int,
     "class_ratios": _as_float_list,
-    "step_size": float,
-    "noise_sigma": float,
-    "patient_sigma": float,
-    "other_rate": float,
+    "step_size": _as_float,
+    "noise_sigma": _as_float,
+    "patient_sigma": _as_float,
+    "other_rate": _as_float,
     "seed": int,
 }
 
 TRAIN_SCHEMA: dict[str, Callable[[str], object]] = {
     "task": str,
     "loss": str,
-    "alpha": float,
-    "gamma": float,
-    "focal_weight": float,
-    "emd_weight": float,
-    "epsilon": float,
+    "alpha": _as_float,
+    "gamma": _as_float,
+    "focal_weight": _as_float,
+    "emd_weight": _as_float,
+    "epsilon": _as_float,
     "encoder_dims": _as_int_list,
     "head_dims": _as_int_list,
-    "dropout": float,
+    "dropout": _as_float,
     "epochs": int,
     "warmup_epochs": int,
-    "lr": float,
-    "lr_decay": float,
+    "lr": _as_float,
+    "lr_decay": _as_float,
     "batch_size": int,
     "seed": int,
     "balanced_batches": _as_bool,
-    "undersample_majority": float,
+    "undersample_majority": _as_float,
     "optimizer": str,
-    "beta1": float,
-    "beta2": float,
-    "adam_eps": float,
-    "weight_decay": float,
+    "beta1": _as_float,
+    "beta2": _as_float,
+    "adam_eps": _as_float,
+    "weight_decay": _as_float,
     "early_stop_patience": int,
     "freeze_head_epochs": int,
-    "val_ratio": float,
+    "val_ratio": _as_float,
     "folds": int,
 }
 
@@ -380,7 +394,7 @@ def read_dataset_csv(path: str | os.PathLike) -> tuple[Task, Dataset, list[str]]
         data = Dataset(x=x, x_b=x_b, **ids)
     except InvalidInputError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed dataset row: {exc}") from exc
     return task, data, column(0)
 
@@ -388,17 +402,41 @@ def read_dataset_csv(path: str | os.PathLike) -> tuple[Task, Dataset, list[str]]
 # --- prediction CSV schema -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PredRow:
-    case_id: str
-    patient_id: str
-    volume_id: str
-    bscan_index: str
-    true_label: int
+# The id columns not listed here hold text.
+_PRED_DTYPES = {
+    "true_label": np.int64,
+    "probs": np.float64,
+    "pred_label": np.int64,
+    "final_label": np.int64,
+    "postprocessed": np.int64,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class Predictions:
+    """A prediction CSV held as columns, one row per record.
+
+    The id columns hold their text as the file does (``volume_id`` and
+    ``bscan_index`` are empty for t1 pairs); ``probs`` is the (N, C) matrix
+    of class probabilities. ``final_label`` and ``postprocessed`` are None
+    unless the table comes from ``ensemble``. Every column is stored as a
+    read-only array; ``read_predictions_csv`` does the checking.
+    """
+
+    case_id: np.ndarray
+    patient_id: np.ndarray
+    volume_id: np.ndarray
+    bscan_index: np.ndarray
+    true_label: np.ndarray
     probs: np.ndarray
-    pred_label: int
-    final_label: int | None = None
-    postprocessed: int | None = None
+    pred_label: np.ndarray
+    final_label: np.ndarray | None = None
+    postprocessed: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if getattr(self, f.name) is not None:
+                object.__setattr__(self, f.name, _column(getattr(self, f.name), _PRED_DTYPES.get(f.name, str)))
 
 
 def _pred_header(n_classes: int, with_final: bool) -> list[str]:
@@ -410,28 +448,28 @@ def _pred_header(n_classes: int, with_final: bool) -> list[str]:
     return header
 
 
-def write_predictions_csv(path: str | os.PathLike, rows: Sequence[PredRow]) -> None:
-    if not rows:
+def write_predictions_csv(path: str | os.PathLike, table: Predictions) -> None:
+    n_rows, n_classes = table.probs.shape
+    if not n_rows:
         raise InvalidInputError("refusing to write an empty prediction CSV")
-    n_classes = rows[0].probs.shape[0]
     if n_classes not in PROB_COLUMNS:
         raise ConfigError(f"cannot serialize {n_classes}-class probabilities")
-    with_final = rows[0].final_label is not None
-    out = []
-    for r in rows:
-        row = [r.case_id, r.patient_id, r.volume_id, r.bscan_index, str(int(r.true_label))]
-        row += [_fmt_prob(v) for v in r.probs]
-        row.append(str(int(r.pred_label)))
-        if with_final:
-            row += [str(int(r.final_label)), str(int(r.postprocessed))]
-        out.append(row)
-    _write_csv(path, _pred_header(n_classes, with_final), out)
+    # One formatting pass over the row-major matrix; text[j::C] is class j's column.
+    text = ["%.9f" % v for v in table.probs.ravel().tolist()]
+    columns = [table.case_id, table.patient_id, table.volume_id, table.bscan_index, table.true_label]
+    columns = [c.tolist() for c in columns] + [text[j::n_classes] for j in range(n_classes)]
+    columns.append(table.pred_label.tolist())
+    with_final = table.final_label is not None
+    if with_final:
+        columns += [table.final_label.tolist(), table.postprocessed.tolist()]
+    _write_csv(path, _pred_header(n_classes, with_final), zip(*columns))
 
 
-def read_predictions_csv(path: str | os.PathLike) -> list[PredRow]:
-    """Read a prediction CSV; probabilities are renormalized to counter the
-    9-decimal serialization rounding and must then pass the simplex gate, and
-    every label column must name a class of the file's width."""
+def read_predictions_csv(path: str | os.PathLike) -> Predictions:
+    """Read a prediction CSV into a table; probabilities are renormalized to
+    counter the 9-decimal serialization rounding and must then pass the
+    simplex gate, every label column must name a class of the file's width,
+    and every case_id must be unique."""
     header, rows = _read_csv(path)
     if not rows:
         raise DataError(f"{path}: holds no prediction rows")
@@ -439,17 +477,18 @@ def read_predictions_csv(path: str | os.PathLike) -> list[PredRow]:
     if not layouts:
         raise DataError(f"{path}: unrecognized prediction header")
     n_classes, with_final = layouts[0]
+    columns = list(zip(*rows))
     # true_label, pred_label[, final_label, postprocessed]: all but the flag are labels.
     int_columns = [4, *range(5 + n_classes, len(header))]
     try:
-        probs = np.array([row[5 : 5 + n_classes] for row in rows], dtype=np.float64)
-        ints = np.array([[int(row[j]) for j in int_columns] for row in rows], dtype=np.int64)
-    except ValueError as exc:
+        probs = np.ascontiguousarray(np.array(columns[5 : 5 + n_classes], dtype=np.float64).T)
+        ints = np.array([columns[j] for j in int_columns], dtype=np.int64).T
+    except (ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed prediction row: {exc}") from exc
     totals = probs.sum(axis=1, keepdims=True)
     invalid = np.flatnonzero(~(np.isfinite(totals[:, 0]) & (totals[:, 0] > 0)))
     if invalid.size:
-        raise DataError(f"{path}: row {rows[invalid[0]][0]!r} has invalid probabilities")
+        raise DataError(f"{path}: row {columns[0][invalid[0]]!r} has invalid probabilities")
     try:
         probs = as_prob_rows(probs / totals)
     except InvalidInputError as exc:
@@ -459,14 +498,11 @@ def read_predictions_csv(path: str | os.PathLike) -> list[PredRow]:
     if off.size:
         i, j = off[0]
         raise DataError(f"{path}: line {i + 2}: {header[int_columns[j]]} {labels[i, j]} outside [0, {n_classes})")
-    return [
-        PredRow(
-            case_id=row[0], patient_id=row[1], volume_id=row[2], bscan_index=row[3], true_label=v[0],
-            probs=p, pred_label=v[1], final_label=v[2] if with_final else None,
-            postprocessed=v[3] if with_final else None,
-        )
-        for row, p, v in zip(rows, probs, ints.tolist())
-    ]
+    _check_unique(path, columns[0])
+    return Predictions(
+        *columns[:4], true_label=ints[:, 0], probs=probs, pred_label=ints[:, 1],
+        final_label=ints[:, 2] if with_final else None, postprocessed=ints[:, 3] if with_final else None,
+    )
 
 
 def read_truth_csv(path: str | os.PathLike, task: Task) -> dict[str, int]:
@@ -489,7 +525,7 @@ def read_truth_csv(path: str | os.PathLike, task: Task) -> dict[str, int]:
     return dict(zip(case_ids, labels))
 
 
-def _check_unique(path: str | os.PathLike, case_ids: list[str]) -> None:
+def _check_unique(path: str | os.PathLike, case_ids: Sequence[str]) -> None:
     counts = Counter(case_ids)
     if len(counts) != len(case_ids):
         repeated = next(key for key, n in counts.items() if n > 1)
@@ -579,34 +615,21 @@ def cmd_train(args) -> int:
     else:
         ckpt_paths = [out.with_name(f"{out.stem}.fold{i}{out.suffix}") for i in range(len(val_sets))]
 
-    def run_fold(i: int) -> tuple[int, str, list[str]]:
-        fold_cfg = replace(cfg, seed=cfg.seed + i)
-        in_val = np.isin(data.patient_id, list(val_sets[i]))
+    outputs: list[str] = []
+    for i, (val_patients, ckpt_path) in enumerate(zip(val_sets, ckpt_paths)):
+        in_val = np.isin(data.patient_id, list(val_patients))
         train_data, val_data = data.take(~in_val), data.take(in_val)
         if not len(train_data) or not len(val_data):
             raise DataError(f"fold {i} has an empty train or validation side")
-        params, history = train(train_data, val_data, fold_cfg)
-        save_checkpoint(ckpt_paths[i], params)
-        history_path = f"{ckpt_paths[i]}.history.csv"
+        params, history = train(train_data, val_data, replace(cfg, seed=cfg.seed + i))
+        save_checkpoint(ckpt_path, params)
+        history_path = f"{ckpt_path}.history.csv"
         _write_history_csv(history_path, history)
-        line = (
+        print(
             f"fold {i}: best val average {history.best_average:.6f} "
             f"at epoch {history.best_epoch} ({len(train_data)} train / {len(val_data)} val records)"
         )
-        return i, line, [str(ckpt_paths[i]), history_path]
-
-    workers = _worker_count()
-    results: list[tuple[int, str, list[str]]] = []
-    if workers > 1 and len(val_sets) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=min(workers, len(val_sets))) as pool:
-            results = list(pool.map(run_fold, range(len(val_sets))))
-    else:
-        results = [run_fold(i) for i in range(len(val_sets))]
-    results.sort()
-    outputs: list[str] = []
-    for _, line, outs in results:
-        print(line)
-        outputs.extend(outs)
+        outputs += [str(ckpt_path), history_path]
     inputs = [p for p in (args.config, args.data) if p]
     _write_manifest(f"{out}.manifest.json", args, started, inputs, outputs, config_text, cfg.seed)
     return 0
@@ -619,40 +642,27 @@ def cmd_predict(args) -> int:
     if not len(data):
         raise DataError(f"{args.data}: dataset holds no records")
     probs = predict(params, data)
-    if params.n_classes not in PROB_COLUMNS:
-        raise ConfigError(f"checkpoint predicts {params.n_classes} classes; cannot serialize")
     if task is Task.T2:
-        volumes, indices = data.volume_id.tolist(), map(str, data.bscan_index.tolist())
+        volumes, indices = data.volume_id, data.bscan_index.astype(str)
     else:
-        volumes = indices = [""] * len(data)
-    rows = [
-        PredRow(
-            case_id=case_id, patient_id=patient, volume_id=volume, bscan_index=index,
-            true_label=label, probs=p, pred_label=pred,
-        )
-        for case_id, patient, volume, index, label, p, pred in zip(
-            case_ids, data.patient_id.tolist(), volumes, indices, data.labels.tolist(),
-            probs, probs.argmax(axis=1).tolist(),
-        )
-    ]
-    write_predictions_csv(args.out, rows)
-    print(f"wrote {len(rows)} predictions to {args.out}")
+        volumes = indices = np.full(len(data), "")
+    table = Predictions(
+        case_ids, data.patient_id, volumes, indices, true_label=data.labels, probs=probs,
+        pred_label=probs.argmax(axis=1),
+    )
+    write_predictions_csv(args.out, table)
+    print(f"wrote {len(data)} predictions to {args.out}")
     _write_manifest(f"{args.out}.manifest.json", args, started, [args.ckpt, args.data], [str(args.out)])
     return 0
 
 
 def cmd_ensemble(args) -> int:
     started = time.monotonic()
-    all_rows = [read_predictions_csv(p) for p in args.preds]
-    for path, rows in zip(args.preds, all_rows):
-        _check_unique(path, [r.case_id for r in rows])
-    widths = {rows[0].probs.shape[0] for rows in all_rows}
+    tables = [read_predictions_csv(p) for p in args.preds]
+    widths = {table.probs.shape[1] for table in tables}
     if len(widths) != 1:
         raise ConfigError(f"prediction files mix class counts {sorted(widths)}; cannot ensemble")
-    sets = [
-        PredictionSet(path, [r.case_id for r in rows], np.stack([r.probs for r in rows]))
-        for path, rows in zip(args.preds, all_rows)
-    ]
+    sets = [PredictionSet(path, table.case_id.tolist(), table.probs) for path, table in zip(args.preds, tables)]
     pp_cfg = PostprocessConfig(
         stable_ratio_threshold=args.stable_threshold,
         tie_break=TieBreak(args.tie_break),
@@ -662,14 +672,14 @@ def cmd_ensemble(args) -> int:
         labels, probs = mean_ensemble(sets)
     else:
         labels, probs = unanimity_ensemble(sets, pp_cfg)
+    first = tables[0]
     final = labels
     if args.postprocess:
-        final = volume_consistency([r.volume_id for r in all_rows[0]], labels, probs, pp_cfg)
-    out_rows = [
-        replace(base, probs=p, pred_label=label, final_label=final_label, postprocessed=int(args.postprocess))
-        for base, p, label, final_label in zip(all_rows[0], probs, labels.tolist(), final.tolist())
-    ]
-    write_predictions_csv(args.out, out_rows)
+        final = volume_consistency(first.volume_id, labels, probs, pp_cfg)
+    flag = np.full(len(labels), int(args.postprocess))
+    write_predictions_csv(
+        args.out, replace(first, probs=probs, pred_label=labels, final_label=final, postprocessed=flag)
+    )
     print(
         f"combined {len(args.preds)} prediction file(s) with mode={args.mode}"
         + (", volume consistency applied" if args.postprocess else "")
@@ -682,10 +692,10 @@ def cmd_ensemble(args) -> int:
 def cmd_eval(args) -> int:
     started = time.monotonic()
     task = _parse_task(args.task)
-    pred_rows = read_predictions_csv(args.pred)
+    pred = read_predictions_csv(args.pred)
     truth = read_truth_csv(args.truth, task)
-    _check_unique(args.pred, [r.case_id for r in pred_rows])
-    pred_keys = {r.case_id for r in pred_rows}
+    case_ids = pred.case_id.tolist()
+    pred_keys = set(case_ids)
     truth_keys = set(truth)
     if pred_keys != truth_keys:
         offenders = sorted(pred_keys ^ truth_keys)[:10]
@@ -693,17 +703,12 @@ def cmd_eval(args) -> int:
             f"prediction and truth keys disagree ({len(pred_keys ^ truth_keys)} total); "
             f"first offenders: {offenders}"
         )
-    if pred_rows[0].probs.shape[0] != task.n_classes:
+    if pred.probs.shape[1] != task.n_classes:
         raise ConfigError(
-            f"predictions carry {pred_rows[0].probs.shape[0]} classes, task {task.value} "
-            f"expects {task.n_classes}"
+            f"predictions carry {pred.probs.shape[1]} classes, task {task.value} expects {task.n_classes}"
         )
-    labels = [
-        r.final_label if r.final_label is not None else r.pred_label for r in pred_rows
-    ]
-    cm = confusion_from_predictions(
-        [truth[r.case_id] for r in pred_rows], labels, task.n_classes
-    )
+    labels = pred.pred_label if pred.final_label is None else pred.final_label
+    cm = confusion_from_predictions([truth[key] for key in case_ids], labels, task.n_classes)
     report = compute_report(cm, task)
     print(f"task                {task.value}")
     for name in METRIC_COLUMNS:
@@ -782,17 +787,6 @@ def cmd_gradcheck(args) -> int:
 
 
 # --- entry point -----------------------------------------------------------------------
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("ORDCHANGE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"ORDCHANGE_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"ORDCHANGE_THREADS must be >= 1, got {n}")
-    return n
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -39,15 +39,6 @@ class ClassLabel(IntEnum):
     OTHER = 3
 
 
-ORDINAL_CLASSES: tuple[ClassLabel, ...] = (
-    ClassLabel.REDUCED,
-    ClassLabel.STABLE,
-    ClassLabel.WORSENED,
-)
-
-CLASS_NAMES: tuple[str, ...] = ("reduced", "stable", "worsened", "other")
-
-
 class Task(Enum):
     """The two classification tasks.
 
@@ -61,33 +52,6 @@ class Task(Enum):
     @property
     def n_classes(self) -> int:
         return 4 if self is Task.T1 else 3
-
-    @property
-    def class_names(self) -> tuple[str, ...]:
-        return CLASS_NAMES[: self.n_classes]
-
-    def labels(self) -> tuple[ClassLabel, ...]:
-        return tuple(ClassLabel(i) for i in range(self.n_classes))
-
-    def validate_label(self, label: int | ClassLabel) -> ClassLabel:
-        """Coerce to ClassLabel, rejecting values the task does not define."""
-        try:
-            lab = ClassLabel(int(label))
-        except ValueError as exc:
-            raise InvalidInputError(f"unknown class label {label!r}") from exc
-        if int(lab) >= self.n_classes:
-            raise InvalidInputError(
-                f"label {lab.name} is not valid for task {self.value}"
-            )
-        return lab
-
-
-def ordinal_rank(label: int | ClassLabel) -> int:
-    """Rank of an ordinal class; OTHER has none and is rejected."""
-    lab = ClassLabel(int(label))
-    if lab is ClassLabel.OTHER:
-        raise InvalidInputError("class OTHER has no ordinal rank")
-    return int(lab)
 
 
 def as_logits(z: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -146,15 +110,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     shifted = arr - arr.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
-
-
-def cdf(p: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Cumulative distribution of a probability vector over class indices.
-
-    Non-decreasing by construction; the final entry equals 1 up to float error.
-    """
-    arr = as_prob_vector(p)
-    return np.cumsum(arr)
 
 
 def confusion_from_predictions(

@@ -517,7 +517,7 @@ def optimizer_step(
         bias2 = 1 - cfg.beta2 ** (state.step + 1)
         new = p - lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps) - lr * cfg.weight_decay * p
     if not np.all(np.isfinite(new)):
-        raise ConfigError("the optimizer step produced non-finite parameters")
+        raise NumericError("the optimizer step produced non-finite parameters")
     new_params = _over(ModelParams, new, params.layout, dropout_rate=params.dropout_rate)
     return new_params, OptimizerState(cfg, state.step + 1, m, v)
 
@@ -690,6 +690,9 @@ def _loss_diagnostics(logits: np.ndarray, targets: np.ndarray, cfg: LossConfig) 
     return f"focal={focal!r} emd={emd!r}"
 
 
+# A diverging run overflows; the loop reports the non-finite logits, loss or
+# parameters as one NumericError, without numpy's warnings on top.
+@np.errstate(over="ignore", invalid="ignore")
 def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelParams, TrainHistory]:
     """Train from scratch and return the best-validation parameters.
 
@@ -747,6 +750,8 @@ def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelPara
                 )
             else:
                 logits, cache = forward(params, data.x[idx], training=True, rng=rng_drop)
+            if not np.isfinite(logits).all():
+                raise NumericError(f"non-finite logits at epoch {epoch} batch {batch_no}: the run diverged")
             loss_value, grad_logits = batch_loss_gradient(cfg.loss_kind, logits, targets, cfg.loss)
             if not np.isfinite(loss_value):
                 raise NumericError(

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import ordchange.cli as cli
 from ordchange.cli import (
     GEN_SCHEMA,
     TRAIN_SCHEMA,
-    PredRow,
+    Predictions,
     main,
     parse_kv_config,
     read_predictions_csv,
@@ -216,22 +217,6 @@ class TestTrain:
             assert f"fold {i}: best val average" in out
         assert not (tmp_path / "cv.ckpt").exists()
 
-    def test_fold_parallelism_matches_serial(self, workdir, tmp_path, monkeypatch):
-        args = [
-            "train",
-            "--config", str(workdir / "train.cfg"),
-            "--data", str(workdir / "data" / "dataset.csv"),
-            "--folds", "2",
-        ]
-        assert main(args + ["--out", str(tmp_path / "serial.ckpt")]) == 0
-        monkeypatch.setenv("ORDCHANGE_THREADS", "2")
-        assert main(args + ["--out", str(tmp_path / "par.ckpt")]) == 0
-        for i in range(2):
-            assert (
-                (tmp_path / f"serial.fold{i}.ckpt").read_bytes()
-                == (tmp_path / f"par.fold{i}.ckpt").read_bytes()
-            )
-
     def test_emd_on_t1_exit_3(self, tmp_path, capsys):
         gen_cfg = tmp_path / "gen.cfg"
         gen_cfg.write_text("task=t1\nn_patients=6\nfeature_dim=4\nseed=0\n")
@@ -262,19 +247,49 @@ class TestTrain:
     def test_missing_data_exit_2(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.ckpt")]) == 2
 
-    def test_bad_thread_env_exit_3(self, workdir, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ORDCHANGE_THREADS", "many")
-        rc = main(
-            [
-                "train",
-                "--config", str(workdir / "train.cfg"),
-                "--data", str(workdir / "data" / "dataset.csv"),
-                "--out", str(tmp_path / "m.ckpt"),
-            ]
-        )
-        assert rc == 3
-        assert "ORDCHANGE_THREADS" in capsys.readouterr().err
+    @pytest.mark.parametrize("settings", ["lr=1e300", "lr=1e200\noptimizer=sgd"])
+    def test_diverging_run_exit_4(self, workdir, tmp_path, capsys, settings):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TRAIN_CFG.replace("lr=0.01", settings))
+        argv = ["train", "--config", str(cfg), "--data", str(workdir / "data" / "dataset.csv")]
+        assert main(argv + ["--out", str(tmp_path / "m.ckpt")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite logits at epoch 0 batch ") and err.count("\n") == 1
+        assert not (tmp_path / "m.ckpt").exists()
 
+
+class TestNonFiniteConfig:
+    """A config number that is NaN or infinite ends gen and train with exit 3
+    and one line naming the key, before any work starts."""
+
+    @pytest.mark.parametrize(
+        "command, setting",
+        [
+            ("gen", "class_ratios=nan,0.5,0.5"),
+            ("gen", "step_size=nan"),
+            ("gen", "noise_sigma=inf"),
+            ("gen", "patient_sigma=-inf"),
+            ("train", "undersample_majority=inf"),
+            ("train", "undersample_majority=nan"),
+            ("train", "adam_eps=nan"),
+            ("train", "weight_decay=nan"),
+        ],
+    )
+    def test_non_finite_value_exit_3(self, workdir, tmp_path, capsys, command, setting):
+        key = setting.split("=")[0]
+        base = GEN_CFG if command == "gen" else TRAIN_CFG
+        kept = [line for line in base.splitlines() if not line.startswith(f"{key}=")]
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text("\n".join(kept + [setting]) + "\n")
+        if command == "gen":
+            argv = ["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]
+        else:
+            argv = ["train", "--config", str(cfg), "--data", str(workdir / "data" / "dataset.csv"),
+                    "--out", str(tmp_path / "m.ckpt")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+        assert not (tmp_path / "d").exists() and not (tmp_path / "m.ckpt").exists()
 
 class TestPredict:
     def test_probabilities_serialize_to_simplex(self, workdir):
@@ -302,8 +317,8 @@ class TestPredict:
 
     def test_covers_every_case(self, workdir):
         truth = read_truth_csv(workdir / "data" / "truth.csv", Task.T2)
-        rows = read_predictions_csv(workdir / "preds.csv")
-        assert {r.case_id for r in rows} == set(truth)
+        table = read_predictions_csv(workdir / "preds.csv")
+        assert set(table.case_id.tolist()) == set(truth)
 
     def test_corrupt_checkpoint_exit_5(self, workdir, tmp_path, capsys):
         blob = bytearray((workdir / "model.ckpt").read_bytes())
@@ -388,6 +403,14 @@ class TestBadDataset:
     def test_non_finite_feature_exit_2(self, workdir, tmp_path, capsys, command):
         self.check(workdir, tmp_path, capsys, command, lambda lines: set_field(lines, 5, 7, "nan"), "non-finite")
 
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_label_beyond_int64_exit_2(self, workdir, tmp_path, capsys, command):
+        def relabel_volume(lines):
+            for line in (1, 2, 3):
+                set_field(lines, line, 5, "9" * 20)
+
+        self.check(workdir, tmp_path, capsys, command, relabel_volume, "malformed dataset row")
+
     def test_label_outside_task_exit_2(self, workdir, tmp_path, capsys):
         # Label 3 (OTHER) exists only in t1; all three B-scans of the volume carry it.
         def relabel_volume(lines):
@@ -417,13 +440,30 @@ class TestFailedWrite:
         assert not list((tmp_path / "out").glob("*.tmp.*"))
 
 
-def stable_row(case: str, vol: str, peak_class: int = 1) -> PredRow:
-    probs = np.full(3, 0.05)
-    probs[peak_class] = 0.9
-    return PredRow(
-        case_id=case, patient_id="P000", volume_id=vol, bscan_index="0",
-        true_label=1, probs=probs, pred_label=peak_class,
+def stable_rows(cases: list[str], vol: str, peak_classes: list[int] | None = None) -> Predictions:
+    """Rows of one volume, each peaked at ``peak_classes`` (default Stable)."""
+    n = len(cases)
+    peaks = np.ones(n, dtype=np.int64) if peak_classes is None else np.array(peak_classes)
+    probs = np.full((n, 3), 0.05)
+    probs[np.arange(n), peaks] = 0.9
+    return Predictions(
+        case_id=cases, patient_id=["P000"] * n, volume_id=[vol] * n, bscan_index=["0"] * n,
+        true_label=np.ones(n), probs=probs, pred_label=peaks,
     )
+
+
+def uniform_pair_rows(cases: list[str], true_labels: list[int] | None = None) -> Predictions:
+    """t1-style rows (no volume ids) with uniform four-class probabilities."""
+    n = len(cases)
+    return Predictions(
+        case_id=cases, patient_id=["P0"] * n, volume_id=[""] * n, bscan_index=[""] * n,
+        true_label=true_labels or [0] * n, probs=np.full((n, 4), 0.25), pred_label=np.zeros(n),
+    )
+
+
+def first_rows(table: Predictions, n: int) -> Predictions:
+    columns = {f.name: getattr(table, f.name) for f in fields(table)}
+    return Predictions(**{name: None if col is None else col[:n] for name, col in columns.items()})
 
 
 class TestEnsemble:
@@ -431,8 +471,9 @@ class TestEnsemble:
         # Nine Stable B-scans and one Worsened in one volume: model B dissents
         # on one record, so unanimity flips it, but the volume stays 90%
         # Stable and consistency relabels everything Stable.
-        rows_a = [stable_row(f"c{i}", "P000_V00") for i in range(10)]
-        rows_b = rows_a[:9] + [stable_row("c9", "P000_V00", peak_class=2)]
+        cases = [f"c{i}" for i in range(10)]
+        rows_a = stable_rows(cases, "P000_V00")
+        rows_b = stable_rows(cases, "P000_V00", peak_classes=[1] * 9 + [2])
         write_predictions_csv(tmp_path / "a.csv", rows_a)
         write_predictions_csv(tmp_path / "b.csv", rows_b)
         rc = main(
@@ -444,10 +485,10 @@ class TestEnsemble:
         )
         assert rc == 0
         combined = read_predictions_csv(tmp_path / "comb.csv")
-        by_case = {r.case_id: r for r in combined}
-        assert by_case["c9"].pred_label == 2  # dissent beats the stable majority
-        assert all(r.final_label == 1 for r in combined)  # volume vote restores Stable
-        assert all(r.postprocessed == 1 for r in combined)
+        by_case = dict(zip(combined.case_id.tolist(), combined.pred_label.tolist()))
+        assert by_case["c9"] == 2  # dissent beats the stable majority
+        assert (combined.final_label == 1).all()  # volume vote restores Stable
+        assert (combined.postprocessed == 1).all()
 
     def test_mean_mode_single_file_is_passthrough(self, workdir, tmp_path):
         rc = main(
@@ -460,8 +501,8 @@ class TestEnsemble:
         assert rc == 0
         orig = read_predictions_csv(workdir / "preds.csv")
         out = read_predictions_csv(tmp_path / "one.csv")
-        assert [r.pred_label for r in out] == [r.pred_label for r in orig]
-        assert all(r.final_label == r.pred_label and r.postprocessed == 0 for r in out)
+        assert out.pred_label.tolist() == orig.pred_label.tolist()
+        assert (out.final_label == out.pred_label).all() and (out.postprocessed == 0).all()
 
     def test_postprocess_yields_one_label_per_volume(self, workdir, tmp_path):
         rc = main(
@@ -473,18 +514,13 @@ class TestEnsemble:
         )
         assert rc == 0
         by_volume: dict[str, set[int]] = {}
-        for r in read_predictions_csv(tmp_path / "post.csv"):
-            by_volume.setdefault(r.volume_id, set()).add(r.final_label)
+        post = read_predictions_csv(tmp_path / "post.csv")
+        for volume, label in zip(post.volume_id.tolist(), post.final_label.tolist()):
+            by_volume.setdefault(volume, set()).add(label)
         assert all(len(labels) == 1 for labels in by_volume.values())
 
     def test_mixed_class_counts_exit_3(self, workdir, tmp_path, capsys):
-        wide = [
-            PredRow(
-                case_id="x", patient_id="P0", volume_id="", bscan_index="",
-                true_label=0, probs=np.array([0.25, 0.25, 0.25, 0.25]), pred_label=0,
-            )
-        ]
-        write_predictions_csv(tmp_path / "t1.csv", wide)
+        write_predictions_csv(tmp_path / "t1.csv", uniform_pair_rows(["x"]))
         rc = main(
             [
                 "ensemble", str(workdir / "preds.csv"), str(tmp_path / "t1.csv"),
@@ -495,8 +531,8 @@ class TestEnsemble:
         assert "class counts" in capsys.readouterr().err
 
     def test_misaligned_keys_exit_6(self, workdir, tmp_path, capsys):
-        rows = read_predictions_csv(workdir / "preds.csv")
-        write_predictions_csv(tmp_path / "short.csv", rows[:-1])
+        table = read_predictions_csv(workdir / "preds.csv")
+        write_predictions_csv(tmp_path / "short.csv", first_rows(table, -1))
         rc = main(
             [
                 "ensemble", str(workdir / "preds.csv"), str(tmp_path / "short.csv"),
@@ -507,14 +543,7 @@ class TestEnsemble:
         assert "offenders" in capsys.readouterr().err
 
     def test_postprocess_without_volume_ids_exit_3(self, tmp_path, capsys):
-        rows = [
-            PredRow(
-                case_id=f"pair{i}", patient_id="P0", volume_id="", bscan_index="",
-                true_label=0, probs=np.array([0.25, 0.25, 0.25, 0.25]), pred_label=0,
-            )
-            for i in range(3)
-        ]
-        write_predictions_csv(tmp_path / "t1.csv", rows)
+        write_predictions_csv(tmp_path / "t1.csv", uniform_pair_rows([f"pair{i}" for i in range(3)]))
         rc = main(
             [
                 "ensemble", str(tmp_path / "t1.csv"), "--postprocess",
@@ -549,18 +578,12 @@ def header_only(source: Path, out: Path) -> Path:
 class TestEval:
     def test_perfect_predictions_score_one(self, workdir, tmp_path, capsys):
         truth = read_truth_csv(workdir / "data" / "truth.csv", Task.T2)
-        rows = []
-        for r in read_predictions_csv(workdir / "preds.csv"):
-            label = truth[r.case_id]
-            probs = np.full(3, 0.01)
-            probs[label] = 0.98
-            rows.append(
-                PredRow(
-                    case_id=r.case_id, patient_id=r.patient_id, volume_id=r.volume_id,
-                    bscan_index=r.bscan_index, true_label=label, probs=probs, pred_label=label,
-                )
-            )
-        write_predictions_csv(tmp_path / "perfect.csv", rows)
+        table = read_predictions_csv(workdir / "preds.csv")
+        labels = np.array([truth[key] for key in table.case_id.tolist()])
+        probs = np.full((len(labels), 3), 0.01)
+        probs[np.arange(len(labels)), labels] = 0.98
+        perfect = replace(table, true_label=labels, probs=probs, pred_label=labels)
+        write_predictions_csv(tmp_path / "perfect.csv", perfect)
         rc = main(
             [
                 "eval",
@@ -580,20 +603,16 @@ class TestEval:
 
     def test_eval_respects_final_label_column(self, workdir, tmp_path, capsys):
         truth = read_truth_csv(workdir / "data" / "truth.csv", Task.T2)
-        rows = []
-        for r in read_predictions_csv(workdir / "preds.csv"):
-            label = truth[r.case_id]
-            wrong = (label + 1) % 3
-            probs = np.full(3, 0.01)
-            probs[wrong] = 0.98
-            rows.append(
-                PredRow(
-                    case_id=r.case_id, patient_id=r.patient_id, volume_id=r.volume_id,
-                    bscan_index=r.bscan_index, true_label=label, probs=probs,
-                    pred_label=wrong, final_label=label, postprocessed=1,
-                )
-            )
-        write_predictions_csv(tmp_path / "fixed.csv", rows)
+        table = read_predictions_csv(workdir / "preds.csv")
+        labels = np.array([truth[key] for key in table.case_id.tolist()])
+        wrong = (labels + 1) % 3
+        probs = np.full((len(labels), 3), 0.01)
+        probs[np.arange(len(labels)), wrong] = 0.98
+        fixed = replace(
+            table, true_label=labels, probs=probs, pred_label=wrong, final_label=labels,
+            postprocessed=np.ones(len(labels)),
+        )
+        write_predictions_csv(tmp_path / "fixed.csv", fixed)
         rc = main(
             [
                 "eval",
@@ -607,8 +626,8 @@ class TestEval:
         assert "micro_f1            1.000000" in capsys.readouterr().out
 
     def test_misaligned_keys_exit_6(self, workdir, tmp_path, capsys):
-        rows = read_predictions_csv(workdir / "preds.csv")
-        write_predictions_csv(tmp_path / "short.csv", rows[:-2])
+        table = read_predictions_csv(workdir / "preds.csv")
+        write_predictions_csv(tmp_path / "short.csv", first_rows(table, -2))
         rc = main(
             [
                 "eval",
@@ -619,7 +638,7 @@ class TestEval:
         )
         assert rc == 6
         err = capsys.readouterr().err
-        assert "offenders" in err and rows[-1].case_id in err
+        assert "offenders" in err and table.case_id[-1] in err
 
     def eval_rc(self, workdir, pred: Path, truth: Path | None = None) -> int:
         truth = truth or workdir / "data" / "truth.csv"
@@ -649,14 +668,7 @@ class TestEval:
 
     def test_width_mismatch_exit_3(self, workdir, tmp_path):
         truth = read_truth_csv(workdir / "data" / "truth.csv", Task.T2)
-        rows = [
-            PredRow(
-                case_id=k, patient_id="P0", volume_id="", bscan_index="",
-                true_label=v, probs=np.array([0.25, 0.25, 0.25, 0.25]), pred_label=0,
-            )
-            for k, v in truth.items()
-        ]
-        write_predictions_csv(tmp_path / "wide.csv", rows)
+        write_predictions_csv(tmp_path / "wide.csv", uniform_pair_rows(list(truth), list(truth.values())))
         rc = main(
             [
                 "eval",
@@ -711,6 +723,15 @@ class TestBadPredictionAndTruthFiles:
 
         bad = edited_copy(workdir / "preds.csv", tmp_path / "bad.csv", 2, set_pred_label)
         self.check(capsys, self.run(workdir, "eval", bad), bad, "line 3: pred_label 7 outside [0, 3)")
+
+    @pytest.mark.parametrize("command", ["ensemble", "eval"])
+    def test_pred_label_beyond_int64_exit_2(self, workdir, tmp_path, capsys, command):
+        def set_pred_label(fields):
+            fields[8] = "9" * 20
+
+        bad = edited_copy(workdir / "preds.csv", tmp_path / "bad.csv", 2, set_pred_label)
+        message = "malformed prediction row: Python int too large to convert to C long"
+        self.check(capsys, self.run(workdir, command, bad), bad, message)
 
     def test_truth_label_out_of_range_exit_2(self, workdir, tmp_path, capsys):
         def set_label(fields):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ordchange.core import Task, cdf, softmax
+from ordchange.core import Task, softmax
 from ordchange.errors import ConfigError, InvalidInputError
 from ordchange.losses import (
     LOSS_KINDS,
@@ -269,5 +269,5 @@ def test_cdf_definition_backs_emd():
     # The loss literally compares the two class CDFs.
     p = np.array([0.5, 0.3, 0.2])
     y = np.array([1.0, 0.0, 0.0])
-    d = cdf(y) - cdf(p)
+    d = np.cumsum(y) - np.cumsum(p)
     assert emd_loss(p, y) == pytest.approx(np.sqrt(np.mean(d * d)), abs=1e-15)
