@@ -39,7 +39,8 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -67,7 +68,6 @@ from .errors import (
 from .losses import LOSS_KINDS, LossConfig, finite_difference_check
 from .metrics import MetricReport, compute_report
 from .model import (
-    OptimizerConfig,
     TrainConfig,
     finite_difference_check_params,
     init_params,
@@ -150,6 +150,18 @@ def _write_manifest(
 
 
 # --- key=value configuration -------------------------------------------------------
+#
+# GenConfig and TrainConfig, with the LossConfig and OptimizerConfig that
+# TrainConfig nests, define every config key and its default; the type of the
+# default picks the key's parser. These tables hold the only departures.
+
+# Config keys named differently from the dataclass field they set.
+_FIELD_OF_KEY = {"loss": "loss_kind", "optimizer": "kind", "adam_eps": "eps"}
+# (lo, hi) fields set by the two keys <prefix>_min and <prefix>_max.
+_RANGE_PREFIX = {"visits_per_patient": "visits", "bscans_per_volume": "bscans"}
+# Keys that no config dataclass holds, with their defaults; gen's task
+# defaults to the task that train defaults to.
+_EXTRA_KEYS = {GenConfig: {"task": TrainConfig.task}, TrainConfig: {"val_ratio": 0.2, "folds": 0}}
 
 
 def _as_bool(raw: str) -> bool:
@@ -168,59 +180,45 @@ def _as_float(raw: str) -> float:
     return value
 
 
-def _as_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(_as_float(part) for part in raw.split(","))
+def _parser(default) -> Callable[[str], object] | None:
+    """The parser of a key with this default; None for a field that is no key."""
+    if isinstance(default, bool):
+        return _as_bool
+    if isinstance(default, int):
+        return int
+    if isinstance(default, float):
+        return _as_float
+    if isinstance(default, (str, Enum)):
+        return str
+    if isinstance(default, tuple):
+        item = _parser(default[0])
+        return lambda raw: tuple(item(part) for part in raw.split(","))
+    return None
 
 
-def _as_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(","))
+def _field_defaults(cls) -> dict[str, object]:
+    """The default of each field of ``cls`` and of the configs it nests, with
+    each range field split into its two ends."""
+    defaults: dict[str, object] = {}
+    for f in fields(cls):
+        if is_dataclass(f.default_factory):
+            defaults.update(_field_defaults(f.default_factory))
+        elif f.name in _RANGE_PREFIX:
+            defaults[f"{_RANGE_PREFIX[f.name]}_min"], defaults[f"{_RANGE_PREFIX[f.name]}_max"] = f.default
+        else:
+            defaults[f.name] = f.default
+    return defaults
 
 
-GEN_SCHEMA: dict[str, Callable[[str], object]] = {
-    "task": str,
-    "n_patients": int,
-    "visits_min": int,
-    "visits_max": int,
-    "bscans_min": int,
-    "bscans_max": int,
-    "feature_dim": int,
-    "class_ratios": _as_float_list,
-    "step_size": _as_float,
-    "noise_sigma": _as_float,
-    "patient_sigma": _as_float,
-    "other_rate": _as_float,
-    "seed": int,
-}
+def _schema(cls) -> dict[str, Callable[[str], object]]:
+    key_of = {name: key for key, name in _FIELD_OF_KEY.items()}
+    defaults = {**_EXTRA_KEYS[cls], **_field_defaults(cls)}
+    parsers = {key_of.get(name, name): _parser(default) for name, default in defaults.items()}
+    return {key: parser for key, parser in parsers.items() if parser is not None}
 
-TRAIN_SCHEMA: dict[str, Callable[[str], object]] = {
-    "task": str,
-    "loss": str,
-    "alpha": _as_float,
-    "gamma": _as_float,
-    "focal_weight": _as_float,
-    "emd_weight": _as_float,
-    "epsilon": _as_float,
-    "encoder_dims": _as_int_list,
-    "head_dims": _as_int_list,
-    "dropout": _as_float,
-    "epochs": int,
-    "warmup_epochs": int,
-    "lr": _as_float,
-    "lr_decay": _as_float,
-    "batch_size": int,
-    "seed": int,
-    "balanced_batches": _as_bool,
-    "undersample_majority": _as_float,
-    "optimizer": str,
-    "beta1": _as_float,
-    "beta2": _as_float,
-    "adam_eps": _as_float,
-    "weight_decay": _as_float,
-    "early_stop_patience": int,
-    "freeze_head_epochs": int,
-    "val_ratio": _as_float,
-    "folds": int,
-}
+
+GEN_SCHEMA = _schema(GenConfig)
+TRAIN_SCHEMA = _schema(TrainConfig)
 
 
 def parse_kv_config(text: str, schema: dict[str, Callable[[str], object]], source: str) -> dict:
@@ -254,68 +252,41 @@ def _load_config(path: str | None, schema: dict[str, Callable[[str], object]]) -
     return parse_kv_config(text, schema, source=path), text
 
 
-def _parse_task(value: str) -> Task:
+def _parse_task(value: str | Task) -> Task:
     try:
         return Task(value)
     except ValueError:
         raise ConfigError(f"task must be 't1' or 't2', got {value!r}") from None
 
 
-def _build_gen_config(values: dict, seed_override: int | None) -> tuple[Task, GenConfig]:
-    task = _parse_task(str(values.get("task", "t2")))
-    defaults = GenConfig()
-    cfg = GenConfig(
-        n_patients=int(values.get("n_patients", defaults.n_patients)),
-        visits_per_patient=(
-            int(values.get("visits_min", defaults.visits_per_patient[0])),
-            int(values.get("visits_max", defaults.visits_per_patient[1])),
-        ),
-        bscans_per_volume=(
-            int(values.get("bscans_min", defaults.bscans_per_volume[0])),
-            int(values.get("bscans_max", defaults.bscans_per_volume[1])),
-        ),
-        feature_dim=int(values.get("feature_dim", defaults.feature_dim)),
-        class_ratios=tuple(values.get("class_ratios", defaults.class_ratios)),
-        step_size=float(values.get("step_size", defaults.step_size)),
-        noise_sigma=float(values.get("noise_sigma", defaults.noise_sigma)),
-        patient_sigma=float(values.get("patient_sigma", defaults.patient_sigma)),
-        other_rate=float(values.get("other_rate", defaults.other_rate)),
-        seed=int(values.get("seed", defaults.seed)) if seed_override is None else seed_override,
-    )
-    return task, cfg
+def _construct(cls, given: dict):
+    """``cls`` from the given field values; nested configs are built from the
+    same dict, and fields absent from it keep their defaults."""
+    kwargs = {}
+    for f in fields(cls):
+        if is_dataclass(f.default_factory):
+            kwargs[f.name] = _construct(f.default_factory, given)
+        elif f.name in given:
+            kwargs[f.name] = given[f.name]
+    return cls(**kwargs)
 
 
-# Config keys named differently from the dataclass field they set; every
-# other key of TRAIN_SCHEMA is a field name of TrainConfig, LossConfig or
-# OptimizerConfig, and fields absent from the config keep their defaults.
-_FIELD_OF_KEY = {"loss": "loss_kind", "optimizer": "kind", "adam_eps": "eps"}
-
-
-def _build_train_config(values: dict, args) -> tuple[TrainConfig, int, float]:
-    task = _parse_task(str(args.task or values.get("task", TrainConfig.task.value)))
-    given = {_FIELD_OF_KEY.get(key, key): value for key, value in values.items()}
-    given["task"] = task
-    given.setdefault("head_dims", (32, task.n_classes))  # the head's output follows the task
-    if args.loss:
-        given["loss_kind"] = args.loss
-    if args.seed is not None:
-        given["seed"] = args.seed
-
-    def kwargs(cls) -> dict:
-        return {f.name: given[f.name] for f in fields(cls) if f.name in given}
-
-    cfg = TrainConfig(
-        **kwargs(TrainConfig),
-        loss=LossConfig(**kwargs(LossConfig)),
-        optimizer=OptimizerConfig(**kwargs(OptimizerConfig)),
-    )
-    folds = args.folds if args.folds is not None else int(values.get("folds", 0))
-    if folds < 0 or folds == 1:
-        raise ConfigError(f"folds must be 0 (single split) or >= 2, got {folds}")
-    val_ratio = float(values.get("val_ratio", 0.2))
-    if not (0.0 < val_ratio < 1.0):
-        raise ConfigError(f"val_ratio must lie in (0, 1), got {val_ratio}")
-    return cfg, folds, val_ratio
+def _build_config(cls, values: dict, args) -> tuple:
+    """The ``cls`` config of a command from its parsed config values and its
+    command-line overrides, and every given value by field name, the keys
+    that no dataclass holds included."""
+    given = {**_EXTRA_KEYS[cls], **values}
+    overrides = {key: getattr(args, key, None) for key in ("task", "loss", "seed", "folds")}
+    given.update((key, value) for key, value in overrides.items() if value is not None)
+    given = {_FIELD_OF_KEY.get(key, key): value for key, value in given.items()}
+    task = given["task"] = _parse_task(given.get("task", TrainConfig.task))
+    if cls is TrainConfig:  # the head's output width follows the task
+        given.setdefault("head_dims", TrainConfig.head_dims[:-1] + (task.n_classes,))
+    for name, prefix in _RANGE_PREFIX.items():
+        if hasattr(cls, name):
+            lo, hi = getattr(cls, name)
+            given[name] = (given.pop(f"{prefix}_min", lo), given.pop(f"{prefix}_max", hi))
+    return _construct(cls, given), given
 
 
 # --- dataset CSV schemas ------------------------------------------------------------
@@ -349,14 +320,14 @@ def write_dataset_csv(path: str | os.PathLike, data: Dataset) -> None:
     _write_csv(path, _dataset_header(data.task, data.x.shape[1]), rows)
 
 
+def _truth_header(task: Task) -> list[str]:
+    return [name for name in _dataset_header(task, 0) if name != "visit_id"]
+
+
 def write_truth_csv(path: str | os.PathLike, data: Dataset) -> None:
-    if data.task is Task.T2:
-        header = ["case_id", "patient_id", "volume_id", "bscan_index", "label"]
-        ids = [data.volume_id.tolist(), data.bscan_index.tolist()]
-    else:
-        header = ["case_id", "patient_id", "label"]
-        ids = []
-    _write_csv(path, header, zip(_case_ids(data), data.patient_id.tolist(), *ids, data.labels.tolist()))
+    ids = [data.volume_id.tolist(), data.bscan_index.tolist()] if data.task is Task.T2 else []
+    rows = zip(_case_ids(data), data.patient_id.tolist(), *ids, data.labels.tolist())
+    _write_csv(path, _truth_header(data.task), rows)
 
 
 def read_dataset_csv(path: str | os.PathLike) -> tuple[Task, Dataset, list[str]]:
@@ -439,6 +410,12 @@ class Predictions:
                 object.__setattr__(self, f.name, _column(getattr(self, f.name), _PRED_DTYPES.get(f.name, str)))
 
 
+# Writing rounds each probability to 9 decimals, by at most 0.5e-9, so a row
+# of up to 4 classes that summed to 1 within core.PROB_TOL (1e-9) still does
+# within this.
+_ROUNDED_PROB_TOL = 3e-9
+
+
 def _pred_header(n_classes: int, with_final: bool) -> list[str]:
     header = ["case_id", "patient_id", "volume_id", "bscan_index", "true_label"]
     header += list(PROB_COLUMNS[n_classes])
@@ -466,10 +443,10 @@ def write_predictions_csv(path: str | os.PathLike, table: Predictions) -> None:
 
 
 def read_predictions_csv(path: str | os.PathLike) -> Predictions:
-    """Read a prediction CSV into a table; probabilities are renormalized to
-    counter the 9-decimal serialization rounding and must then pass the
-    simplex gate, every label column must name a class of the file's width,
-    and every case_id must be unique."""
+    """Read a prediction CSV into a table that holds the values as written, so
+    writing it back gives the same bytes. Every probability row must pass the
+    simplex gate within ``_ROUNDED_PROB_TOL``, every label column must name a
+    class of the file's width, and every case_id must be unique."""
     header, rows = _read_csv(path)
     if not rows:
         raise DataError(f"{path}: holds no prediction rows")
@@ -485,12 +462,12 @@ def read_predictions_csv(path: str | os.PathLike) -> Predictions:
         ints = np.array([columns[j] for j in int_columns], dtype=np.int64).T
     except (ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed prediction row: {exc}") from exc
-    totals = probs.sum(axis=1, keepdims=True)
-    invalid = np.flatnonzero(~(np.isfinite(totals[:, 0]) & (totals[:, 0] > 0)))
+    totals = probs.sum(axis=1)
+    invalid = np.flatnonzero(~(np.isfinite(totals) & (totals > 0)))
     if invalid.size:
         raise DataError(f"{path}: row {columns[0][invalid[0]]!r} has invalid probabilities")
     try:
-        probs = as_prob_rows(probs / totals)
+        as_prob_rows(probs, tol=_ROUNDED_PROB_TOL)
     except InvalidInputError as exc:
         raise DataError(f"{path}: {exc}") from exc
     labels = ints[:, :3]
@@ -507,11 +484,7 @@ def read_predictions_csv(path: str | os.PathLike) -> Predictions:
 
 def read_truth_csv(path: str | os.PathLike, task: Task) -> dict[str, int]:
     header, rows = _read_csv(path)
-    if task is Task.T2:
-        expected = ["case_id", "patient_id", "volume_id", "bscan_index", "label"]
-    else:
-        expected = ["case_id", "patient_id", "label"]
-    if header != expected:
+    if header != _truth_header(task):
         raise DataError(f"{path}: unrecognized truth header for task {task.value}")
     try:
         labels = [int(row[-1]) for row in rows]
@@ -562,9 +535,8 @@ def _write_report_csv(path: str | os.PathLike, report: MetricReport) -> None:
 def cmd_gen(args) -> int:
     started = time.monotonic()
     values, config_text = _load_config(args.config, GEN_SCHEMA)
-    if args.task:
-        values["task"] = args.task
-    task, cfg = _build_gen_config(values, args.seed)
+    cfg, given = _build_config(GenConfig, values, args)
+    task = given["task"]
     data = gen_t2_volumes(cfg) if task is Task.T2 else gen_t1_pairs(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -597,7 +569,12 @@ def _fold_val_patients(patients: list[str], folds: int, val_ratio: float, seed: 
 def cmd_train(args) -> int:
     started = time.monotonic()
     values, config_text = _load_config(args.config, TRAIN_SCHEMA)
-    cfg, folds, val_ratio = _build_train_config(values, args)
+    cfg, given = _build_config(TrainConfig, values, args)
+    folds, val_ratio = given["folds"], given["val_ratio"]
+    if folds < 0 or folds == 1:
+        raise ConfigError(f"folds must be 0 (single split) or >= 2, got {folds}")
+    if not (0.0 < val_ratio < 1.0):
+        raise ConfigError(f"val_ratio must lie in (0, 1), got {val_ratio}")
     data_task, data, _ = read_dataset_csv(args.data)
     if data_task is not cfg.task:
         raise ConfigError(
@@ -662,7 +639,11 @@ def cmd_ensemble(args) -> int:
     widths = {table.probs.shape[1] for table in tables}
     if len(widths) != 1:
         raise ConfigError(f"prediction files mix class counts {sorted(widths)}; cannot ensemble")
-    sets = [PredictionSet(path, table.case_id.tolist(), table.probs) for path, table in zip(args.preds, tables)]
+    # Each row is renormalized to undo the 9-decimal rounding of the files.
+    sets = [
+        PredictionSet(path, table.case_id.tolist(), table.probs / table.probs.sum(axis=1, keepdims=True))
+        for path, table in zip(args.preds, tables)
+    ]
     pp_cfg = PostprocessConfig(
         stable_ratio_threshold=args.stable_threshold,
         tie_break=TieBreak(args.tie_break),
@@ -728,6 +709,8 @@ def cmd_gradcheck(args) -> int:
             raise ConfigError(f"unknown loss kind {kind!r}, expected one of {LOSS_KINDS}")
     if args.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     gammas = (0.0, 1.0, 2.0, 5.0)
     tolerance = 1e-5
@@ -820,11 +803,11 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("preds", nargs="+", help="prediction CSVs to combine")
     e.add_argument("--mode", choices=["mean", "unanimity"], default="mean")
     e.add_argument("--postprocess", action="store_true", help="apply volume consistency")
-    e.add_argument("--stable-threshold", type=float, default=0.8)
+    e.add_argument("--stable-threshold", type=float, default=PostprocessConfig.stable_ratio_threshold)
     e.add_argument(
         "--tie-break",
         choices=[tb.value for tb in TieBreak],
-        default=TieBreak.MEAN_PROBABILITY.value,
+        default=PostprocessConfig.tie_break.value,
     )
     e.add_argument("--majority-includes-stable", action="store_true")
     e.add_argument("--out", required=True, help="combined prediction CSV path")
@@ -854,31 +837,22 @@ _COMMANDS = {
 }
 
 
+# The exit code of each error that ends a command with one ``error:`` line.
+_EXIT_CODES = {
+    ConfigError: 3, InvalidInputError: 3, NumericError: 4, CheckpointError: 5,
+    AlignmentError: 6, DataError: 2, OSError: 2,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = list(argv) if argv is not None else None
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        return _fail(3, exc)
-    except NumericError as exc:
-        return _fail(4, exc)
-    except CheckpointError as exc:
-        return _fail(5, exc)
-    except AlignmentError as exc:
-        return _fail(6, exc)
-    except InvalidInputError as exc:
-        return _fail(3, exc)
-    except DataError as exc:
-        return _fail(2, exc)
-    except OSError as exc:
-        return _fail(2, exc)
-
-
-def _fail(code: int, exc: Exception) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return code
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def entrypoint() -> None:

@@ -65,10 +65,9 @@ class GenConfig:
         object.__setattr__(self, "class_ratios", ratios)
         if not (self.step_size > 0):
             raise ConfigError(f"step_size must be > 0, got {self.step_size}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.patient_sigma < 0:
-            raise ConfigError(f"patient_sigma must be >= 0, got {self.patient_sigma}")
+        for name in ("noise_sigma", "patient_sigma", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not (0.0 <= self.other_rate <= 1.0):
             raise ConfigError(f"other_rate must lie in [0, 1], got {self.other_rate}")
         if self.ordinal_direction is not None:

@@ -1,22 +1,22 @@
 """Training losses over class distributions and their analytic logit gradients.
 
-Three building blocks and one composition:
+Four kinds, named by ``LOSS_KINDS``:
 
-  cross_entropy   -sum_i y_i log(max(p_i, eps))
-  focal_loss      -alpha * sum_i y_i (1 - p_i)^gamma log(max(p_i, eps))
-  emd_loss        sqrt( (1/C) * sum_i (CDF_y(i) - CDF_p(i))^2 )
-  combined_loss   focal_weight * focal + emd_weight * emd
+  ce        -sum_i y_i log(max(p_i, eps))
+  focal     -alpha * sum_i y_i (1 - p_i)^gamma log(max(p_i, eps))
+  emd       sqrt( (1/C) * sum_i (CDF_y(i) - CDF_p(i))^2 )
+  combined  focal_weight * focal + emd_weight * emd
 
 The EMD term compares cumulative distributions, so it is only meaningful when
 class indices are ordinal; configuration for the 4-class pair task therefore
 rejects it (see ``validate_loss_for_task``).
 
-Public forward functions take single probability vectors. Internally each
-term has one function that evaluates a whole batch and returns its per-row
-values together with their gradient with respect to the probabilities, so a
-training step computes the shared logs, powers and cumulative sums once.
-``loss_gradient`` and ``batch_loss_gradient`` are thin wrappers around that
-one path, chained through softmax.
+``loss_value`` is the one scalar entry point: the loss of one probability
+vector against a target. Internally each term has one function that
+evaluates a whole batch and returns its per-row values together with their
+gradient with respect to the probabilities, so a training step computes the
+shared logs, powers and cumulative sums once. ``batch_loss_gradient`` chains
+that path through softmax, and ``loss_gradient`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -50,24 +50,12 @@ class LossConfig:
     epsilon: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.alpha) or self.alpha < 0:
-            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not np.isfinite(self.gamma) or self.gamma < 0:
-            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
-        for name in ("focal_weight", "emd_weight"):
+        for name in ("alpha", "gamma", "focal_weight", "emd_weight"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ConfigError(f"{name} must be finite and >= 0, got {v}")
         if not (0.0 < self.epsilon <= 1e-3):
             raise ConfigError(f"epsilon must lie in (0, 1e-3], got {self.epsilon}")
-
-
-@dataclass(frozen=True)
-class LossResult:
-    """A loss value with its gradient with respect to the logits."""
-
-    value: float
-    grad_logits: np.ndarray
 
 
 def validate_loss_for_task(loss_kind: str, task: Task) -> None:
@@ -84,45 +72,21 @@ def validate_loss_for_task(loss_kind: str, task: Task) -> None:
         )
 
 
-def _scalar(kind: str, p_hat: np.ndarray, y: np.ndarray, cfg: LossConfig) -> float:
+def loss_value(kind: str, p_hat: np.ndarray, y: np.ndarray, cfg: LossConfig | None = None) -> float:
+    """The ``kind`` loss of a predicted probability vector against a target
+    probability vector of the same length; defaults apply when cfg is omitted."""
     p = as_prob_vector(p_hat)
     t = as_prob_vector(y)
     if p.shape != t.shape:
         raise InvalidInputError(f"prediction and target lengths differ: {p.shape[0]} vs {t.shape[0]}")
-    return float(_terms(kind, p[None, :], t[None, :], cfg)[0][0])
-
-
-def cross_entropy(p_hat: np.ndarray, y: np.ndarray, eps: float = 1e-12) -> float:
-    """Cross-entropy of a predicted distribution against a target distribution."""
-    if not (0.0 < eps <= 1e-3):
-        raise InvalidInputError(f"eps must lie in (0, 1e-3], got {eps}")
-    return _scalar("ce", p_hat, y, LossConfig(epsilon=eps))
-
-
-def focal_loss(p_hat: np.ndarray, y: np.ndarray, cfg: LossConfig | None = None) -> float:
-    """Focal loss: cross-entropy with easy samples down-weighted by (1-p)^gamma."""
-    return _scalar("focal", p_hat, y, cfg or LossConfig())
-
-
-def emd_loss(p_hat: np.ndarray, y: np.ndarray) -> float:
-    """Squared earth mover's distance between class distributions, square-rooted.
-
-    Symmetric in its arguments and zero exactly when the cumulative
-    distributions coincide. Values stay within [0, 1].
-    """
-    return _scalar("emd", p_hat, y, LossConfig())
-
-
-def combined_loss(p_hat: np.ndarray, y: np.ndarray, cfg: LossConfig | None = None) -> float:
-    """Weighted sum of the focal and EMD terms (default weights 1:1)."""
-    return _scalar("combined", p_hat, y, cfg or LossConfig())
+    return float(_terms(kind, p[None, :], t[None, :], cfg or LossConfig())[0][0])
 
 
 # --- row-vectorized internals -------------------------------------------------
 # P and Y are (N, C) with each row a probability vector. Each term has one
 # function returning its per-row values and dL/dp together, so the log, the
 # focal weight and the cumulative sums are computed once per batch. These
-# carry the only copies of the formulas; the scalar API, the gradient checks
+# carry the only copies of the formulas; ``loss_value``, the gradient checks
 # and the training loop all call them.
 
 
@@ -189,28 +153,17 @@ def _chain_softmax(P: np.ndarray, grad_p: np.ndarray) -> np.ndarray:
     return P * (grad_p - inner)
 
 
-def loss_gradient(loss_kind: str, z: np.ndarray, y: np.ndarray, cfg: LossConfig | None = None) -> LossResult:
-    """Evaluate a loss at softmax(z) and its analytic gradient in logit space.
-
-    Args:
-        loss_kind: one of "ce", "focal", "emd", "combined".
-        z: logit vector.
-        y: target probability vector (usually one-hot), same length.
-        cfg: loss hyperparameters; defaults apply when omitted.
-
-    Returns:
-        LossResult with the scalar value and d(value)/d(z).
-    """
-    cfg = cfg or LossConfig()
-    if loss_kind not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss kind {loss_kind!r}, expected one of {LOSS_KINDS}")
+def loss_gradient(
+    loss_kind: str, z: np.ndarray, y: np.ndarray, cfg: LossConfig | None = None
+) -> tuple[float, np.ndarray]:
+    """The loss at softmax(z) against target y and its gradient with respect to
+    the logit vector z: the one-row case of ``batch_loss_gradient``."""
     zv = as_logits(z)
     t = as_prob_vector(y)
     if zv.shape != t.shape:
         raise InvalidInputError(f"logit and target lengths differ: {zv.shape[0]} vs {t.shape[0]}")
-    P = softmax(zv)[None, :]
-    values, grad_p = _terms(loss_kind, P, t[None, :], cfg)
-    return LossResult(value=float(values[0]), grad_logits=_chain_softmax(P, grad_p)[0])
+    value, grad = batch_loss_gradient(loss_kind, zv[None, :], t[None, :], cfg)
+    return value, grad[0]
 
 
 def batch_loss_gradient(
@@ -248,18 +201,14 @@ def finite_difference_check(
     """
     if not (1e-7 <= h <= 1e-3):
         raise InvalidInputError(f"step size h must lie in [1e-7, 1e-3], got {h}")
-    cfg = cfg or LossConfig()
-    result = loss_gradient(loss_kind, z, y, cfg)
     zv = as_logits(z)
-    t = as_prob_vector(y)
+    _, grad = loss_gradient(loss_kind, zv, y, cfg)
     worst = 0.0
-    for i in range(zv.shape[0]):
+    for i, analytic in enumerate(grad):
         bump = np.zeros_like(zv)
         bump[i] = h
-        up = float(_terms(loss_kind, softmax(zv + bump)[None, :], t[None, :], cfg)[0][0])
-        down = float(_terms(loss_kind, softmax(zv - bump)[None, :], t[None, :], cfg)[0][0])
+        up = loss_value(loss_kind, softmax(zv + bump), y, cfg)
+        down = loss_value(loss_kind, softmax(zv - bump), y, cfg)
         numeric = (up - down) / (2.0 * h)
-        analytic = result.grad_logits[i]
-        rel = abs(numeric - analytic) / max(abs(analytic), _REL_FLOOR)
-        worst = max(worst, rel)
+        worst = max(worst, abs(numeric - analytic) / max(abs(analytic), _REL_FLOOR))
     return worst

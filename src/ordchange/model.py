@@ -429,16 +429,16 @@ def finite_difference_check_params(
         return forward(p, inputs[0])
 
     logits, cache = run(params)
-    analytic = backward(cache, loss_gradient(loss_kind, logits, target, cfg).grad_logits).vector
+    analytic = backward(cache, loss_gradient(loss_kind, logits, target, cfg)[1]).vector
     vector = params.vector.copy()
     bumped = _over(ModelParams, vector, params.layout, dropout_rate=params.dropout_rate)
     worst = 0.0
     for i, ana in enumerate(analytic):
         orig = vector[i]
         vector[i] = orig + h
-        up = loss_gradient(loss_kind, run(bumped)[0], target, cfg).value
+        up = loss_gradient(loss_kind, run(bumped)[0], target, cfg)[0]
         vector[i] = orig - h
-        down = loss_gradient(loss_kind, run(bumped)[0], target, cfg).value
+        down = loss_gradient(loss_kind, run(bumped)[0], target, cfg)[0]
         vector[i] = orig
         numeric = (up - down) / (2.0 * h)
         worst = max(worst, abs(numeric - ana) / max(abs(ana), 1e-8))
@@ -559,8 +559,9 @@ class TrainConfig:
         validate_loss_for_task(self.loss_kind, self.task)
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not (0 <= self.warmup_epochs <= self.epochs):
-            raise ConfigError(f"warmup_epochs must lie in [0, epochs], got {self.warmup_epochs}")
+        for name in ("warmup_epochs", "freeze_head_epochs"):
+            if not (0 <= getattr(self, name) <= self.epochs):
+                raise ConfigError(f"{name} must lie in [0, epochs], got {getattr(self, name)}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not (0 < self.lr_decay <= 1):
@@ -571,14 +572,11 @@ class TrainConfig:
             raise ConfigError(
                 f"balanced batches need batch_size >= {self.task.n_classes}, got {self.batch_size}"
             )
-        if self.undersample_majority < 0:
-            raise ConfigError(f"undersample_majority must be >= 0, got {self.undersample_majority}")
+        for name in ("undersample_majority", "early_stop_patience", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.balanced_batches and self.undersample_majority > 0:
             raise ConfigError("balanced_batches and undersample_majority cannot both be active")
-        if self.early_stop_patience < 0:
-            raise ConfigError(f"early_stop_patience must be >= 0, got {self.early_stop_patience}")
-        if not (0 <= self.freeze_head_epochs <= self.epochs):
-            raise ConfigError(f"freeze_head_epochs must lie in [0, epochs], got {self.freeze_head_epochs}")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.head_dims and self.head_dims[-1] != self.task.n_classes:

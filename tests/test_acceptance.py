@@ -23,13 +23,7 @@ from ordchange.ensemble import (
     unanimity_ensemble,
     volume_consistency,
 )
-from ordchange.losses import (
-    LossConfig,
-    combined_loss,
-    cross_entropy,
-    emd_loss,
-    focal_loss,
-)
+from ordchange.losses import LossConfig, loss_value
 from ordchange.metrics import (
     balanced_accuracy,
     challenge_average,
@@ -111,7 +105,7 @@ def test_criterion_2_reduction_identities():
             n = int(rng.integers(2, 6))
             p = rng.dirichlet(np.ones(n))
             y = one_hot(int(rng.integers(0, n)), n)
-            assert abs(focal_loss(p, y, zero_gamma) - cross_entropy(p, y)) <= 1e-12
+            assert abs(loss_value("focal", p, y, zero_gamma) - loss_value("ce", p, y)) <= 1e-12
 
         checked = 0
         with warnings.catch_warnings():
@@ -153,8 +147,8 @@ def test_criterion_3_emd_orders_errors_ce_does_not():
                         if j == k:
                             continue
                         p = (1.0 - eps) * y + eps * one_hot(j, n_classes)
-                        by_distance.setdefault(abs(j - k), []).append(emd_loss(p, y))
-                        ce_values.append(cross_entropy(p, y))
+                        by_distance.setdefault(abs(j - k), []).append(loss_value("emd", p, y))
+                        ce_values.append(loss_value("ce", p, y))
                     distances = sorted(by_distance)
                     for near, far in zip(distances, distances[1:]):
                         if not max(by_distance[near]) < min(by_distance[far]):

@@ -103,6 +103,57 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"cfg:1: expected key=value"):
             parse_kv_config("just words\n", GEN_SCHEMA, "cfg")
 
+    def test_key_sets(self):
+        assert set(GEN_SCHEMA) == {
+            "task", "n_patients", "visits_min", "visits_max", "bscans_min", "bscans_max", "feature_dim",
+            "class_ratios", "step_size", "noise_sigma", "patient_sigma", "other_rate", "seed",
+        }
+        assert set(TRAIN_SCHEMA) == {
+            "task", "loss", "alpha", "gamma", "focal_weight", "emd_weight", "epsilon", "encoder_dims",
+            "head_dims", "dropout", "epochs", "warmup_epochs", "lr", "lr_decay", "batch_size", "seed",
+            "balanced_batches", "undersample_majority", "optimizer", "beta1", "beta2", "adam_eps",
+            "weight_decay", "early_stop_patience", "freeze_head_epochs", "val_ratio", "folds",
+        }
+
+    @pytest.mark.parametrize(
+        "schema, key",
+        [
+            ("train", "loss_kind"),
+            ("train", "kind"),
+            ("train", "eps"),
+            ("gen", "visits_per_patient"),
+            ("gen", "bscans_per_volume"),
+            ("gen", "ordinal_direction"),
+        ],
+    )
+    def test_field_names_that_are_not_keys_are_unknown(self, schema, key):
+        with pytest.raises(ConfigError, match=rf"cfg:1: unknown config key '{key}'"):
+            parse_kv_config(f"{key}=1\n", GEN_SCHEMA if schema == "gen" else TRAIN_SCHEMA, "cfg")
+
+
+class TestNegativeSeed:
+    """A negative seed, in a config file or on the command line, ends the
+    command with exit 3 and one line before any work starts."""
+
+    @pytest.mark.parametrize(
+        "command, where",
+        [("gen", "config"), ("gen", "flag"), ("train", "config"), ("train", "flag"), ("gradcheck", "flag")],
+    )
+    def test_negative_seed_exit_3(self, workdir, tmp_path, capsys, command, where):
+        base = {"gen": GEN_CFG, "train": TRAIN_CFG, "gradcheck": ""}[command]
+        kept = [line for line in base.splitlines() if not line.startswith("seed=")]
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text("\n".join(kept + (["seed=-1"] if where == "config" else [])) + "\n")
+        argv = {
+            "gen": ["gen", "--config", str(cfg), "--out", str(tmp_path / "d")],
+            "train": ["train", "--config", str(cfg), "--data", str(workdir / "data" / "dataset.csv"),
+                      "--out", str(tmp_path / "m.ckpt")],
+            "gradcheck": ["gradcheck", "--trials", "1"],
+        }[command]
+        assert main(argv + (["--seed", "-1"] if where == "flag" else [])) == 3
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "d").exists() and not (tmp_path / "m.ckpt").exists()
+
 
 class TestGen:
     def test_outputs_and_summary(self, tmp_path, capsys):
@@ -568,6 +619,15 @@ class TestEnsemble:
         case_id = lines[1].split(",")[0]
         assert capsys.readouterr().err == f"error: {tmp_path / 'twice.csv'}: case_id {case_id!r} appears more than once\n"
         assert not (tmp_path / "comb.csv").exists()
+
+
+def test_prediction_csvs_round_trip_byte_for_byte(workdir, tmp_path):
+    # Reading keeps the probabilities as written, so writing the table back
+    # reproduces the file; ensemble output carries the two label columns more.
+    assert main(["ensemble", str(workdir / "preds.csv"), "--postprocess", "--out", str(tmp_path / "ens.csv")]) == 0
+    for source in (workdir / "preds.csv", tmp_path / "ens.csv"):
+        write_predictions_csv(tmp_path / "back.csv", read_predictions_csv(source))
+        assert (tmp_path / "back.csv").read_bytes() == source.read_bytes()
 
 
 def header_only(source: Path, out: Path) -> Path:

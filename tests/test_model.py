@@ -229,10 +229,10 @@ class TestBackward:
         y = np.array([0.0, 1.0, 0.0])
         logits, cache = forward(params, x)
         cfg = LossConfig(alpha=1.0, gamma=0.0, emd_weight=0.0)
-        g_combined = loss_gradient("combined", logits, y, cfg).grad_logits
+        g_combined = loss_gradient("combined", logits, y, cfg)[1]
         np.testing.assert_allclose(g_combined, softmax(logits) - y, atol=1e-12)
         grads = backward(cache, g_combined)
-        grads_ce = backward(cache, loss_gradient("ce", logits, y).grad_logits)
+        grads_ce = backward(cache, loss_gradient("ce", logits, y)[1])
         for (wa, ba), (wb, bb) in zip(grads.head_layers, grads_ce.head_layers):
             np.testing.assert_allclose(wa, wb, atol=1e-12)
             np.testing.assert_allclose(ba, bb, atol=1e-12)
@@ -270,7 +270,7 @@ class TestBackward:
         xb = np.array([-1.0, 0.3, 0.8])
         y = np.array([1.0, 0.0, 0.0])
         logits, cache = siamese_forward(params, xa, xb)
-        g = loss_gradient("ce", logits, y).grad_logits
+        g = loss_gradient("ce", logits, y)[1]
         grads = backward(cache, g)
         # Recompute each branch alone by zeroing the other half of the head
         # input gradient; their encoder contributions must sum to the total.
