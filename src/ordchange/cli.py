@@ -65,7 +65,7 @@ from .errors import (
     InvalidInputError,
     NumericError,
 )
-from .losses import LOSS_KINDS, LossConfig, finite_difference_check
+from .losses import LOSS_KINDS, LossConfig, check_loss_kind, finite_difference_check
 from .metrics import MetricReport, compute_report
 from .model import (
     TrainConfig,
@@ -312,11 +312,8 @@ def write_dataset_csv(path: str | os.PathLike, data: Dataset) -> None:
     ids = [_case_ids(data), data.patient_id.tolist()]
     if data.task is Task.T2:
         ids += [data.visit_id.tolist(), data.volume_id.tolist(), data.bscan_index.tolist()]
-        feats = data.x
-    else:
-        feats = np.hstack([data.x, data.x_b])
     # csv writes a float as its repr, the shortest text that reads back exactly.
-    rows = ([*row, *f.tolist()] for row, f in zip(zip(*ids, data.labels.tolist()), feats))
+    rows = ([*row, *f.tolist()] for row, f in zip(zip(*ids, data.labels.tolist()), np.hstack(data.inputs)))
     _write_csv(path, _dataset_header(data.task, data.x.shape[1]), rows)
 
 
@@ -334,7 +331,8 @@ def read_dataset_csv(path: str | os.PathLike) -> tuple[Task, Dataset, list[str]]
     """Read a dataset CSV, detecting the task from its header.
 
     Returns the task, the dataset, and the per-row case ids in file order.
-    Features parse straight into preallocated float64 matrices.
+    Features parse straight into one preallocated float64 matrix; a pair
+    row's two halves become the views ``x`` and ``x_b``.
     """
     header, rows = _read_csv(path)
     if header[:6] == _dataset_header(Task.T2, 0):
@@ -351,18 +349,15 @@ def read_dataset_csv(path: str | os.PathLike) -> tuple[Task, Dataset, list[str]]
     def column(j: int) -> list[str]:
         return [row[j] for row in rows]
 
-    x = np.empty((len(rows), dim))
-    x_b = np.empty((len(rows), dim)) if task is Task.T1 else None
+    feats = np.empty((len(rows), len(header) - n_ids))
     try:
         for i, row in enumerate(rows):
-            x[i] = row[n_ids : n_ids + dim]
-            if x_b is not None:
-                x_b[i] = row[n_ids + dim :]
+            feats[i] = row[n_ids:]
         # The label is the last id column of either layout.
         ids = {"patient_id": column(1), "labels": list(map(int, column(n_ids - 1)))}
         if task is Task.T2:
             ids.update(visit_id=column(2), volume_id=column(3), bscan_index=list(map(int, column(4))))
-        data = Dataset(x=x, x_b=x_b, **ids)
+        data = Dataset(x=feats[:, :dim], x_b=feats[:, dim:] if task is Task.T1 else None, **ids)
     except InvalidInputError as exc:
         raise DataError(f"{path}: {exc}") from exc
     except (ValueError, OverflowError) as exc:
@@ -462,14 +457,16 @@ def read_predictions_csv(path: str | os.PathLike) -> Predictions:
         ints = np.array([columns[j] for j in int_columns], dtype=np.int64).T
     except (ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed prediction row: {exc}") from exc
-    totals = probs.sum(axis=1)
-    invalid = np.flatnonzero(~(np.isfinite(totals) & (totals > 0)))
-    if invalid.size:
-        raise DataError(f"{path}: row {columns[0][invalid[0]]!r} has invalid probabilities")
     try:
         as_prob_rows(probs, tol=_ROUNDED_PROB_TOL)
-    except InvalidInputError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    except InvalidInputError as whole:
+        # Name the first row the gate rejects, the way label errors do.
+        for i in range(len(probs)):
+            try:
+                as_prob_rows(probs[i : i + 1], tol=_ROUNDED_PROB_TOL)
+            except InvalidInputError as exc:
+                raise DataError(f"{path}: line {i + 2}: {exc}") from exc
+        raise DataError(f"{path}: {whole}") from whole
     labels = ints[:, :3]
     off = np.argwhere((labels < 0) | (labels >= n_classes))
     if off.size:
@@ -705,8 +702,7 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     kinds = [k.strip() for k in args.losses.split(",") if k.strip()]
     for kind in kinds:
-        if kind not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss kind {kind!r}, expected one of {LOSS_KINDS}")
+        check_loss_kind(kind)
     if args.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {args.trials}")
     if args.seed < 0:
@@ -715,7 +711,6 @@ def cmd_gradcheck(args) -> int:
     gammas = (0.0, 1.0, 2.0, 5.0)
     tolerance = 1e-5
     lines = []
-    worst_overall = 0.0
 
     def one_cfg(trial: int) -> LossConfig:
         return LossConfig(gamma=gammas[trial % len(gammas)])
@@ -727,37 +722,28 @@ def cmd_gradcheck(args) -> int:
             # Scale 2: wider logits push near-zero probability coordinates into
             # the central-difference noise floor and fail spuriously.
             z = rng.normal(0.0, 2.0, size=n_classes)
-            y = np.zeros(n_classes)
-            y[rng.integers(0, n_classes)] = 1.0
+            y = np.eye(n_classes)[rng.integers(0, n_classes)]
             if trial % 3 == 2:  # exercise soft targets as well as one-hot
                 y = rng.dirichlet(np.ones(n_classes))
             worst = max(worst, finite_difference_check(kind, z, y, one_cfg(trial), h=args.h))
         lines.append((kind, "logits", args.trials, worst))
-        worst_overall = max(worst_overall, worst)
 
     model_trials = max(1, args.trials // 5)
+    # Encoder dims and head dims, less the class count, of each checked network.
+    networks = {"plain": ((5, 7), (7,)), "siamese": ((4, 6), (12, 8))}
     for kind in kinds:
-        for topology in ("plain", "siamese"):
+        for topology, (encoder, head) in networks.items():
             worst = 0.0
             for trial in range(model_trials):
                 n_classes = 3 + (trial % 2)
-                if topology == "plain":
-                    params = init_params((5, 7), (7, n_classes), seed=rng.integers(2**31))
-                    inputs = (rng.normal(size=5),)
-                else:
-                    params = init_params((4, 6), (12, 8, n_classes), seed=rng.integers(2**31))
-                    inputs = (rng.normal(size=4), rng.normal(size=4))
-                y = np.zeros(n_classes)
-                y[rng.integers(0, n_classes)] = 1.0
-                worst = max(
-                    worst,
-                    finite_difference_check_params(
-                        params, inputs, y, kind, one_cfg(trial), h=args.h
-                    ),
-                )
+                params = init_params(encoder, (*head, n_classes), seed=rng.integers(2**31))
+                inputs = [rng.normal(size=encoder[0]) for _ in range(params.n_branches)]
+                y = np.eye(n_classes)[rng.integers(0, n_classes)]
+                err = finite_difference_check_params(params, inputs, y, kind, one_cfg(trial), h=args.h)
+                worst = max(worst, err)
             lines.append((kind, topology, model_trials, worst))
-            worst_overall = max(worst_overall, worst)
 
+    worst_overall = max(line[3] for line in lines)
     print(f"{'loss':<10} {'path':<9} {'trials':>6} {'max_rel_err':>12}  status")
     for kind, topology, trials, worst in lines:
         status = "ok" if worst < tolerance else "FAIL"

@@ -232,6 +232,11 @@ class Dataset:
     def task(self) -> Task:
         return Task.T2 if self.x_b is None else Task.T1
 
+    @property
+    def inputs(self) -> tuple[np.ndarray, ...]:
+        """The feature matrices a model reads, one per branch: ``(x,)`` or ``(x, x_b)``."""
+        return (self.x,) if self.x_b is None else (self.x, self.x_b)
+
     def __len__(self) -> int:
         return self.x.shape[0]
 

@@ -22,6 +22,7 @@ that path through softmax, and ``loss_gradient`` is its one-row case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -58,14 +59,19 @@ class LossConfig:
             raise ConfigError(f"epsilon must lie in (0, 1e-3], got {self.epsilon}")
 
 
+def check_loss_kind(loss_kind: str) -> None:
+    """Reject a name that is not one of ``LOSS_KINDS``."""
+    if loss_kind not in LOSS_KINDS:
+        raise ConfigError(f"unknown loss kind {loss_kind!r}, expected one of {LOSS_KINDS}")
+
+
 def validate_loss_for_task(loss_kind: str, task: Task) -> None:
-    """Reject loss kinds that are undefined for a task's label set.
+    """Reject loss kinds that are unknown or undefined for a task's label set.
 
     The 4-class pair task includes a class without an ordinal rank, so any
     objective with an EMD term is a configuration error there.
     """
-    if loss_kind not in LOSS_KINDS:
-        raise ConfigError(f"unknown loss kind {loss_kind!r}, expected one of {LOSS_KINDS}")
+    check_loss_kind(loss_kind)
     if task is Task.T1 and loss_kind in ("emd", "combined"):
         raise ConfigError(
             f"loss {loss_kind!r} needs ordinal classes and is not valid for task t1"
@@ -136,14 +142,13 @@ def _terms(kind: str, P: np.ndarray, Y: np.ndarray, cfg: LossConfig) -> tuple[np
         return _focal_terms(P, Y, cfg)
     if kind == "emd":
         return _emd_terms(P, Y)
-    if kind == "combined":
-        focal, focal_grad = _focal_terms(P, Y, cfg)
-        emd, emd_grad = _emd_terms(P, Y)
-        return (
-            cfg.focal_weight * focal + cfg.emd_weight * emd,
-            cfg.focal_weight * focal_grad + cfg.emd_weight * emd_grad,
-        )
-    raise ConfigError(f"unknown loss kind {kind!r}, expected one of {LOSS_KINDS}")
+    check_loss_kind(kind)  # "combined" is the one kind left
+    focal, focal_grad = _focal_terms(P, Y, cfg)
+    emd, emd_grad = _emd_terms(P, Y)
+    return (
+        cfg.focal_weight * focal + cfg.emd_weight * emd,
+        cfg.focal_weight * focal_grad + cfg.emd_weight * emd_grad,
+    )
 
 
 def _chain_softmax(P: np.ndarray, grad_p: np.ndarray) -> np.ndarray:
@@ -184,6 +189,30 @@ def batch_loss_gradient(
     return float(np.mean(values)), _chain_softmax(P, grad_p) / Z.shape[0]
 
 
+def central_difference_error(
+    loss_at: Callable[[np.ndarray], float], vector: np.ndarray, analytic: np.ndarray, h: float
+) -> float:
+    """Check an analytic gradient of ``loss_at(vector)`` against central differences.
+
+    Each entry of ``vector`` in turn is moved by +h and -h in place, and
+    restored. Returns the max over entries of |numeric - analytic| /
+    max(|analytic|, 1e-8). ``h`` must lie in [1e-7, 1e-3].
+    """
+    if not (1e-7 <= h <= 1e-3):
+        raise InvalidInputError(f"step size h must lie in [1e-7, 1e-3], got {h}")
+    worst = 0.0
+    for i, ana in enumerate(analytic):
+        orig = vector[i]
+        vector[i] = orig + h
+        up = loss_at(vector)
+        vector[i] = orig - h
+        down = loss_at(vector)
+        vector[i] = orig
+        numeric = (up - down) / (2.0 * h)
+        worst = max(worst, abs(numeric - ana) / max(abs(ana), _REL_FLOOR))
+    return worst
+
+
 def finite_difference_check(
     loss_kind: str,
     z: np.ndarray,
@@ -191,24 +220,8 @@ def finite_difference_check(
     cfg: LossConfig | None = None,
     h: float = 1e-5,
 ) -> float:
-    """Compare the analytic logit gradient against central differences.
-
-    Args:
-        h: step size, restricted to [1e-7, 1e-3].
-
-    Returns:
-        Max over coordinates of |numeric - analytic| / max(|analytic|, 1e-8).
-    """
-    if not (1e-7 <= h <= 1e-3):
-        raise InvalidInputError(f"step size h must lie in [1e-7, 1e-3], got {h}")
-    zv = as_logits(z)
+    """Compare the analytic logit gradient against central differences and
+    return ``central_difference_error`` over the logits."""
+    zv = as_logits(z).copy()
     _, grad = loss_gradient(loss_kind, zv, y, cfg)
-    worst = 0.0
-    for i, analytic in enumerate(grad):
-        bump = np.zeros_like(zv)
-        bump[i] = h
-        up = loss_value(loss_kind, softmax(zv + bump), y, cfg)
-        down = loss_value(loss_kind, softmax(zv - bump), y, cfg)
-        numeric = (up - down) / (2.0 * h)
-        worst = max(worst, abs(numeric - analytic) / max(abs(analytic), _REL_FLOOR))
-    return worst
+    return central_difference_error(lambda v: loss_value(loss_kind, softmax(v), y, cfg), zv, grad, h)

@@ -1,28 +1,31 @@
-"""A small MLP classifier with an optional siamese late-fusion topology.
+"""A small MLP classifier, run on one input (plain) or on two (siamese).
 
 The network is an encoder stack of ReLU layers followed by a head whose final
-layer is linear. In the siamese topology the encoder is shared between the
-two inputs of a pair and the head consumes the concatenated embeddings, so
-its input width is twice the encoder output. Dropout, when enabled, applies
-to the head input only and only during training (inverted scaling, so
-inference needs no correction).
+layer is linear. The plain model is the one-branch case of the siamese one:
+the shared encoder embeds each branch's input, and the head reads the
+embeddings side by side, so its input width is the encoder output times the
+number of branches (``ModelParams.n_branches``, 1 or 2). Dropout, when
+enabled, applies to the head input only and only during training (inverted
+scaling, so inference needs no correction).
 
-Everything is numpy with explicit caches and hand-written backpropagation;
-``forward``/``siamese_forward`` return the cache that ``backward`` consumes.
+Everything is numpy with explicit caches and hand-written backpropagation:
+``forward`` takes one (N, d) matrix per branch and returns the cache that
+``backward`` consumes, and ``backward`` returns the gradient as one vector.
 
 Parameters, gradients and Adam moments each live in one contiguous float64
 vector laid out w0, b0, w1, b1, ... in encoder-then-head order (the
-checkpoint body's order); the per-layer (w, b) pairs are views into it.
-``backward`` writes every layer's gradient into its view of one buffer, and
-``optimizer_step`` is a few vector operations. ``ModelParams`` is validated
-when a model is built, loaded or saved; the parameters each optimizer step
-makes keep the checked layout and are only checked for non-finite entries.
-Parameter updates are functional: ``optimizer_step`` returns new parameter
-and state objects and never mutates its arguments.
+checkpoint body's order); the per-layer (w, b) pairs of ``ModelParams`` are
+views into it. ``backward`` writes every layer's gradient into its view of
+the gradient vector, and ``optimizer_step`` is a few vector operations.
+``ModelParams`` is validated when a model is built, loaded or saved; the
+parameters each optimizer step makes keep the checked layout and are only
+checked for non-finite entries. Parameter updates are functional:
+``optimizer_step`` returns new parameter and state objects and never mutates
+its arguments.
 
-``train`` and ``predict`` take a columnar ``Dataset``: its feature matrix
-feeds the plain topology, and for T1 pairs its two matrices feed the
-siamese one. Batches are index arrays into the dataset's rows.
+``train`` and ``predict`` take a columnar ``Dataset`` and feed the network
+its ``inputs``: the feature matrix, or for T1 pairs both matrices. Batches
+are index arrays into the dataset's rows.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .losses import (
     _emd_terms,
     _focal_terms,
     batch_loss_gradient,
+    central_difference_error,
     loss_gradient,
     validate_loss_for_task,
 )
@@ -64,12 +68,11 @@ CHECKPOINT_VERSION = 1
 # --- parameters ----------------------------------------------------------------
 
 
-def _adopt(obj, vector: np.ndarray, layout: tuple) -> None:
-    """Make ``vector`` the storage of ``obj``, a ModelParams or Gradients.
+def _views(vector: np.ndarray, layout: tuple) -> tuple[tuple, tuple]:
+    """The per-layer (w, b) views of ``vector``: the encoder's, then the head's.
 
-    ``layout`` is (number of encoder layers, (out, in) of every layer). The
-    vector holds w0, b0, w1, b1, ... in encoder-then-head order, and the
-    object's per-layer (w, b) pairs become views into it.
+    ``layout`` is (number of encoder layers, (out, in) of every layer), and
+    the vector holds w0, b0, w1, b1, ... in encoder-then-head order.
     """
     n_encoder, shapes = layout
     views, off = [], 0
@@ -77,35 +80,28 @@ def _adopt(obj, vector: np.ndarray, layout: tuple) -> None:
         end = off + out_dim * in_dim
         views.append((vector[off:end].reshape(out_dim, in_dim), vector[end : end + out_dim]))
         off = end + out_dim
-    object.__setattr__(obj, "vector", vector)
-    object.__setattr__(obj, "layout", layout)
-    object.__setattr__(obj, "encoder_layers", tuple(views[:n_encoder]))
-    object.__setattr__(obj, "head_layers", tuple(views[n_encoder:]))
+    return tuple(views[:n_encoder]), tuple(views[n_encoder:])
 
 
-def _pack(obj) -> None:
-    """Copy the per-layer arrays ``obj`` was built with into one vector it owns."""
-    layers = (*obj.encoder_layers, *obj.head_layers)
-    vector = np.concatenate([np.ravel(a) for layer in layers for a in layer]).astype(np.float64, copy=False)
-    _adopt(obj, vector, (len(obj.encoder_layers), tuple(np.shape(w) for w, _ in layers)))
-
-
-def _over(cls, vector: np.ndarray, layout: tuple, **fields):
-    """A ``cls`` (ModelParams or Gradients) over ``vector``, without the
-    constructor's checks: for vectors made from an already checked layout."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    _adopt(obj, vector, layout)
-    return obj
+def _over(vector: np.ndarray, layout: tuple, dropout_rate: float) -> ModelParams:
+    """ModelParams held in ``vector``, without the constructor's checks: for
+    vectors made from an already checked layout."""
+    params = object.__new__(ModelParams)
+    encoder, head = _views(vector, layout)
+    # A frozen dataclass: the fields are set in the instance dict directly.
+    vars(params).update(
+        encoder_layers=encoder, head_layers=head, dropout_rate=dropout_rate, vector=vector, layout=layout
+    )
+    return params
 
 
 @dataclass(frozen=True)
 class ModelParams:
     """Weights of the encoder and head stacks plus the dropout rate.
 
-    Each layer is a (weight, bias) pair with weight shape (out, in). A head
-    input width equal to twice the encoder output marks the siamese topology.
+    Each layer is a (weight, bias) pair with weight shape (out, in). The head
+    input width is the encoder output times ``n_branches``: 1 for the plain
+    model, 2 for the siamese one.
 
     The constructor validates the layers and copies them into ``vector``;
     ``encoder_layers`` and ``head_layers`` are then views into it.
@@ -136,7 +132,10 @@ class ModelParams:
                 raise ConfigError(
                     f"head input {head_in} must equal the encoder output {enc_out} or twice it"
                 )
-        _pack(self)
+        vector = np.concatenate([np.ravel(a) for layer in layers for a in layer]).astype(np.float64, copy=False)
+        layout = (n_enc, tuple(w.shape for w, _ in layers))
+        encoder, head = _views(vector, layout)
+        vars(self).update(encoder_layers=encoder, head_layers=head, vector=vector, layout=layout)
         if not np.all(np.isfinite(self.vector)):
             raise ConfigError("parameters contain non-finite entries")
 
@@ -156,32 +155,15 @@ class ModelParams:
         return self.head_layers[0][0].shape[1]
 
     @property
-    def is_siamese(self) -> bool:
-        return bool(self.encoder_layers) and self.head_input_dim == 2 * self.encoder_output_dim
+    def n_branches(self) -> int:
+        """How many inputs the network reads per row: 1 plain, 2 siamese."""
+        return self.head_input_dim // self.encoder_output_dim
 
     @property
     def input_dim(self) -> int:
         if self.encoder_layers:
             return self.encoder_layers[0][0].shape[1]
         return self.head_input_dim
-
-    @property
-    def n_classes(self) -> int:
-        return self.head_layers[-1][0].shape[0]
-
-
-@dataclass(frozen=True)
-class Gradients:
-    """Per-layer gradients in the ModelParams layout, held in one vector the
-    way ModelParams holds its parameters."""
-
-    encoder_layers: tuple[tuple[np.ndarray, np.ndarray], ...]
-    head_layers: tuple[tuple[np.ndarray, np.ndarray], ...]
-    vector: np.ndarray = field(init=False, repr=False, compare=False)
-    layout: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        _pack(self)
 
 
 def init_params(
@@ -228,111 +210,64 @@ def init_params(
 # --- forward / backward ---------------------------------------------------------
 
 
-def _as_batch(x: np.ndarray, width: int, name: str) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, width: int, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != width:
         raise InvalidInputError(f"{name} must have width {width}, got shape {np.asarray(x).shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
-    return arr, single
+    return arr
 
 
-def _encode(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    act = x
+def _stack(layers: Sequence[tuple], act: np.ndarray, relu_last: bool) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Run ``act`` through (w, b) layers with a ReLU after each, the last one
+    only if ``relu_last``; returns the output and every pre-activation."""
     pres = []
-    for w, b in params.encoder_layers:
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
         pre = act @ w.T + b
         pres.append(pre)
-        act = np.maximum(pre, 0.0)
+        act = pre if i == last and not relu_last else np.maximum(pre, 0.0)
     return act, pres
-
-
-def _head(
-    params: ModelParams,
-    h: np.ndarray,
-    training: bool,
-    rng: np.random.Generator | None,
-) -> tuple[np.ndarray, np.ndarray | None, list[np.ndarray]]:
-    mask = None
-    if training and params.dropout_rate > 0.0:
-        if rng is None:
-            raise InvalidInputError("training forward with dropout needs an rng")
-        keep = 1.0 - params.dropout_rate
-        mask = (rng.random(h.shape) >= params.dropout_rate) / keep
-        h = h * mask
-    act = h
-    pres = []
-    last = len(params.head_layers) - 1
-    for i, (w, b) in enumerate(params.head_layers):
-        pre = act @ w.T + b
-        pres.append(pre)
-        act = pre if i == last else np.maximum(pre, 0.0)
-    return act, mask, pres
 
 
 def forward(
     params: ModelParams,
-    x: np.ndarray,
+    inputs: Sequence[np.ndarray],
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Run the plain topology on a feature vector or a batch of rows.
+    """Run the network on one (N, d) matrix per branch: ``(x,)`` for the
+    plain model, ``(x, x_b)`` for the siamese one.
 
-    Returns the logits and the cache that ``backward`` consumes. Dropout fires
-    only when ``training`` is set and the parameters carry a nonzero rate.
+    The shared encoder embeds each branch and the head reads the embeddings
+    side by side. Returns the (N, C) logits and the cache that ``backward``
+    consumes. Dropout fires only when ``training`` is set and the parameters
+    carry a nonzero rate.
     """
-    if params.is_siamese:
-        raise InvalidInputError("siamese parameters take paired inputs; use siamese_forward")
-    xb, single = _as_batch(x, params.input_dim, "x")
-    emb, enc_pres = _encode(params, xb)
-    logits, mask, head_pres = _head(params, emb, training, rng)
+    if len(inputs) != params.n_branches:
+        raise InvalidInputError(f"the model takes {params.n_branches} input(s) per row, got {len(inputs)}")
+    xs = [_as_batch(x, params.input_dim, name) for x, name in zip(inputs, ("x", "x_b"))]
+    if xs[-1].shape[0] != xs[0].shape[0]:
+        raise InvalidInputError(f"paired batches differ in length: {xs[0].shape[0]} vs {xs[-1].shape[0]}")
+    embs, enc_pres = zip(*(_stack(params.encoder_layers, x, relu_last=True) for x in xs))
+    head_input = embs[0] if len(embs) == 1 else np.concatenate(embs, axis=1)
+    mask = None
+    if training and params.dropout_rate > 0.0:
+        if rng is None:
+            raise InvalidInputError("training forward with dropout needs an rng")
+        mask = (rng.random(head_input.shape) >= params.dropout_rate) / (1.0 - params.dropout_rate)
+        head_input = head_input * mask
+    logits, head_pres = _stack(params.head_layers, head_input, relu_last=False)
     cache = {
-        "mode": "plain",
         "params": params,
-        "x": xb,
+        "inputs": xs,
         "enc_pres": enc_pres,
-        "head_input": emb if mask is None else emb * mask,
+        "head_input": head_input,
         "drop_mask": mask,
         "head_pres": head_pres,
-        "single": single,
     }
-    return (logits[0] if single else logits), cache
-
-
-def siamese_forward(
-    params: ModelParams,
-    x_a: np.ndarray,
-    x_b: np.ndarray,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, dict]:
-    """Run the siamese topology: shared encoder, concatenated embeddings, head."""
-    if not params.is_siamese:
-        raise InvalidInputError("parameters describe a plain topology; use forward")
-    xa, single_a = _as_batch(x_a, params.input_dim, "x_a")
-    xb, single_b = _as_batch(x_b, params.input_dim, "x_b")
-    if xa.shape[0] != xb.shape[0] or single_a != single_b:
-        raise InvalidInputError(f"paired batches differ in length: {xa.shape[0]} vs {xb.shape[0]}")
-    emb_a, pres_a = _encode(params, xa)
-    emb_b, pres_b = _encode(params, xb)
-    fused = np.concatenate([emb_a, emb_b], axis=1)
-    logits, mask, head_pres = _head(params, fused, training, rng)
-    cache = {
-        "mode": "siamese",
-        "params": params,
-        "x_a": xa,
-        "x_b": xb,
-        "enc_pres_a": pres_a,
-        "enc_pres_b": pres_b,
-        "head_input": fused if mask is None else fused * mask,
-        "drop_mask": mask,
-        "head_pres": head_pres,
-        "single": single_a,
-    }
-    return (logits[0] if single_a else logits), cache
+    return logits, cache
 
 
 def _layer_grad(g: np.ndarray, inp: np.ndarray, out: tuple[np.ndarray, np.ndarray]) -> None:
@@ -355,47 +290,43 @@ def _backprop_encoder(
             g = g @ params.encoder_layers[i][0]
 
 
-def backward(cache: dict, grad_logits: np.ndarray) -> Gradients:
+def backward(cache: dict, grad_logits: np.ndarray) -> np.ndarray:
     """Backpropagate a logit gradient through the cache from a forward pass.
 
-    ``grad_logits`` must match the cached logits' shape; the returned
-    gradients have exactly the ModelParams layout, and every layer's gradient
-    is written straight into its view of the one gradient vector. In the
-    siamese topology the two branches accumulate into the shared encoder
-    gradients.
+    ``grad_logits`` must match the cached logits' shape. Returns the gradient
+    as one vector laid out like ``ModelParams.vector``; every layer's gradient
+    is written straight into its view of it. Each branch after the first is
+    backpropagated into a scratch vector and added into the shared encoder
+    gradient.
     """
-    if not isinstance(cache, dict) or "mode" not in cache or "params" not in cache:
+    if not isinstance(cache, dict) or "inputs" not in cache or "params" not in cache:
         raise InvalidStateError("backward needs the cache produced by a forward pass")
     params: ModelParams = cache["params"]
     expected = cache["head_pres"][-1].shape
     g = np.asarray(grad_logits, dtype=np.float64)
-    if cache["single"]:
-        if g.shape != (expected[1],):
-            raise InvalidInputError(f"grad_logits shape {g.shape} does not match logits {(expected[1],)}")
-        g = g[None, :]
-    elif g.shape != expected:
+    if g.shape != expected:
         raise InvalidInputError(f"grad_logits shape {g.shape} does not match logits {expected}")
 
-    grads = _over(Gradients, np.empty_like(params.vector), params.layout)
+    grad = np.empty_like(params.vector)
+    encoder_grads, head_grads = _views(grad, params.layout)
     for i in range(len(params.head_layers) - 1, -1, -1):
         inp = cache["head_input"] if i == 0 else np.maximum(cache["head_pres"][i - 1], 0.0)
-        _layer_grad(g, inp, grads.head_layers[i])
+        _layer_grad(g, inp, head_grads[i])
         g = g @ params.head_layers[i][0]
         if i > 0:
             g = g * (cache["head_pres"][i - 1] > 0)
     if cache["drop_mask"] is not None:
         g = g * cache["drop_mask"]
 
-    if cache["mode"] == "plain":
-        _backprop_encoder(params, cache["x"], cache["enc_pres"], g, grads.encoder_layers)
-    else:
-        e = params.encoder_output_dim
-        _backprop_encoder(params, cache["x_a"], cache["enc_pres_a"], g[:, :e], grads.encoder_layers)
-        branch_b = _over(Gradients, np.empty_like(params.vector), params.layout)
-        _backprop_encoder(params, cache["x_b"], cache["enc_pres_b"], g[:, e:], branch_b.encoder_layers)
-        n = params.head_offset
-        grads.vector[:n] += branch_b.vector[:n]
-    return grads
+    e = params.encoder_output_dim
+    for k, (x, pres) in enumerate(zip(cache["inputs"], cache["enc_pres"])):
+        if k == 0:
+            _backprop_encoder(params, x, pres, g[:, :e], encoder_grads)
+        else:
+            branch = np.empty_like(grad)
+            _backprop_encoder(params, x, pres, g[:, k * e : (k + 1) * e], _views(branch, params.layout)[0])
+            grad[: params.head_offset] += branch[: params.head_offset]
+    return grad
 
 
 def finite_difference_check_params(
@@ -408,41 +339,20 @@ def finite_difference_check_params(
 ) -> float:
     """Compare analytic parameter gradients against central differences.
 
-    ``inputs`` holds one feature vector for the plain topology or the
-    (x_a, x_b) pair for the siamese one. Dropout stays off, so the loss is a
-    deterministic function of the parameters. Returns the maximum relative
-    error |numeric - analytic| / max(|analytic|, 1e-8) over every weight and
+    ``inputs`` holds one feature vector per branch: ``(x,)`` for the plain
+    model, ``(x_a, x_b)`` for the siamese one; each becomes a one-row batch.
+    Dropout stays off, so the loss is a deterministic function of the
+    parameters. Returns ``central_difference_error`` over every weight and
     bias entry.
     """
-    cfg = cfg if cfg is not None else LossConfig()
-    if not (1e-7 <= h <= 1e-3):
-        raise InvalidInputError(f"step size h must lie in [1e-7, 1e-3], got {h}")
-    expected = 2 if params.is_siamese else 1
-    if len(inputs) != expected:
-        raise InvalidInputError(
-            f"this topology takes {expected} input vector(s), got {len(inputs)}"
-        )
-
-    def run(p: ModelParams) -> tuple[np.ndarray, dict]:
-        if p.is_siamese:
-            return siamese_forward(p, inputs[0], inputs[1])
-        return forward(p, inputs[0])
-
-    logits, cache = run(params)
-    analytic = backward(cache, loss_gradient(loss_kind, logits, target, cfg)[1]).vector
+    batch = [np.asarray(x, dtype=np.float64)[None, :] for x in inputs]
+    logits, cache = forward(params, batch)
+    analytic = backward(cache, loss_gradient(loss_kind, logits[0], target, cfg)[1][None, :])
     vector = params.vector.copy()
-    bumped = _over(ModelParams, vector, params.layout, dropout_rate=params.dropout_rate)
-    worst = 0.0
-    for i, ana in enumerate(analytic):
-        orig = vector[i]
-        vector[i] = orig + h
-        up = loss_gradient(loss_kind, run(bumped)[0], target, cfg)[0]
-        vector[i] = orig - h
-        down = loss_gradient(loss_kind, run(bumped)[0], target, cfg)[0]
-        vector[i] = orig
-        numeric = (up - down) / (2.0 * h)
-        worst = max(worst, abs(numeric - ana) / max(abs(ana), 1e-8))
-    return worst
+    bumped = _over(vector, params.layout, params.dropout_rate)
+    return central_difference_error(
+        lambda _: loss_gradient(loss_kind, forward(bumped, batch)[0][0], target, cfg)[0], vector, analytic, h
+    )
 
 
 # --- optimizers -----------------------------------------------------------------
@@ -492,21 +402,22 @@ def init_optimizer_state(cfg: OptimizerConfig, params: ModelParams) -> Optimizer
 
 
 def optimizer_step(
-    state: OptimizerState, params: ModelParams, grads: Gradients, lr: float
+    state: OptimizerState, params: ModelParams, grads: np.ndarray, lr: float
 ) -> tuple[ModelParams, OptimizerState]:
     """Apply one update and return the new parameters and optimizer state.
 
-    The update is a handful of vector operations on the flat parameter and
-    gradient vectors; every entry gets the same arithmetic a per-layer update
-    gives it. The new parameters share the old layout and are checked for
-    non-finite entries only.
+    ``grads`` is a gradient vector laid out like ``params.vector``, as
+    ``backward`` returns it. The update is a handful of vector operations;
+    every entry gets the same arithmetic a per-layer update gives it. The new
+    parameters share the old layout and are checked for non-finite entries
+    only.
     """
     if not (np.isfinite(lr) and lr > 0):
         raise InvalidInputError(f"learning rate must be finite and > 0, got {lr}")
-    if grads.layout != params.layout:
-        raise InvalidInputError("gradient layout does not match the parameters")
+    p, g = params.vector, np.asarray(grads, dtype=np.float64)
+    if g.shape != p.shape:
+        raise InvalidInputError(f"gradient vector shape {g.shape} does not match the parameters' {p.shape}")
     cfg = state.config
-    p, g = params.vector, grads.vector
     m = v = None
     if cfg.kind == "sgd":
         new = p - lr * g - lr * cfg.weight_decay * p
@@ -518,8 +429,7 @@ def optimizer_step(
         new = p - lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps) - lr * cfg.weight_decay * p
     if not np.all(np.isfinite(new)):
         raise NumericError("the optimizer step produced non-finite parameters")
-    new_params = _over(ModelParams, new, params.layout, dropout_rate=params.dropout_rate)
-    return new_params, OptimizerState(cfg, state.step + 1, m, v)
+    return _over(new, params.layout, params.dropout_rate), OptimizerState(cfg, state.step + 1, m, v)
 
 
 # --- training configuration ------------------------------------------------------
@@ -675,12 +585,6 @@ def make_batches(labels: np.ndarray, cfg: TrainConfig, rng: np.random.Generator)
 # --- training and prediction ------------------------------------------------------
 
 
-def _logits_for(params: ModelParams, data: Dataset) -> np.ndarray:
-    if data.x_b is None:
-        return forward(params, data.x, training=False)[0]
-    return siamese_forward(params, data.x, data.x_b, training=False)[0]
-
-
 def _loss_diagnostics(logits: np.ndarray, targets: np.ndarray, cfg: LossConfig) -> str:
     probs = softmax(logits)
     focal = float(np.mean(_focal_terms(probs, targets, cfg)[0]))
@@ -713,12 +617,12 @@ def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelPara
     feat_dim = data.x.shape[1]
     if cfg.encoder_dims[0] != feat_dim:
         raise ConfigError(f"encoder input {cfg.encoder_dims[0]} does not match feature dim {feat_dim}")
-    pairs = data.x_b is not None
-    want_head_in = 2 * cfg.encoder_dims[-1] if pairs else cfg.encoder_dims[-1]
+    inputs = data.inputs
+    want_head_in = len(inputs) * cfg.encoder_dims[-1]
     if cfg.head_dims[0] != want_head_in:
         raise ConfigError(
-            f"head input {cfg.head_dims[0]} must be {want_head_in} for {'pair' if pairs else 'plain'} rows "
-            f"with encoder output {cfg.encoder_dims[-1]}"
+            f"head input {cfg.head_dims[0]} must be {want_head_in} for {'pair' if len(inputs) == 2 else 'plain'} "
+            f"rows with encoder output {cfg.encoder_dims[-1]}"
         )
 
     n_classes = cfg.task.n_classes
@@ -742,12 +646,7 @@ def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelPara
         sample_count = 0
         for batch_no, idx in enumerate(make_batches(data.labels, cfg, rng_batch)):
             targets = onehot[idx]
-            if pairs:
-                logits, cache = siamese_forward(
-                    params, data.x[idx], data.x_b[idx], training=True, rng=rng_drop
-                )
-            else:
-                logits, cache = forward(params, data.x[idx], training=True, rng=rng_drop)
+            logits, cache = forward(params, [x[idx] for x in inputs], training=True, rng=rng_drop)
             if not np.isfinite(logits).all():
                 raise NumericError(f"non-finite logits at epoch {epoch} batch {batch_no}: the run diverged")
             loss_value, grad_logits = batch_loss_gradient(cfg.loss_kind, logits, targets, cfg.loss)
@@ -758,12 +657,12 @@ def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelPara
                 )
             grads = backward(cache, grad_logits)
             if epoch < cfg.freeze_head_epochs:
-                grads.vector[head_offset:] = 0.0
+                grads[head_offset:] = 0.0
             params, opt_state = optimizer_step(opt_state, params, grads, lr)
             loss_sum += loss_value * idx.size
             sample_count += idx.size
 
-        val_pred = np.argmax(_logits_for(params, val_data), axis=1)
+        val_pred = np.argmax(forward(params, val_data.inputs)[0], axis=1)
         cm = confusion_from_predictions(val_data.labels, val_pred, n_classes)
         report = compute_report(cm, cfg.task)
         history.append(
@@ -782,11 +681,7 @@ def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelPara
 def predict(params: ModelParams, data: Dataset) -> np.ndarray:
     """Class probabilities as an (N, C) matrix, one row per dataset row in
     order. Dropout never fires here."""
-    if data.x_b is not None and not params.is_siamese:
-        raise InvalidInputError("pair data needs siamese parameters")
-    if data.x_b is None and params.is_siamese:
-        raise InvalidInputError("siamese parameters need pair data")
-    return softmax(_logits_for(params, data))
+    return softmax(forward(params, data.inputs)[0])
 
 
 # --- checkpoints -------------------------------------------------------------------
@@ -852,8 +747,8 @@ def load_checkpoint(path: str | os.PathLike) -> ModelParams:
         raise CheckpointError(f"checkpoint {path} is truncated")
     if body > expected:
         raise CheckpointError(f"checkpoint {path} carries {body - expected} unexpected trailing bytes")
-    raw = _over(ModelParams, np.frombuffer(payload, dtype="<f8", offset=off), (n_enc, shapes))
+    encoder, head = _views(np.frombuffer(payload, dtype="<f8", offset=off), (n_enc, shapes))
     try:
-        return ModelParams(raw.encoder_layers, raw.head_layers, dropout)
+        return ModelParams(encoder, head, dropout)
     except ConfigError as exc:
         raise CheckpointError(f"checkpoint {path} holds inconsistent parameters: {exc}") from exc

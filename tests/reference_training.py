@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ordchange.core import softmax
-from ordchange.model import Gradients, ModelParams
+from ordchange.model import ModelParams
 
 # --- optimizer ---------------------------------------------------------------------
 
@@ -22,13 +22,6 @@ from ordchange.model import Gradients, ModelParams
 def _flatten(params) -> list[np.ndarray]:
     out = []
     for w, b in (*params.encoder_layers, *params.head_layers):
-        out.extend((w, b))
-    return out
-
-
-def _flatten_grads(grads) -> list[np.ndarray]:
-    out = []
-    for w, b in (*grads.encoder_layers, *grads.head_layers):
         out.extend((w, b))
     return out
 
@@ -50,10 +43,10 @@ def init_moments(kind: str, params) -> tuple[tuple, tuple]:
     return (), ()
 
 
-def optimizer_step(cfg, step: int, m: tuple, v: tuple, params, grads, lr: float):
-    """One update; returns (params, step, m, v)."""
+def optimizer_step(cfg, step: int, m: tuple, v: tuple, params, flat_g: list[np.ndarray], lr: float):
+    """One update with the per-layer gradients from ``backward``; returns
+    (params, step, m, v)."""
     flat_p = _flatten(params)
-    flat_g = _flatten_grads(grads)
     if cfg.kind == "sgd":
         new = [p - lr * g - lr * cfg.weight_decay * p for p, g in zip(flat_p, flat_g)]
         return _rebuild(params, new), step + 1, (), ()
@@ -83,8 +76,9 @@ def _backprop_encoder(params, x, pres, grad_emb):
     return grads
 
 
-def backward(cache: dict, grad_logits: np.ndarray) -> Gradients:
-    """Per-layer backward over a batch cache from ``forward``/``siamese_forward``."""
+def backward(cache: dict, grad_logits: np.ndarray) -> list[np.ndarray]:
+    """Per-layer backward over a batch cache from ``forward``; returns the
+    gradient arrays in parameter order: w0, b0, w1, b1, ..."""
     params = cache["params"]
     g = np.asarray(grad_logits, dtype=np.float64)
     head_grads = [None] * len(params.head_layers)
@@ -96,14 +90,15 @@ def backward(cache: dict, grad_logits: np.ndarray) -> Gradients:
             g = g * (cache["head_pres"][i - 1] > 0)
     if cache["drop_mask"] is not None:
         g = g * cache["drop_mask"]
-    if cache["mode"] == "plain":
-        enc_grads = _backprop_encoder(params, cache["x"], cache["enc_pres"], g)
-    else:
-        e = params.encoder_output_dim
-        grads_a = _backprop_encoder(params, cache["x_a"], cache["enc_pres_a"], g[:, :e])
-        grads_b = _backprop_encoder(params, cache["x_b"], cache["enc_pres_b"], g[:, e:])
-        enc_grads = [(wa + wb, ba + bb) for (wa, ba), (wb, bb) in zip(grads_a, grads_b)]
-    return Gradients(encoder_layers=tuple(enc_grads), head_layers=tuple(head_grads))
+    e = params.encoder_output_dim
+    branches = [
+        _backprop_encoder(params, x, pres, g[:, k * e : (k + 1) * e])
+        for k, (x, pres) in enumerate(zip(cache["inputs"], cache["enc_pres"]))
+    ]
+    enc_grads = branches[0]
+    for other in branches[1:]:
+        enc_grads = [(wa + wb, ba + bb) for (wa, ba), (wb, bb) in zip(enc_grads, other)]
+    return [a for w, b in (*enc_grads, *head_grads) for a in (w, b)]
 
 
 # --- losses ------------------------------------------------------------------------

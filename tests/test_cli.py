@@ -19,6 +19,7 @@ from ordchange.cli import (
 )
 from ordchange.core import Task
 from ordchange.errors import ConfigError
+from ordchange.model import init_params, save_checkpoint
 
 GEN_CFG = """\
 # tiny but non-trivial dataset
@@ -386,6 +387,31 @@ class TestPredict:
         )
         assert rc == 5
         assert "checksum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "encoder, head, gen_cfg, message",
+        [
+            ((5, 8), (16, 4), None, "the model takes 2 input(s) per row, got 1"),
+            ((5, 8), (8, 3), "task=t1\nn_patients=6\nfeature_dim=5\nseed=0\n", "the model takes 1 input(s) per row, got 2"),
+            ((64, 8), (8, 3), "task=t2\nn_patients=4\nfeature_dim=32\nseed=0\n", "x must have width 64, got shape"),
+        ],
+        ids=["t1_model_on_t2_data", "t2_model_on_t1_pairs", "64_wide_model_on_32_features"],
+    )
+    def test_checkpoint_that_does_not_fit_the_data_exit_3(
+        self, workdir, tmp_path, capsys, encoder, head, gen_cfg, message
+    ):
+        save_checkpoint(tmp_path / "m.ckpt", init_params(encoder, head))
+        data = workdir / "data" / "dataset.csv"
+        if gen_cfg:
+            (tmp_path / "gen.cfg").write_text(gen_cfg)
+            assert main(["gen", "--config", str(tmp_path / "gen.cfg"), "--out", str(tmp_path / "d")]) == 0
+            data = tmp_path / "d" / "dataset.csv"
+        capsys.readouterr()
+        rc = main(["predict", "--ckpt", str(tmp_path / "m.ckpt"), "--data", str(data), "--out", str(tmp_path / "p.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not list(tmp_path.glob("p.csv*"))
 
     def test_missing_checkpoint_exit_5(self, workdir, tmp_path):
         rc = main(
@@ -807,7 +833,19 @@ class TestBadPredictionAndTruthFiles:
             fields[5:8] = ["-0.1", "0.6", "0.5"]
 
         bad = edited_copy(workdir / "preds.csv", tmp_path / "bad.csv", 2, set_probs)
-        self.check(capsys, self.run(workdir, command, bad), bad, "probability entries must lie in [0, 1]")
+        self.check(capsys, self.run(workdir, command, bad), bad, "line 3: probability entries must lie in [0, 1]")
+
+    @pytest.mark.parametrize("command", ["ensemble", "eval"])
+    def test_probabilities_off_the_simplex_name_the_line(self, workdir, tmp_path, capsys, command):
+        def set_prob(fields):
+            fields[5] = "0.5"
+
+        bad = edited_copy(workdir / "preds.csv", tmp_path / "bad.csv", 4, set_prob)
+        assert self.run(workdir, command, bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 5: probabilities sum to ") and err.count("\n") == 1
+        assert err.endswith(", expected 1 within 3e-09\n")
+        assert not (tmp_path / "comb.csv").exists() and not (tmp_path / "report.csv").exists()
 
 
 class TestGradcheck:

@@ -17,7 +17,6 @@ from ordchange.losses import LossConfig, loss_gradient
 from ordchange.metrics import micro_f1
 from ordchange.model import (
     CHECKPOINT_MAGIC,
-    Gradients,
     ModelParams,
     OptimizerConfig,
     TrainConfig,
@@ -32,7 +31,6 @@ from ordchange.model import (
     optimizer_step,
     predict,
     save_checkpoint,
-    siamese_forward,
     train,
 )
 
@@ -85,11 +83,11 @@ class TestInit:
     def test_single_entry_encoder_means_no_encoder(self):
         params = init_params((5,), (5, 3))
         assert params.encoder_layers == ()
-        assert params.input_dim == 5 and not params.is_siamese
+        assert params.input_dim == 5 and params.n_branches == 1
 
     def test_siamese_dims(self):
         params = init_params((4, 6), (12, 3))
-        assert params.is_siamese
+        assert params.n_branches == 2
         assert params.head_input_dim == 12 and params.encoder_output_dim == 6
 
     @pytest.mark.parametrize(
@@ -113,13 +111,13 @@ class TestInit:
 class TestForward:
     def test_zero_weights_zero_logits(self):
         params = single_layer_params(np.zeros((3, 4)))
-        logits, _ = forward(params, np.array([1.0, -2.0, 3.0, 4.0]))
-        np.testing.assert_array_equal(logits, np.zeros(3))
+        logits, _ = forward(params, (np.array([[1.0, -2.0, 3.0, 4.0]]),))
+        np.testing.assert_array_equal(logits, np.zeros((1, 3)))
 
     def test_identity_head_passes_input_through(self):
         params = single_layer_params(np.eye(3))
-        x = np.array([0.5, -1.5, 2.0])
-        logits, _ = forward(params, x)
+        x = np.array([[0.5, -1.5, 2.0]])
+        logits, _ = forward(params, (x,))
         np.testing.assert_array_equal(logits, x)
 
     def test_hand_computed_two_layer(self):
@@ -132,43 +130,43 @@ class TestForward:
         x = np.array([1.0, 2.0])
         emb = np.maximum(w_e @ x + np.array([0.5, -1.0]), 0.0)  # relu([-0.5, 1.0])
         expected = w_h @ emb + np.array([0.0, 0.1, -0.2])
-        logits, _ = forward(params, x)
-        np.testing.assert_allclose(logits, expected, atol=1e-15)
+        logits, _ = forward(params, (x[None, :],))
+        np.testing.assert_allclose(logits[0], expected, atol=1e-15)
 
     def test_batch_matches_singles(self):
         params = init_params((4, 6), (6, 3), seed=0)
         xs = np.random.default_rng(1).normal(size=(5, 4))
-        batch_logits, _ = forward(params, xs)
+        batch_logits, _ = forward(params, (xs,))
         for i in range(5):
-            single, _ = forward(params, xs[i])
-            np.testing.assert_allclose(batch_logits[i], single, atol=1e-12)
+            single, _ = forward(params, (xs[i : i + 1],))
+            np.testing.assert_allclose(batch_logits[i], single[0], atol=1e-12)
 
     def test_inference_is_deterministic(self):
         params = init_params((4, 6), (6, 3), dropout=0.5, seed=0)
-        x = np.ones(4)
-        a, _ = forward(params, x, training=False)
-        b, _ = forward(params, x, training=False)
+        x = np.ones((1, 4))
+        a, _ = forward(params, (x,), training=False)
+        b, _ = forward(params, (x,), training=False)
         np.testing.assert_array_equal(a, b)
 
     def test_wrong_width_rejected(self):
         params = init_params((4, 6), (6, 3))
-        with pytest.raises(InvalidInputError):
-            forward(params, np.ones(5))
+        with pytest.raises(InvalidInputError, match="width 4"):
+            forward(params, (np.ones((1, 5)),))
 
     def test_plain_forward_rejects_siamese_params(self):
         params = init_params((4, 6), (12, 3))
-        with pytest.raises(InvalidInputError):
-            forward(params, np.ones(4))
+        with pytest.raises(InvalidInputError, match="takes 2 input"):
+            forward(params, (np.ones((1, 4)),))
 
     def test_training_dropout_needs_rng(self):
         params = init_params((4, 6), (6, 3), dropout=0.5)
         with pytest.raises(InvalidInputError):
-            forward(params, np.ones(4), training=True)
+            forward(params, (np.ones((1, 4)),), training=True)
 
     def test_dropout_mask_is_inverted_scale(self):
         params = init_params((4, 40), (40, 3), dropout=0.25, seed=2)
         rng = np.random.default_rng(9)
-        _, cache = forward(params, np.ones(4), training=True, rng=rng)
+        _, cache = forward(params, (np.ones((1, 4)),), training=True, rng=rng)
         mask = cache["drop_mask"]
         values = set(np.round(np.unique(mask), 12))
         assert values <= {0.0, round(1.0 / 0.75, 12)}
@@ -180,38 +178,36 @@ class TestSiamese:
         enc = ((np.eye(3), np.zeros(3)),)
         head_w = np.concatenate([np.eye(3), -np.eye(3)], axis=1)
         params = ModelParams(encoder_layers=enc, head_layers=((head_w, np.zeros(3)),))
-        assert params.is_siamese
-        x = np.array([1.0, 2.0, 3.0])
-        logits, _ = siamese_forward(params, x, x)
-        np.testing.assert_allclose(logits, np.zeros(3), atol=1e-15)
+        assert params.n_branches == 2
+        x = np.array([[1.0, 2.0, 3.0]])
+        logits, _ = forward(params, (x, x))
+        np.testing.assert_allclose(logits, np.zeros((1, 3)), atol=1e-15)
 
     def test_order_matters(self):
         params = init_params((3, 4), (8, 3), seed=5)
-        a = np.array([1.0, 0.0, -1.0])
-        b = np.array([0.0, 2.0, 1.0])
-        la, _ = siamese_forward(params, a, b)
-        lb, _ = siamese_forward(params, b, a)
+        a = np.array([[1.0, 0.0, -1.0]])
+        b = np.array([[0.0, 2.0, 1.0]])
+        la, _ = forward(params, (a, b))
+        lb, _ = forward(params, (b, a))
         assert not np.allclose(la, lb)
 
     def test_rejects_plain_params(self):
         params = init_params((3, 4), (4, 3))
-        with pytest.raises(InvalidInputError):
-            siamese_forward(params, np.ones(3), np.ones(3))
+        with pytest.raises(InvalidInputError, match="takes 1 input"):
+            forward(params, (np.ones((1, 3)), np.ones((1, 3))))
 
     def test_rejects_mismatched_batch(self):
         params = init_params((3, 4), (8, 3))
-        with pytest.raises(InvalidInputError):
-            siamese_forward(params, np.ones((2, 3)), np.ones((3, 3)))
+        with pytest.raises(InvalidInputError, match="differ in length"):
+            forward(params, (np.ones((2, 3)), np.ones((3, 3))))
 
 
 class TestBackward:
     def test_zero_grad_logits_gives_zero_grads(self):
         params = init_params((4, 6), (6, 3), seed=1)
-        logits, cache = forward(params, np.ones(4))
+        logits, cache = forward(params, (np.ones((1, 4)),))
         grads = backward(cache, np.zeros_like(logits))
-        for w, b in (*grads.encoder_layers, *grads.head_layers):
-            np.testing.assert_array_equal(w, np.zeros_like(w))
-            np.testing.assert_array_equal(b, np.zeros_like(b))
+        np.testing.assert_array_equal(grads, np.zeros_like(params.vector))
 
     def test_stale_cache_rejected(self):
         with pytest.raises(InvalidStateError):
@@ -219,23 +215,23 @@ class TestBackward:
 
     def test_grad_shape_mismatch_rejected(self):
         params = init_params((4, 6), (6, 3))
-        _, cache = forward(params, np.ones(4))
+        _, cache = forward(params, (np.ones((1, 4)),))
         with pytest.raises(InvalidInputError):
-            backward(cache, np.zeros(4))
+            backward(cache, np.zeros((1, 4)))
 
     def test_combined_without_emd_matches_ce_path(self):
         params = init_params((4, 8), (8, 3), seed=13)
         x = np.random.default_rng(0).normal(size=4)
         y = np.array([0.0, 1.0, 0.0])
-        logits, cache = forward(params, x)
+        batch_logits, cache = forward(params, (x[None, :],))
+        logits = batch_logits[0]
         cfg = LossConfig(alpha=1.0, gamma=0.0, emd_weight=0.0)
         g_combined = loss_gradient("combined", logits, y, cfg)[1]
         np.testing.assert_allclose(g_combined, softmax(logits) - y, atol=1e-12)
-        grads = backward(cache, g_combined)
-        grads_ce = backward(cache, loss_gradient("ce", logits, y)[1])
-        for (wa, ba), (wb, bb) in zip(grads.head_layers, grads_ce.head_layers):
-            np.testing.assert_allclose(wa, wb, atol=1e-12)
-            np.testing.assert_allclose(ba, bb, atol=1e-12)
+        grads = backward(cache, g_combined[None, :])
+        grads_ce = backward(cache, loss_gradient("ce", logits, y)[1][None, :])
+        head = params.head_offset
+        np.testing.assert_allclose(grads[head:], grads_ce[head:], atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["ce", "focal", "emd", "combined"])
     def test_finite_differences_4_8_3_net(self, kind):
@@ -269,9 +265,9 @@ class TestBackward:
         xa = np.array([0.4, -0.2, 1.0])
         xb = np.array([-1.0, 0.3, 0.8])
         y = np.array([1.0, 0.0, 0.0])
-        logits, cache = siamese_forward(params, xa, xb)
-        g = loss_gradient("ce", logits, y)[1]
-        grads = backward(cache, g)
+        logits, cache = forward(params, (xa[None, :], xb[None, :]))
+        g = loss_gradient("ce", logits[0], y)[1]
+        grads = backward(cache, g[None, :])
         # Recompute each branch alone by zeroing the other half of the head
         # input gradient; their encoder contributions must sum to the total.
         e = params.encoder_output_dim
@@ -281,25 +277,21 @@ class TestBackward:
         emb_b = np.maximum(params.encoder_layers[0][0] @ xb, 0.0)
         ga = (g_fused[:e] * (emb_a > 0))[:, None] * xa[None, :]
         gb = (g_fused[e:] * (emb_b > 0))[:, None] * xb[None, :]
-        np.testing.assert_allclose(grads.encoder_layers[0][0], ga + gb, atol=1e-12)
+        np.testing.assert_allclose(grads[: ga.size].reshape(ga.shape), ga + gb, atol=1e-12)
 
 
 class TestOptimizers:
     def test_sgd_lr_one_gradient_equals_params(self):
         params = init_params((3, 4), (4, 3), seed=0)
-        grads = Gradients(
-            encoder_layers=tuple((w.copy(), b.copy()) for w, b in params.encoder_layers),
-            head_layers=tuple((w.copy(), b.copy()) for w, b in params.head_layers),
-        )
         state = init_optimizer_state(OptimizerConfig(kind="sgd"), params)
-        new, _ = optimizer_step(state, params, grads, lr=1.0)
+        new, _ = optimizer_step(state, params, params.vector.copy(), lr=1.0)
         for w, b in (*new.encoder_layers, *new.head_layers):
             np.testing.assert_array_equal(w, np.zeros_like(w))
             np.testing.assert_array_equal(b, np.zeros_like(b))
 
     def test_sgd_decoupled_weight_decay(self):
         params = single_layer_params(np.array([[2.0, -4.0]]))
-        grads = Gradients(encoder_layers=(), head_layers=((np.array([[1.0, 1.0]]), np.zeros(1)),))
+        grads = np.array([1.0, 1.0, 0.0])  # w (1, 2), then b (1,)
         cfg = OptimizerConfig(kind="sgd", weight_decay=0.1)
         new, _ = optimizer_step(init_optimizer_state(cfg, params), params, grads, lr=0.5)
         # p - lr*g - lr*wd*p
@@ -310,7 +302,7 @@ class TestOptimizers:
     def test_adam_first_step_is_signlike(self):
         params = single_layer_params(np.array([[1.0, -1.0, 0.5]]))
         g = np.array([[0.3, -0.2, 0.7]])
-        grads = Gradients(encoder_layers=(), head_layers=((g, np.zeros(1)),))
+        grads = np.append(g, 0.0)
         cfg = OptimizerConfig(kind="adam")
         new, state = optimizer_step(init_optimizer_state(cfg, params), params, grads, lr=0.1)
         # After bias correction the first update is -lr * g/(|g| + eps).
@@ -320,12 +312,8 @@ class TestOptimizers:
 
     def test_adam_zero_gradient_is_fixed_point(self):
         params = init_params((3, 4), (4, 3), seed=2)
-        zeros = Gradients(
-            encoder_layers=tuple((np.zeros_like(w), np.zeros_like(b)) for w, b in params.encoder_layers),
-            head_layers=tuple((np.zeros_like(w), np.zeros_like(b)) for w, b in params.head_layers),
-        )
         state = init_optimizer_state(OptimizerConfig(kind="adam"), params)
-        new, _ = optimizer_step(state, params, zeros, lr=0.5)
+        new, _ = optimizer_step(state, params, np.zeros_like(params.vector), lr=0.5)
         for (w0, b0), (w1, b1) in zip(params.head_layers, new.head_layers):
             np.testing.assert_array_equal(w0, w1)
             np.testing.assert_array_equal(b0, b1)
@@ -333,25 +321,25 @@ class TestOptimizers:
     def test_step_is_functional(self):
         params = init_params((3, 4), (4, 3), seed=2)
         before = params.head_layers[0][0].copy()
-        grads = Gradients(
-            encoder_layers=tuple((np.ones_like(w), np.ones_like(b)) for w, b in params.encoder_layers),
-            head_layers=tuple((np.ones_like(w), np.ones_like(b)) for w, b in params.head_layers),
-        )
         state = init_optimizer_state(OptimizerConfig(kind="adam"), params)
-        optimizer_step(state, params, grads, lr=0.1)
+        optimizer_step(state, params, np.ones_like(params.vector), lr=0.1)
         np.testing.assert_array_equal(params.head_layers[0][0], before)
         assert state.step == 0
 
     def test_bad_lr_rejected(self):
         params = init_params((3, 4), (4, 3))
-        grads = Gradients(
-            encoder_layers=tuple((np.zeros_like(w), np.zeros_like(b)) for w, b in params.encoder_layers),
-            head_layers=tuple((np.zeros_like(w), np.zeros_like(b)) for w, b in params.head_layers),
-        )
+        grads = np.zeros_like(params.vector)
         state = init_optimizer_state(OptimizerConfig(kind="sgd"), params)
         for lr in (0.0, -1.0, np.nan):
             with pytest.raises(InvalidInputError):
                 optimizer_step(state, params, grads, lr=lr)
+
+    def test_gradient_shape_mismatch_rejected(self):
+        params = init_params((3, 4), (4, 3))
+        state = init_optimizer_state(OptimizerConfig(kind="adam"), params)
+        for grads in (np.zeros(params.vector.size - 1), np.zeros((1, params.vector.size))):
+            with pytest.raises(InvalidInputError, match="does not match"):
+                optimizer_step(state, params, grads, lr=0.1)
 
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ConfigError):
@@ -570,7 +558,7 @@ class TestTrain:
             epochs=2, batch_size=8, seed=0,
         )
         params, history = train(data.take(np.arange(16)), data.take(np.arange(16, 24)), cfg)
-        assert params.is_siamese
+        assert params.n_branches == 2
         assert len(history.entries) == 2
 
 
@@ -631,7 +619,7 @@ class TestCheckpoints:
         ):
             np.testing.assert_array_equal(w0, w1)
             np.testing.assert_array_equal(b0, b1)
-        assert loaded.is_siamese == params.is_siamese
+        assert loaded.n_branches == params.n_branches
 
     def test_file_layout_and_determinism(self, tmp_path):
         params = self.make_params()
