@@ -103,13 +103,14 @@ def softmax(z: np.ndarray) -> np.ndarray:
     if arr.ndim == 1:
         as_logits(arr)
     elif arr.ndim == 2:
-        if arr.shape[1] < 2 or not np.all(np.isfinite(arr)):
+        if arr.shape[1] < 2 or not np.isfinite(arr).all():
             raise InvalidInputError("logit rows must have length >= 2 and be finite")
     else:
         raise InvalidInputError(f"softmax expects a vector or matrix, got shape {arr.shape}")
-    shifted = arr - arr.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    exp = arr - arr.max(axis=-1, keepdims=True)
+    np.exp(exp, out=exp)
+    exp /= exp.sum(axis=-1, keepdims=True)
+    return exp
 
 
 def confusion_from_predictions(

@@ -93,12 +93,15 @@ def loss_value(kind: str, p_hat: np.ndarray, y: np.ndarray, cfg: LossConfig | No
 # function returning its per-row values and dL/dp together, so the log, the
 # focal weight and the cumulative sums are computed once per batch. These
 # carry the only copies of the formulas; ``loss_value``, the gradient checks
-# and the training loop all call them.
+# and the training loop all call them. They call the ufunc methods
+# (``np.add.reduce``, ``np.add.accumulate``) in place of ``np.sum``,
+# ``np.mean`` and ``np.cumsum``, whose Python wrappers cost as much as the
+# arithmetic on a training batch, and update their own temporaries in place.
 
 
 def _ce_terms(P: np.ndarray, Y: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     clamped = np.maximum(P, eps)
-    values = -np.sum(Y * np.log(clamped), axis=1)
+    values = -np.add.reduce(Y * np.log(clamped), axis=1)
     # d/dp of -y log(max(p, eps)): the clamp region contributes zero slope.
     return values, np.where(P > eps, -Y / clamped, 0.0)
 
@@ -108,27 +111,31 @@ def _focal_terms(P: np.ndarray, Y: np.ndarray, cfg: LossConfig) -> tuple[np.ndar
     log_pc = np.log(clamped)
     one_minus = 1.0 - P
     weight = one_minus**cfg.gamma
-    values = -cfg.alpha * np.sum(Y * weight * log_pc, axis=1)
+    values = np.add.reduce(Y * weight * log_pc, axis=1)
+    values *= -cfg.alpha
     d_log = np.where(P > cfg.epsilon, weight / clamped, 0.0)
     if cfg.gamma > 0:
         # Guarded so gamma < 1 does not produce 0^(negative) at p == 1; the
         # true limit of the product there is 0. The base is substituted before
-        # the power because where() evaluates both branches.
+        # the power because where() evaluates both branches. At gamma 0 this
+        # term is zero and d_log stays as it is.
         below_one = one_minus > 0
         safe_base = np.where(below_one, one_minus, 1.0)
-        d_pow = np.where(below_one, cfg.gamma * safe_base ** (cfg.gamma - 1.0) * log_pc, 0.0)
-    else:
-        d_pow = np.zeros_like(P)
-    return values, -cfg.alpha * Y * (d_log - d_pow)
+        d_log -= np.where(below_one, cfg.gamma * safe_base ** (cfg.gamma - 1.0) * log_pc, 0.0)
+    grad = -cfg.alpha * Y
+    grad *= d_log
+    return values, grad
 
 
 def _emd_terms(P: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n_classes = P.shape[1]
-    diff = np.cumsum(Y, axis=1) - np.cumsum(P, axis=1)
-    values = np.sqrt(np.mean(diff * diff, axis=1))
+    diff = np.add.accumulate(Y, axis=1) - np.add.accumulate(P, axis=1)
+    values = np.add.reduce(diff * diff, axis=1)
+    values /= n_classes
+    np.sqrt(values, out=values)
     # dL/dCDF_p(i) = -diff_i / (C * L); dCDF_p(i)/dp_k = 1 for i >= k, so the
     # per-probability gradient is the suffix sum. Defined as zero at L == 0.
-    suffix = np.cumsum(diff[:, ::-1], axis=1)[:, ::-1]
+    suffix = np.add.accumulate(diff[:, ::-1], axis=1)[:, ::-1]
     nonzero = values > 0
     grad = -suffix / (n_classes * np.where(nonzero, values, 1.0)[:, None])
     return values, np.where(nonzero[:, None], grad, 0.0)
@@ -145,17 +152,11 @@ def _terms(kind: str, P: np.ndarray, Y: np.ndarray, cfg: LossConfig) -> tuple[np
     check_loss_kind(kind)  # "combined" is the one kind left
     focal, focal_grad = _focal_terms(P, Y, cfg)
     emd, emd_grad = _emd_terms(P, Y)
-    return (
-        cfg.focal_weight * focal + cfg.emd_weight * emd,
-        cfg.focal_weight * focal_grad + cfg.emd_weight * emd_grad,
-    )
-
-
-def _chain_softmax(P: np.ndarray, grad_p: np.ndarray) -> np.ndarray:
-    # Softmax Jacobian applied rowwise: dL/dz = p * (g - <g, p>). Entries of
-    # each output row sum to zero by construction.
-    inner = np.sum(grad_p * P, axis=1, keepdims=True)
-    return P * (grad_p - inner)
+    focal *= cfg.focal_weight
+    focal += np.multiply(emd, cfg.emd_weight, out=emd)
+    focal_grad *= cfg.focal_weight
+    focal_grad += np.multiply(emd_grad, cfg.emd_weight, out=emd_grad)
+    return focal, focal_grad
 
 
 def loss_gradient(
@@ -172,12 +173,17 @@ def loss_gradient(
 
 
 def batch_loss_gradient(
-    loss_kind: str, logits: np.ndarray, targets: np.ndarray, cfg: LossConfig | None = None
+    loss_kind: str,
+    logits: np.ndarray,
+    targets: np.ndarray,
+    cfg: LossConfig | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean loss over rows and its gradient with respect to every logit row.
 
     Same math as ``loss_gradient`` applied to an (N, C) batch; the returned
-    gradient already carries the 1/N factor of the mean.
+    gradient already carries the 1/N factor of the mean. It is written into
+    ``out`` when given, else into a new array.
     """
     cfg = cfg or LossConfig()
     Z = np.asarray(logits, dtype=np.float64)
@@ -186,7 +192,12 @@ def batch_loss_gradient(
         raise InvalidInputError(f"expected matching (N, C) arrays, got {Z.shape} and {Y.shape}")
     P = softmax(Z)
     values, grad_p = _terms(loss_kind, P, Y, cfg)
-    return float(np.mean(values)), _chain_softmax(P, grad_p) / Z.shape[0]
+    # Softmax Jacobian applied rowwise: dL/dz = p * (g - <g, p>). Entries of
+    # each output row sum to zero by construction.
+    grad = np.subtract(grad_p, np.add.reduce(grad_p * P, axis=1, keepdims=True), out=out)
+    grad *= P
+    grad /= Z.shape[0]
+    return float(np.add.reduce(values)) / values.size, grad
 
 
 def central_difference_error(

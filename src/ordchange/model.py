@@ -19,9 +19,16 @@ views into it. ``backward`` writes every layer's gradient into its view of
 the gradient vector, and ``optimizer_step`` is a few vector operations.
 ``ModelParams`` is validated when a model is built, loaded or saved; the
 parameters each optimizer step makes keep the checked layout and are only
-checked for non-finite entries. Parameter updates are functional:
-``optimizer_step`` returns new parameter and state objects and never mutates
-its arguments.
+checked for non-finite entries.
+
+``forward``, ``backward``, ``optimizer_step`` and
+``losses.batch_loss_gradient`` take optional buffers in numpy's ``out=``
+idiom: omitted, each call allocates its results and leaves its arguments as
+they are. ``train`` owns one workspace per run, made once: the live
+parameters and optimizer state, which every step updates in place, the
+gradient vector, and per batch size a forward cache whose activation, mask
+and gradient arrays each step writes again. Every operation keeps the
+operands and order of the allocating form, so both give the same bits.
 
 ``train`` and ``predict`` take a columnar ``Dataset`` and feed the network
 its ``inputs``: the feature matrix, or for T1 pairs both matrices. Batches
@@ -214,21 +221,45 @@ def _as_batch(x: np.ndarray, width: int, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != width:
         raise InvalidInputError(f"{name} must have width {width}, got shape {np.asarray(x).shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
 
 
-def _stack(layers: Sequence[tuple], act: np.ndarray, relu_last: bool) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Run ``act`` through (w, b) layers with a ReLU after each, the last one
-    only if ``relu_last``; returns the output and every pre-activation."""
-    pres = []
-    last = len(layers) - 1
+def _buf(cache: dict, key, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """The array ``cache`` keeps under ``key``, made on first use or when
+    ``shape`` changed."""
+    arr = cache.get(key)
+    if arr is None or arr.shape != shape:
+        arr = cache[key] = np.empty(shape, dtype)
+    return arr
+
+
+def _views_in(cache: dict, key, vector: np.ndarray, layout: tuple) -> tuple[tuple, tuple]:
+    """``_views(vector, layout)``, kept in ``cache`` while both stay the same."""
+    kept = cache.get(key)
+    if kept is None or kept[0] is not vector or kept[1] is not layout:
+        kept = cache[key] = (vector, layout, _views(vector, layout))
+    return kept[2]
+
+
+def _stack(
+    layers: Sequence[tuple], act: np.ndarray, cache: dict, key: tuple | str, last: np.ndarray | None = None
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Run ``act`` through (w, b) layers with a ReLU after each but the last,
+    which gets one only when ``last`` is given and writes its output there.
+    Returns the pre-activations and the inner ReLU outputs, all in ``cache``."""
+    pres, acts = [], []
     for i, (w, b) in enumerate(layers):
-        pre = act @ w.T + b
+        pre = np.matmul(act, w.T, out=_buf(cache, (key, "pre", i), (act.shape[0], w.shape[0])))
+        np.add(pre, b, out=pre)
         pres.append(pre)
-        act = pre if i == last and not relu_last else np.maximum(pre, 0.0)
-    return act, pres
+        if i < len(layers) - 1:
+            act = np.maximum(pre, 0.0, out=_buf(cache, (key, "act", i), pre.shape))
+            acts.append(act)
+        elif last is not None:
+            np.maximum(pre, 0.0, out=last)
+    return pres, acts
 
 
 def forward(
@@ -236,6 +267,7 @@ def forward(
     inputs: Sequence[np.ndarray],
     training: bool = False,
     rng: np.random.Generator | None = None,
+    out: dict | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Run the network on one (N, d) matrix per branch: ``(x,)`` for the
     plain model, ``(x, x_b)`` for the siamese one.
@@ -244,60 +276,78 @@ def forward(
     side by side. Returns the (N, C) logits and the cache that ``backward``
     consumes. Dropout fires only when ``training`` is set and the parameters
     carry a nonzero rate.
+
+    The cache holds every array the pass wrote. Given as ``out``, the cache
+    of an earlier call has its arrays written again: the logits and cache it
+    returned then change. Omitted, every array is new.
     """
     if len(inputs) != params.n_branches:
         raise InvalidInputError(f"the model takes {params.n_branches} input(s) per row, got {len(inputs)}")
     xs = [_as_batch(x, params.input_dim, name) for x, name in zip(inputs, ("x", "x_b"))]
     if xs[-1].shape[0] != xs[0].shape[0]:
         raise InvalidInputError(f"paired batches differ in length: {xs[0].shape[0]} vs {xs[-1].shape[0]}")
-    embs, enc_pres = zip(*(_stack(params.encoder_layers, x, relu_last=True) for x in xs))
-    head_input = embs[0] if len(embs) == 1 else np.concatenate(embs, axis=1)
-    mask = None
-    if training and params.dropout_rate > 0.0:
-        if rng is None:
-            raise InvalidInputError("training forward with dropout needs an rng")
-        mask = (rng.random(head_input.shape) >= params.dropout_rate) / (1.0 - params.dropout_rate)
-        head_input = head_input * mask
-    logits, head_pres = _stack(params.head_layers, head_input, relu_last=False)
-    cache = {
-        "params": params,
-        "inputs": xs,
-        "enc_pres": enc_pres,
-        "head_input": head_input,
-        "drop_mask": mask,
-        "head_pres": head_pres,
-    }
-    return logits, cache
+    dropout = training and params.dropout_rate > 0.0
+    if dropout and rng is None:
+        raise InvalidInputError("training forward with dropout needs an rng")
+    cache = {} if out is None else out
+    e = params.encoder_output_dim
+    # Each branch's embedding lands in its columns of the head input.
+    emb = _buf(cache, "emb", (xs[0].shape[0], params.head_input_dim)) if params.encoder_layers else xs[0]
+    enc = [
+        _stack(params.encoder_layers, x, cache, ("enc", k), emb[:, k * e : (k + 1) * e]) for k, x in enumerate(xs)
+    ]
+    mask, head_input = None, emb
+    if dropout:
+        mask = rng.random(out=_buf(cache, "mask", emb.shape))
+        keep = np.greater_equal(mask, params.dropout_rate, out=_buf(cache, "keep", emb.shape, bool))
+        # Kept units scale by 1 / (1 - rate): True / (1 - rate) to the bit.
+        np.multiply(keep, 1.0 / (1.0 - params.dropout_rate), out=mask)
+        head_input = np.multiply(emb, mask, out=_buf(cache, "dropped", emb.shape))
+    head_pres, head_acts = _stack(params.head_layers, head_input, cache, "head")
+    cache.update(
+        params=params,
+        inputs=xs,
+        enc_pres=[pres for pres, _ in enc],
+        enc_acts=[acts for _, acts in enc],
+        head_input=head_input,
+        drop_mask=mask,
+        head_pres=head_pres,
+        head_acts=head_acts,
+    )
+    return head_pres[-1], cache
 
 
 def _layer_grad(g: np.ndarray, inp: np.ndarray, out: tuple[np.ndarray, np.ndarray]) -> None:
     np.matmul(g.T, inp, out=out[0])
-    np.sum(g, axis=0, out=out[1])
+    np.add.reduce(g, axis=0, out=out[1])
 
 
 def _backprop_encoder(
-    params: ModelParams,
-    x: np.ndarray,
-    pres: list[np.ndarray],
-    grad_emb: np.ndarray,
-    out: Sequence[tuple[np.ndarray, np.ndarray]],
+    cache: dict, k: int, grad_emb: np.ndarray, out: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> None:
-    g = grad_emb
-    for i in range(len(params.encoder_layers) - 1, -1, -1):
-        g = g * (pres[i] > 0)
-        _layer_grad(g, x if i == 0 else np.maximum(pres[i - 1], 0.0), out[i])
+    """Backpropagate branch ``k``'s embedding gradient through the encoder
+    into the per-layer gradient views ``out``."""
+    layers = cache["params"].encoder_layers
+    x, pres, acts = cache["inputs"][k], cache["enc_pres"][k], cache["enc_acts"][k]
+    key, g = ("enc", k), grad_emb
+    for i in range(len(layers) - 1, -1, -1):
+        relu = np.greater(pres[i], 0, out=_buf(cache, (key, "relu", i), pres[i].shape, bool))
+        g = np.multiply(g, relu, out=_buf(cache, (key, "grad", i), pres[i].shape))
+        _layer_grad(g, x if i == 0 else acts[i - 1], out[i])
         if i > 0:
-            g = g @ params.encoder_layers[i][0]
+            w = layers[i][0]
+            g = np.matmul(g, w, out=_buf(cache, (key, "grad_in", i), (g.shape[0], w.shape[1])))
 
 
-def backward(cache: dict, grad_logits: np.ndarray) -> np.ndarray:
+def backward(cache: dict, grad_logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Backpropagate a logit gradient through the cache from a forward pass.
 
     ``grad_logits`` must match the cached logits' shape. Returns the gradient
-    as one vector laid out like ``ModelParams.vector``; every layer's gradient
-    is written straight into its view of it. Each branch after the first is
-    backpropagated into a scratch vector and added into the shared encoder
-    gradient.
+    as one vector laid out like ``ModelParams.vector``, written into ``out``
+    when given (else a new vector); every layer's gradient goes straight into
+    its view of it. Each branch after the first is backpropagated into a
+    scratch vector and added into the shared encoder gradient. The scratch
+    arrays live in the cache.
     """
     if not isinstance(cache, dict) or "inputs" not in cache or "params" not in cache:
         raise InvalidStateError("backward needs the cache produced by a forward pass")
@@ -306,25 +356,28 @@ def backward(cache: dict, grad_logits: np.ndarray) -> np.ndarray:
     g = np.asarray(grad_logits, dtype=np.float64)
     if g.shape != expected:
         raise InvalidInputError(f"grad_logits shape {g.shape} does not match logits {expected}")
+    grad = np.empty_like(params.vector) if out is None else out
+    if grad.shape != params.vector.shape:
+        raise InvalidInputError(f"out shape {grad.shape} does not match the parameters' {params.vector.shape}")
 
-    grad = np.empty_like(params.vector)
-    encoder_grads, head_grads = _views(grad, params.layout)
+    encoder_grads, head_grads = _views_in(cache, "grad_views", grad, params.layout)
     for i in range(len(params.head_layers) - 1, -1, -1):
-        inp = cache["head_input"] if i == 0 else np.maximum(cache["head_pres"][i - 1], 0.0)
-        _layer_grad(g, inp, head_grads[i])
-        g = g @ params.head_layers[i][0]
+        w = params.head_layers[i][0]
+        _layer_grad(g, cache["head_input"] if i == 0 else cache["head_acts"][i - 1], head_grads[i])
+        g = np.matmul(g, w, out=_buf(cache, ("head", "grad_in", i), (g.shape[0], w.shape[1])))
         if i > 0:
-            g = g * (cache["head_pres"][i - 1] > 0)
+            g *= np.greater(cache["head_pres"][i - 1], 0, out=_buf(cache, ("head", "relu", i), g.shape, bool))
     if cache["drop_mask"] is not None:
-        g = g * cache["drop_mask"]
+        g *= cache["drop_mask"]
 
     e = params.encoder_output_dim
-    for k, (x, pres) in enumerate(zip(cache["inputs"], cache["enc_pres"])):
+    for k in range(len(cache["inputs"])):
         if k == 0:
-            _backprop_encoder(params, x, pres, g[:, :e], encoder_grads)
+            _backprop_encoder(cache, k, g[:, :e], encoder_grads)
         else:
-            branch = np.empty_like(grad)
-            _backprop_encoder(params, x, pres, g[:, k * e : (k + 1) * e], _views(branch, params.layout)[0])
+            branch = _buf(cache, "branch", grad.shape)
+            branch_grads = _views_in(cache, "branch_views", branch, params.layout)[0]
+            _backprop_encoder(cache, k, g[:, k * e : (k + 1) * e], branch_grads)
             grad[: params.head_offset] += branch[: params.head_offset]
     return grad
 
@@ -396,21 +449,31 @@ class OptimizerState:
 
 def init_optimizer_state(cfg: OptimizerConfig, params: ModelParams) -> OptimizerState:
     if cfg.kind == "adam":
-        zeros = np.zeros_like(params.vector)
-        return OptimizerState(config=cfg, step=0, m=zeros, v=zeros)
+        # Two arrays: the moments are updated in place.
+        return OptimizerState(cfg, step=0, m=np.zeros_like(params.vector), v=np.zeros_like(params.vector))
     return OptimizerState(config=cfg, step=0, m=None, v=None)
 
 
 def optimizer_step(
-    state: OptimizerState, params: ModelParams, grads: np.ndarray, lr: float
+    state: OptimizerState,
+    params: ModelParams,
+    grads: np.ndarray,
+    lr: float,
+    out: tuple[ModelParams, OptimizerState] | None = None,
+    freeze_head: bool = False,
 ) -> tuple[ModelParams, OptimizerState]:
     """Apply one update and return the new parameters and optimizer state.
 
     ``grads`` is a gradient vector laid out like ``params.vector``, as
     ``backward`` returns it. The update is a handful of vector operations;
-    every entry gets the same arithmetic a per-layer update gives it. The new
-    parameters share the old layout and are checked for non-finite entries
-    only.
+    every entry gets the same arithmetic a per-layer update gives it. The
+    new parameters are checked for non-finite entries only.
+
+    ``out`` is the (parameters, state) pair that receives the update,
+    ``(params, state)`` itself for an update in place; the returned state
+    shares its moment vectors. Omitted, new ones are made and the arguments
+    stay as they are. ``freeze_head`` leaves the head's parameters and
+    moments as they are, weight decay included.
     """
     if not (np.isfinite(lr) and lr > 0):
         raise InvalidInputError(f"learning rate must be finite and > 0, got {lr}")
@@ -418,18 +481,42 @@ def optimizer_step(
     if g.shape != p.shape:
         raise InvalidInputError(f"gradient vector shape {g.shape} does not match the parameters' {p.shape}")
     cfg = state.config
-    m = v = None
-    if cfg.kind == "sgd":
-        new = p - lr * g - lr * cfg.weight_decay * p
+    if out is None:
+        new = _over(p.copy(), params.layout, params.dropout_rate)
+        new_state = OptimizerState(cfg, state.step, *(a if a is None else a.copy() for a in (state.m, state.v)))
     else:
-        m = cfg.beta1 * state.m + (1 - cfg.beta1) * g
-        v = cfg.beta2 * state.v + (1 - cfg.beta2) * g * g
-        bias1 = 1 - cfg.beta1 ** (state.step + 1)
-        bias2 = 1 - cfg.beta2 ** (state.step + 1)
-        new = p - lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps) - lr * cfg.weight_decay * p
-    if not np.all(np.isfinite(new)):
+        new, new_state = out
+        for dst, src in ((new.vector, p), (new_state.m, state.m), (new_state.v, state.v)):
+            if dst is not src:
+                np.copyto(dst, src)
+    # In place on the new vectors, each with the operands and order of the
+    # expression in its comment, so the update is bit-identical to it.
+    n = params.head_offset if freeze_head else None
+    p, g = new.vector[:n], g[:n]
+    step, scratch = np.empty_like(p), np.empty_like(p)
+    if cfg.kind == "sgd":
+        np.multiply(g, lr, out=step)  # step = lr * g
+    else:
+        t = state.step + 1
+        m, v = new_state.m[:n], new_state.v[:n]
+        m *= cfg.beta1  # m = beta1 * m + (1 - beta1) * g
+        m += np.multiply(g, 1 - cfg.beta1, out=scratch)
+        v *= cfg.beta2  # v = beta2 * v + (1 - beta2) * g * g
+        np.multiply(g, 1 - cfg.beta2, out=scratch)
+        scratch *= g
+        v += scratch
+        np.divide(m, 1 - cfg.beta1**t, out=step)  # step = lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        step *= lr
+        np.divide(v, 1 - cfg.beta2**t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += cfg.eps
+        step /= scratch
+    decay = np.multiply(p, lr * cfg.weight_decay, out=scratch)  # p = p - step - lr * weight_decay * p
+    p -= step
+    p -= decay
+    if not np.isfinite(p).all():
         raise NumericError("the optimizer step produced non-finite parameters")
-    return _over(new, params.layout, params.dropout_rate), OptimizerState(cfg, state.step + 1, m, v)
+    return new, OptimizerState(cfg, state.step + 1, new_state.m, new_state.v)
 
 
 # --- training configuration ------------------------------------------------------
@@ -629,12 +716,15 @@ def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelPara
     onehot = np.eye(n_classes)[data.labels]
 
     seed_init, seed_batch, seed_drop = np.random.SeedSequence(cfg.seed).spawn(3)
+    # The workspace: the live parameters and optimizer state, updated in
+    # place, the gradient vector, and one cache of batch arrays per batch size.
     params = init_params(cfg.encoder_dims, cfg.head_dims, cfg.dropout, seed=seed_init)
     opt_state = init_optimizer_state(cfg.optimizer, params)
+    grad = np.empty_like(params.vector)
+    caches: dict[int, dict] = {}
     rng_batch = np.random.default_rng(seed_batch)
     rng_drop = np.random.default_rng(seed_drop)
 
-    head_offset = params.head_offset
     history: list[EpochStats] = []
     best_params = params
     best_epoch = 0
@@ -642,25 +732,35 @@ def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelPara
 
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg)
+        frozen = epoch < cfg.freeze_head_epochs
         loss_sum = 0.0
         sample_count = 0
         for batch_no, idx in enumerate(make_batches(data.labels, cfg, rng_batch)):
-            targets = onehot[idx]
-            logits, cache = forward(params, [x[idx] for x in inputs], training=True, rng=rng_drop)
+            n = idx.size
+            cache = caches.setdefault(n, {})
+            # Batch indices are always in range, and "clip" takes rows without buffering.
+            rows = [
+                x.take(idx, 0, _buf(cache, ("rows", k), (n, x.shape[1])), "clip")
+                for k, x in enumerate(inputs)
+            ]
+            targets = onehot.take(idx, 0, _buf(cache, "targets", (n, n_classes)), "clip")
+            logits = forward(params, rows, training=True, rng=rng_drop, out=cache)[0]
             if not np.isfinite(logits).all():
                 raise NumericError(f"non-finite logits at epoch {epoch} batch {batch_no}: the run diverged")
-            loss_value, grad_logits = batch_loss_gradient(cfg.loss_kind, logits, targets, cfg.loss)
-            if not np.isfinite(loss_value):
+            loss_value, grad_logits = batch_loss_gradient(
+                cfg.loss_kind, logits, targets, cfg.loss, out=_buf(cache, "grad_logits", logits.shape)
+            )
+            if not math.isfinite(loss_value):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch} batch {batch_no}: "
                     + _loss_diagnostics(logits, targets, cfg.loss)
                 )
-            grads = backward(cache, grad_logits)
-            if epoch < cfg.freeze_head_epochs:
-                grads[head_offset:] = 0.0
-            params, opt_state = optimizer_step(opt_state, params, grads, lr)
-            loss_sum += loss_value * idx.size
-            sample_count += idx.size
+            backward(cache, grad_logits, out=grad)
+            params, opt_state = optimizer_step(
+                opt_state, params, grad, lr, out=(params, opt_state), freeze_head=frozen
+            )
+            loss_sum += loss_value * n
+            sample_count += n
 
         val_pred = np.argmax(forward(params, val_data.inputs)[0], axis=1)
         cm = confusion_from_predictions(val_data.labels, val_pred, n_classes)
@@ -670,7 +770,7 @@ def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelPara
         )
         if report.average > best_avg:
             best_avg = report.average
-            best_params = params
+            best_params = _over(params.vector.copy(), params.layout, params.dropout_rate)
             best_epoch = epoch
         elif cfg.early_stop_patience > 0 and epoch - best_epoch >= cfg.early_stop_patience:
             break

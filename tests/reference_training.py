@@ -2,11 +2,12 @@
 
 Parameters, gradients and Adam moments are lists of per-layer arrays here:
 every optimizer step flattens the layers, updates each array on its own and
-rebuilds (and re-validates) a ``ModelParams``. Backward allocates one fresh
-array per layer, and each loss term has one function for its per-row values
-and another for its derivative with respect to the probabilities. The
-arithmetic of each array is what ``ordchange.model`` and ``ordchange.losses``
-now do on one vector, so the two must agree bit for bit.
+rebuilds (and re-validates) a ``ModelParams``. Forward and backward allocate
+a fresh array for every result, and each loss term has one function for its
+per-row values and another for its derivative with respect to the
+probabilities. The arithmetic of each array is what ``ordchange.model`` and
+``ordchange.losses`` now do on one vector and in reused buffers, so the two
+must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -43,13 +44,17 @@ def init_moments(kind: str, params) -> tuple[tuple, tuple]:
     return (), ()
 
 
-def optimizer_step(cfg, step: int, m: tuple, v: tuple, params, flat_g: list[np.ndarray], lr: float):
+def optimizer_step(
+    cfg, step: int, m: tuple, v: tuple, params, flat_g: list[np.ndarray], lr: float, freeze_head: bool = False
+):
     """One update with the per-layer gradients from ``backward``; returns
-    (params, step, m, v)."""
+    (params, step, m, v). With ``freeze_head`` the head layers' arrays and
+    moments are carried over as they are."""
     flat_p = _flatten(params)
+    n_updated = 2 * len(params.encoder_layers) if freeze_head else len(flat_p)
     if cfg.kind == "sgd":
         new = [p - lr * g - lr * cfg.weight_decay * p for p, g in zip(flat_p, flat_g)]
-        return _rebuild(params, new), step + 1, (), ()
+        return _rebuild(params, new[:n_updated] + flat_p[n_updated:]), step + 1, (), ()
     t = step + 1
     new_m = tuple(cfg.beta1 * m + (1 - cfg.beta1) * g for m, g in zip(m, flat_g))
     new_v = tuple(cfg.beta2 * v + (1 - cfg.beta2) * g * g for v, g in zip(v, flat_g))
@@ -59,7 +64,40 @@ def optimizer_step(cfg, step: int, m: tuple, v: tuple, params, flat_g: list[np.n
         p - lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps) - lr * cfg.weight_decay * p
         for p, m, v in zip(flat_p, new_m, new_v)
     ]
-    return _rebuild(params, new), t, new_m, new_v
+    return (
+        _rebuild(params, new[:n_updated] + flat_p[n_updated:]),
+        t,
+        new_m[:n_updated] + m[n_updated:],
+        new_v[:n_updated] + v[n_updated:],
+    )
+
+
+# --- forward -----------------------------------------------------------------------
+
+
+def _stack(layers, act, relu_last):
+    pres = []
+    for i, (w, b) in enumerate(layers):
+        pre = act @ w.T + b
+        pres.append(pre)
+        act = pre if i == len(layers) - 1 and not relu_last else np.maximum(pre, 0.0)
+    return act, pres
+
+
+def forward(params, inputs, rng):
+    """Training forward pass over one (N, d) matrix per branch; returns the
+    logits and the cache that ``backward`` reads."""
+    xs = [np.asarray(x, dtype=np.float64) for x in inputs]
+    embs, enc_pres = zip(*(_stack(params.encoder_layers, x, relu_last=True) for x in xs))
+    head_input = embs[0] if len(embs) == 1 else np.concatenate(embs, axis=1)
+    mask = None
+    if params.dropout_rate > 0.0:
+        mask = (rng.random(head_input.shape) >= params.dropout_rate) / (1.0 - params.dropout_rate)
+        head_input = head_input * mask
+    logits, head_pres = _stack(params.head_layers, head_input, relu_last=False)
+    return logits, dict(
+        params=params, inputs=xs, enc_pres=enc_pres, head_input=head_input, drop_mask=mask, head_pres=head_pres
+    )
 
 
 # --- backward ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,6 +158,15 @@ class TestForward:
         params = init_params((4, 6), (12, 3))
         with pytest.raises(InvalidInputError, match="takes 2 input"):
             forward(params, (np.ones((1, 4)),))
+
+    def test_cache_of_another_batch_size_gives_fresh_results(self):
+        params = init_params((3, 5), (5, 4, 3), dropout=0.4, seed=1)
+        x = np.random.default_rng(2).normal(size=(6, 3))
+        cache = forward(params, (x,), training=True, rng=np.random.default_rng(0))[1]
+        for rows in (x[:1], x, x[:4]):
+            fresh = forward(params, (rows,), training=True, rng=np.random.default_rng(3))[0]
+            reused = forward(params, (rows,), training=True, rng=np.random.default_rng(3), out=cache)[0]
+            assert reused.shape == fresh.shape and reused.tobytes() == fresh.tobytes()
 
     def test_training_dropout_needs_rng(self):
         params = init_params((4, 6), (6, 3), dropout=0.5)
@@ -325,6 +335,24 @@ class TestOptimizers:
         optimizer_step(state, params, np.ones_like(params.vector), lr=0.1)
         np.testing.assert_array_equal(params.head_layers[0][0], before)
         assert state.step == 0
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_step_into_out_matches_the_allocating_step(self, kind):
+        params = init_params((3, 4), (4, 3), seed=2)
+        state = init_optimizer_state(OptimizerConfig(kind=kind, weight_decay=0.01), params)
+        grads = np.random.default_rng(0).normal(size=params.vector.size)
+        new, new_state = optimizer_step(state, params, grads, lr=0.1)
+        other = init_params((3, 4), (4, 3), seed=9)
+        into = optimizer_step(state, params, grads, 0.1, out=(other, init_optimizer_state(state.config, other)))
+        before = params.vector.copy()
+        in_place = optimizer_step(state, params, grads, 0.1, out=(params, state))
+        assert into[0] is other and in_place[0] is params
+        assert other.vector.tobytes() == params.vector.tobytes() == new.vector.tobytes() != before.tobytes()
+        for s in (into[1], in_place[1]):
+            assert s.step == new_state.step == 1
+            if kind == "adam":
+                assert s.m.tobytes() == new_state.m.tobytes() and s.v.tobytes() == new_state.v.tobytes()
+        assert in_place[1].m is state.m
 
     def test_bad_lr_rejected(self):
         params = init_params((3, 4), (4, 3))
@@ -538,12 +566,65 @@ class TestTrain:
         np.testing.assert_array_equal(params.head_layers[0][0], init.head_layers[0][0])
         assert not np.array_equal(params.encoder_layers[0][0], init.encoder_layers[0][0])
 
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_frozen_head_is_not_decayed(self, kind):
+        train_data = separable_dataset(10, 9, "A")
+        val_data = separable_dataset(5, 10, "B")
+        cfg = TrainConfig(
+            encoder_dims=(2, 6), head_dims=(6, 3), epochs=2, batch_size=8, seed=3,
+            lr=0.05, freeze_head_epochs=2, optimizer=OptimizerConfig(kind=kind, weight_decay=0.1),
+        )
+        params, _ = train(train_data, val_data, cfg)
+        seed_init = np.random.SeedSequence(cfg.seed).spawn(3)[0]
+        init = init_params(cfg.encoder_dims, cfg.head_dims, cfg.dropout, seed=seed_init)
+        assert params.vector[init.head_offset :].tobytes() == init.vector[init.head_offset :].tobytes()
+
+    def test_returns_the_best_epoch_not_the_last(self):
+        train_data = separable_dataset(10, 13, "A")
+        val_data = separable_dataset(5, 14, "B")
+        cfg = TrainConfig(
+            encoder_dims=(2, 6), head_dims=(6, 3), epochs=12, batch_size=8, seed=4,
+            lr=0.05, dropout=0.2, loss_kind="combined", early_stop_patience=2,
+        )
+        params, history = train(train_data, val_data, cfg)
+        assert 0 < history.best_epoch < len(history.entries) - 1
+        shorter_cfg = replace(cfg, epochs=history.best_epoch + 1, early_stop_patience=0)
+        shorter, _ = train(train_data, val_data, shorter_cfg)
+        assert params.vector.tobytes() == shorter.vector.tobytes()
+
+    def test_step_functions_are_looked_up_on_every_call(self, monkeypatch):
+        # Tracing and row counting replace these module attributes from outside.
+        train_data = separable_dataset(10, 15, "A")
+        val_data = separable_dataset(4, 16, "B")
+        cfg = TrainConfig(encoder_dims=(2, 6), head_dims=(6, 3), epochs=2, batch_size=8, dropout=0.2)
+        names = ("forward", "batch_loss_gradient", "backward", "optimizer_step", "make_batches")
+        calls = {name: [] for name in names}
+
+        def counting(fn, log):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                log.append((args, kwargs, result))
+                return result
+
+            return wrapper
+
+        for name, log in calls.items():
+            monkeypatch.setattr(model_mod, name, counting(getattr(model_mod, name), log))
+        train(train_data, val_data, cfg)
+        batch_sizes = [len(b) for *_, batches in calls["make_batches"] for b in batches]
+        steps = len(batch_sizes)
+        assert len(calls["make_batches"]) == cfg.epochs
+        assert sum(batch_sizes) == cfg.epochs * len(train_data)
+        assert [len(log) for log in calls.values()] == [steps + cfg.epochs, steps, steps, steps, cfg.epochs]
+        training = [args[1][0].shape[0] for args, kwargs, _ in calls["forward"] if kwargs.get("training")]
+        assert training == batch_sizes
+
     def test_non_finite_loss_aborts_with_diagnostics(self, monkeypatch):
         train_data = separable_dataset(6, 11, "A")
         val_data = separable_dataset(3, 12, "B")
         cfg = TrainConfig(encoder_dims=(2, 6), head_dims=(6, 3), epochs=2, batch_size=8)
 
-        def poisoned(kind, logits, targets, loss_cfg):
+        def poisoned(kind, logits, targets, loss_cfg, out=None):
             return float("nan"), np.zeros_like(logits)
 
         monkeypatch.setattr(model_mod, "batch_loss_gradient", poisoned)
@@ -591,6 +672,16 @@ class TestPredict:
     def test_empty_input(self):
         out = predict(init_params((2, 4), (4, 3)), t2_dataset(np.zeros((0, 2)), []))
         assert out.shape == (0, 3)
+
+    def test_results_held_by_the_caller_stay_as_they_were(self):
+        params = init_params((2, 6), (6, 3), dropout=0.3, seed=0)
+        data = separable_dataset(3, 0, "A")
+        logits = forward(params, data.inputs, training=True, rng=np.random.default_rng(0))[0]
+        probs = predict(params, data)
+        held = logits.copy(), probs.copy()
+        forward(params, data.inputs, training=True, rng=np.random.default_rng(1))
+        predict(params, data.take(np.arange(len(data))[::-1]))
+        assert logits.tobytes() == held[0].tobytes() and probs.tobytes() == held[1].tobytes()
 
     def test_thousand_records_under_a_second(self):
         import time

@@ -40,14 +40,17 @@ def training_runs(draw):
         kind=draw(st.sampled_from(["sgd", "adam"])),
         weight_decay=draw(st.sampled_from([0.0, 1e-4, 0.05])),
     )
+    # A full batch size and a short one, as the last batch of an epoch is.
+    batch = draw(st.integers(2, 9))
+    sizes = draw(st.lists(st.sampled_from([batch, draw(st.integers(1, batch - 1))]), min_size=2, max_size=5))
     return dict(
         siamese=siamese,
         enc=enc,
         head=head,
         optimizer=optimizer,
         dropout=draw(st.sampled_from([0.0, 0.3])),
-        batch=draw(st.integers(1, 9)),
-        steps=draw(st.integers(1, 4)),
+        sizes=sizes,
+        frozen=draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes))),
         lr=draw(st.sampled_from([1e-3, 0.05, 0.5])),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
@@ -56,35 +59,51 @@ def training_runs(draw):
 @settings(max_examples=120, deadline=None)
 @given(run=training_runs())
 def test_training_steps_match_per_layer_oracle(run):
-    """Backward into one buffer and vector-op updates reproduce the per-layer
-    arrays bit for bit, step after step, moments included."""
+    """Steps through one reused workspace (buffers of two batch sizes,
+    parameters and moments updated in place) and buffer-free steps reproduce
+    the per-layer arrays bit for bit, step after step, moments included."""
     rng = np.random.default_rng(run["seed"])
     params = init_params(run["enc"], run["head"], run["dropout"], seed=run["seed"])
-    ref_params = params
     state = init_optimizer_state(run["optimizer"], params)
+    # The workspace: live parameters and state, a gradient vector, one cache per batch size.
+    live = init_params(run["enc"], run["head"], run["dropout"], seed=run["seed"])
+    live_state = init_optimizer_state(run["optimizer"], live)
+    grad_buf, caches = np.empty_like(live.vector), {}
+    ref_params = params
     ref_step, ref_m, ref_v = 0, *ref.init_moments(run["optimizer"].kind, params)
     n_classes = run["head"][-1]
-    for _ in range(run["steps"]):
-        xs = [rng.normal(size=(run["batch"], run["enc"][0])) for _ in range(1 + run["siamese"])]
+    for n, frozen in zip(run["sizes"], run["frozen"]):
+        xs = [rng.normal(size=(n, run["enc"][0])) for _ in range(1 + run["siamese"])]
         mask_seed = int(rng.integers(2**32))
-        caches = [
-            forward(p, xs, training=True, rng=np.random.default_rng(mask_seed)) for p in (params, ref_params)
-        ]
-        assert same_bits(caches[0][0], caches[1][0])
-        grad_logits = rng.normal(size=(run["batch"], n_classes))
-        grads = backward(caches[0][1], grad_logits)
-        ref_grads = ref.backward(caches[1][1], grad_logits)
-        assert same_bits(grads, np.concatenate([a.ravel() for a in ref_grads]))
-
-        params, state = optimizer_step(state, params, grads, run["lr"])
-        ref_params, ref_step, ref_m, ref_v = ref.optimizer_step(
-            run["optimizer"], ref_step, ref_m, ref_v, ref_params, ref_grads, run["lr"]
+        logits, cache = forward(params, xs, training=True, rng=np.random.default_rng(mask_seed))
+        ref_logits, ref_cache = ref.forward(ref_params, xs, np.random.default_rng(mask_seed))
+        live_logits, live_cache = forward(
+            live, xs, training=True, rng=np.random.default_rng(mask_seed), out=caches.get(n)
         )
+        caches[n] = live_cache
+        assert same_bits(logits, ref_logits) and same_bits(live_logits, logits)
+        grad_logits = rng.normal(size=(n, n_classes))
+        grads = backward(cache, grad_logits)
+        ref_grads = ref.backward(ref_cache, grad_logits)
+        assert backward(live_cache, grad_logits, out=grad_buf) is grad_buf
+        assert same_bits(grads, np.concatenate([a.ravel() for a in ref_grads]))
+        assert same_bits(grad_buf, grads)
+
+        params, state = optimizer_step(state, params, grads, run["lr"], freeze_head=frozen)
+        ref_params, ref_step, ref_m, ref_v = ref.optimizer_step(
+            run["optimizer"], ref_step, ref_m, ref_v, ref_params, ref_grads, run["lr"], freeze_head=frozen
+        )
+        stepped, live_state = optimizer_step(
+            live_state, live, grad_buf, run["lr"], out=(live, live_state), freeze_head=frozen
+        )
+        assert stepped is live
         assert all(same_bits(a, b) for a, b in zip(layers(params), layers(ref_params)))
-        assert state.step == ref_step
+        assert same_bits(live.vector, params.vector)
+        assert state.step == ref_step == live_state.step
         if run["optimizer"].kind == "adam":
-            assert same_bits(state.m, np.concatenate([a.ravel() for a in ref_m]))
-            assert same_bits(state.v, np.concatenate([a.ravel() for a in ref_v]))
+            for moments, ref_moments in ((state.m, ref_m), (state.v, ref_v)):
+                assert same_bits(moments, np.concatenate([a.ravel() for a in ref_moments]))
+            assert same_bits(live_state.m, state.m) and same_bits(live_state.v, state.v)
 
 
 @st.composite
@@ -115,6 +134,10 @@ def test_batch_loss_gradient_matches_per_term_oracle(batch, kind):
     ref_value, ref_grad = ref.batch_loss_gradient(kind, logits, targets, cfg)
     assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
     assert same_bits(grad, ref_grad)
+    out = np.full_like(grad, np.nan)
+    out_value, out_grad = batch_loss_gradient(kind, logits, targets, cfg, out=out)
+    assert out_grad is out and same_bits(out, grad)
+    assert np.float64(out_value).tobytes() == np.float64(value).tobytes()
 
 
 def test_clamped_and_certain_probabilities_match_oracle():
@@ -130,8 +153,10 @@ def test_clamped_and_certain_probabilities_match_oracle():
             assert np.all(np.isfinite(grad))
 
 
-# sha256 of the checkpoint and history CSV of one gen + train, taken from the
-# per-layer training step that the flat parameter vector replaced.
+# sha256 of the checkpoint and history CSV of one gen + train. The t1 and t2
+# digests come from the per-layer training step that the flat parameter vector
+# replaced; the other two from the allocating step that the training
+# workspace replaced.
 GOLDEN = {
     # adam, combined loss, dropout, warmup and a frozen head
     "t2": (
@@ -150,6 +175,25 @@ GOLDEN = {
         "batch_size=8\noptimizer=sgd\nweight_decay=0.01\nundersample_majority=1.0\nseed=4\n",
         "f4149589b4c32e8b5c80ab4aae679e38634f949ec665cec55195197e1fc5577d",
         "1517ecb9b597547cec88429aa37c448d91d0295ac7b37391ef25a6f6a4b8d77c",
+    ),
+    # siamese pairs, cross-entropy, adam, dropout, a short last batch, best epoch before the last
+    "t1_adam": (
+        "task=t1\nn_patients=12\nvisits_min=3\nvisits_max=4\nfeature_dim=4\n"
+        "class_ratios=0.3,0.4,0.3\nother_rate=0.2\nseed=5\n",
+        "task=t1\nloss=ce\nencoder_dims=4,6\nhead_dims=12,4\ndropout=0.3\nepochs=5\nlr=0.01\n"
+        "batch_size=7\noptimizer=adam\nseed=6\n",
+        "1aaf98e082de19c5c9cb6ec2aa62bca7fde5a32737c42a58cf27e3b53f33b6fa",
+        "5fdac1dcd9229dc34403c20a1aaed9dcadf4c98737f390ac218973475e4fee60",
+    ),
+    # the t2_train_loop benchmark shape scaled down, with sgd: balanced batches,
+    # combined loss, dropout and warmup
+    "t2_balanced_sgd": (
+        "task=t2\nn_patients=20\nvisits_min=4\nvisits_max=4\nbscans_min=2\nbscans_max=2\n"
+        "feature_dim=8\nclass_ratios=0.1,0.8,0.1\nseed=7\n",
+        "task=t2\nloss=combined\nencoder_dims=8,16\nhead_dims=16,3\ndropout=0.2\nepochs=6\n"
+        "warmup_epochs=2\nlr=0.05\nbatch_size=12\nbalanced_batches=true\noptimizer=sgd\nseed=8\n",
+        "389b1c4205acb5fefc1935ecc3bd7b4cb2027150aa555cae3fe18eaa226392d1",
+        "8a2222afbe8cbb514bca7cc8d3b6824e58118df8c115c69f122e9a2bb299c1c4",
     ),
 }
 
