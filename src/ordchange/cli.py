@@ -66,7 +66,7 @@ from .errors import (
     NumericError,
 )
 from .losses import LOSS_KINDS, LossConfig, check_loss_kind, finite_difference_check
-from .metrics import MetricReport, compute_report
+from .metrics import METRIC_NAMES, MetricReport, compute_report
 from .model import (
     TrainConfig,
     finite_difference_check_params,
@@ -81,16 +81,6 @@ PROB_COLUMNS = {
     3: ("p_reduced", "p_stable", "p_worsened"),
     4: ("p_reduced", "p_stable", "p_worsened", "p_other"),
 }
-
-METRIC_COLUMNS = (
-    "micro_f1",
-    "specificity",
-    "rk_correlation",
-    "cohens_kappa",
-    "qw_kappa",
-    "balanced_accuracy",
-    "average",
-)
 
 
 # --- small formatting and io helpers ---------------------------------------------
@@ -362,7 +352,9 @@ def read_dataset_csv(path: str | os.PathLike) -> tuple[Task, Dataset, list[str]]
         raise DataError(f"{path}: {exc}") from exc
     except (ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed dataset row: {exc}") from exc
-    return task, data, column(0)
+    case_ids = column(0)
+    _check_unique(path, case_ids)
+    return task, data, case_ids
 
 
 # --- prediction CSV schema -----------------------------------------------------------
@@ -506,22 +498,20 @@ def _check_unique(path: str | os.PathLike, case_ids: Sequence[str]) -> None:
 
 
 def _write_history_csv(path: str | os.PathLike, history) -> None:
-    header = ["epoch", "train_loss", "lr"] + list(METRIC_COLUMNS) + ["flags"]
+    header = ["epoch", "train_loss", "lr", *METRIC_NAMES, "flags"]
     rows = []
     for e in history.entries:
-        vals = e.val_report.values()
         rows.append(
             [str(e.epoch), _fmt_prob(e.train_loss), _fmt_prob(e.lr)]
-            + [_fmt_metric(vals[name]) for name in METRIC_COLUMNS]
+            + [_fmt_metric(v) for v in e.val_report.values().values()]
             + [";".join(e.val_report.flags)]
         )
     _write_csv(path, header, rows)
 
 
 def _write_report_csv(path: str | os.PathLike, report: MetricReport) -> None:
-    header = ["task"] + list(METRIC_COLUMNS) + ["flags"]
-    vals = report.values()
-    row = [report.task.value] + [_fmt_metric(vals[name]) for name in METRIC_COLUMNS]
+    header = ["task", *METRIC_NAMES, "flags"]
+    row = [report.task.value] + [_fmt_metric(v) for v in report.values().values()]
     row.append(";".join(report.flags))
     _write_csv(path, header, [row])
 
@@ -689,8 +679,8 @@ def cmd_eval(args) -> int:
     cm = confusion_from_predictions([truth[key] for key in case_ids], labels, task.n_classes)
     report = compute_report(cm, task)
     print(f"task                {task.value}")
-    for name in METRIC_COLUMNS:
-        print(f"{name:<19} {report.values()[name]:.6f}")
+    for name, value in report.values().items():
+        print(f"{name:<19} {value:.6f}")
     if report.flags:
         print(f"flags               {';'.join(report.flags)}")
     out = args.out or f"{args.pred}.report.csv"

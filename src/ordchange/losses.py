@@ -173,17 +173,12 @@ def loss_gradient(
 
 
 def batch_loss_gradient(
-    loss_kind: str,
-    logits: np.ndarray,
-    targets: np.ndarray,
-    cfg: LossConfig | None = None,
-    out: np.ndarray | None = None,
+    loss_kind: str, logits: np.ndarray, targets: np.ndarray, cfg: LossConfig | None = None
 ) -> tuple[float, np.ndarray]:
     """Mean loss over rows and its gradient with respect to every logit row.
 
     Same math as ``loss_gradient`` applied to an (N, C) batch; the returned
-    gradient already carries the 1/N factor of the mean. It is written into
-    ``out`` when given, else into a new array.
+    gradient already carries the 1/N factor of the mean.
     """
     cfg = cfg or LossConfig()
     Z = np.asarray(logits, dtype=np.float64)
@@ -194,7 +189,7 @@ def batch_loss_gradient(
     values, grad_p = _terms(loss_kind, P, Y, cfg)
     # Softmax Jacobian applied rowwise: dL/dz = p * (g - <g, p>). Entries of
     # each output row sum to zero by construction.
-    grad = np.subtract(grad_p, np.add.reduce(grad_p * P, axis=1, keepdims=True), out=out)
+    grad = grad_p - np.add.reduce(grad_p * P, axis=1, keepdims=True)
     grad *= P
     grad /= Z.shape[0]
     return float(np.add.reduce(values)) / values.size, grad

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -61,15 +61,13 @@ class MetricReport:
     flags: tuple[str, ...] = ()
 
     def values(self) -> dict[str, float]:
-        return {
-            "micro_f1": self.micro_f1,
-            "specificity": self.specificity,
-            "rk_correlation": self.rk_correlation,
-            "cohens_kappa": self.cohens_kappa,
-            "qw_kappa": self.qw_kappa,
-            "balanced_accuracy": self.balanced_accuracy,
-            "average": self.average,
-        }
+        """The metrics by name, in ``METRIC_NAMES`` order."""
+        return {name: getattr(self, name) for name in METRIC_NAMES}
+
+
+# The float fields between ``task`` and ``flags``, in declaration order: the
+# columns of the history and report CSVs.
+METRIC_NAMES: tuple[str, ...] = tuple(f.name for f in fields(MetricReport) if f.name not in ("task", "flags"))
 
 
 def _flag(message: str) -> None:

@@ -21,14 +21,11 @@ the gradient vector, and ``optimizer_step`` is a few vector operations.
 parameters each optimizer step makes keep the checked layout and are only
 checked for non-finite entries.
 
-``forward``, ``backward``, ``optimizer_step`` and
-``losses.batch_loss_gradient`` take optional buffers in numpy's ``out=``
-idiom: omitted, each call allocates its results and leaves its arguments as
-they are. ``train`` owns one workspace per run, made once: the live
-parameters and optimizer state, which every step updates in place, the
-gradient vector, and per batch size a forward cache whose activation, mask
-and gradient arrays each step writes again. Every operation keeps the
-operands and order of the allocating form, so both give the same bits.
+``forward``, ``backward`` and ``losses.batch_loss_gradient`` allocate their
+results and leave their arguments as they are. ``optimizer_step`` does too,
+unless given ``out=(params, state)``: ``train`` updates its live parameters
+and Adam moments in place that way, with the operands and order of the
+allocating update, so both give the same bits.
 
 ``train`` and ``predict`` take a columnar ``Dataset`` and feed the network
 its ``inputs``: the feature matrix, or for T1 pairs both matrices. Batches
@@ -189,7 +186,8 @@ def init_params(
         encoder_dims: dims chain of the encoder, e.g. (8, 16); a single entry
             means no encoder layers and the head consumes inputs directly.
         head_dims: dims chain of the head, e.g. (16, 3). The first entry must
-            equal the encoder output, or twice it for the siamese topology.
+            equal the encoder output, or twice it for the siamese topology,
+            which needs at least one encoder layer.
     """
     enc = tuple(int(d) for d in encoder_dims)
     head = tuple(int(d) for d in head_dims)
@@ -197,9 +195,11 @@ def init_params(
         raise ConfigError(f"encoder_dims must be positive ints, got {encoder_dims!r}")
     if len(head) < 2 or any(d < 1 for d in head):
         raise ConfigError(f"head_dims needs at least (in, out) positive ints, got {head_dims!r}")
-    if head[0] not in (enc[-1], 2 * enc[-1]):
+    # Twice the encoder output is the siamese head, which needs an encoder to share.
+    if head[0] != enc[-1] and (head[0] != 2 * enc[-1] or len(enc) == 1):
         raise ConfigError(
-            f"head input {head[0]} must equal the encoder output {enc[-1]} or twice it"
+            f"head input {head[0]} must equal the encoder output {enc[-1]}, "
+            "or twice it when the encoder has layers"
         )
     rng = np.random.default_rng(seed)
 
@@ -226,40 +226,18 @@ def _as_batch(x: np.ndarray, width: int, name: str) -> np.ndarray:
     return arr
 
 
-def _buf(cache: dict, key, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """The array ``cache`` keeps under ``key``, made on first use or when
-    ``shape`` changed."""
-    arr = cache.get(key)
-    if arr is None or arr.shape != shape:
-        arr = cache[key] = np.empty(shape, dtype)
-    return arr
-
-
-def _views_in(cache: dict, key, vector: np.ndarray, layout: tuple) -> tuple[tuple, tuple]:
-    """``_views(vector, layout)``, kept in ``cache`` while both stay the same."""
-    kept = cache.get(key)
-    if kept is None or kept[0] is not vector or kept[1] is not layout:
-        kept = cache[key] = (vector, layout, _views(vector, layout))
-    return kept[2]
-
-
 def _stack(
-    layers: Sequence[tuple], act: np.ndarray, cache: dict, key: tuple | str, last: np.ndarray | None = None
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Run ``act`` through (w, b) layers with a ReLU after each but the last,
-    which gets one only when ``last`` is given and writes its output there.
-    Returns the pre-activations and the inner ReLU outputs, all in ``cache``."""
-    pres, acts = [], []
+    layers: Sequence[tuple], act: np.ndarray, relu_last: bool
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Run ``act`` through (w, b) layers with a ReLU after each, the last one
+    only if ``relu_last``. Returns the output and each layer's input and
+    pre-activation."""
+    ins, pres = [], []
     for i, (w, b) in enumerate(layers):
-        pre = np.matmul(act, w.T, out=_buf(cache, (key, "pre", i), (act.shape[0], w.shape[0])))
-        np.add(pre, b, out=pre)
-        pres.append(pre)
-        if i < len(layers) - 1:
-            act = np.maximum(pre, 0.0, out=_buf(cache, (key, "act", i), pre.shape))
-            acts.append(act)
-        elif last is not None:
-            np.maximum(pre, 0.0, out=last)
-    return pres, acts
+        ins.append(act)
+        pres.append(act @ w.T + b)
+        act = pres[-1] if i == len(layers) - 1 and not relu_last else np.maximum(pres[-1], 0.0)
+    return act, ins, pres
 
 
 def forward(
@@ -267,7 +245,6 @@ def forward(
     inputs: Sequence[np.ndarray],
     training: bool = False,
     rng: np.random.Generator | None = None,
-    out: dict | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Run the network on one (N, d) matrix per branch: ``(x,)`` for the
     plain model, ``(x, x_b)`` for the siamese one.
@@ -276,108 +253,85 @@ def forward(
     side by side. Returns the (N, C) logits and the cache that ``backward``
     consumes. Dropout fires only when ``training`` is set and the parameters
     carry a nonzero rate.
-
-    The cache holds every array the pass wrote. Given as ``out``, the cache
-    of an earlier call has its arrays written again: the logits and cache it
-    returned then change. Omitted, every array is new.
     """
     if len(inputs) != params.n_branches:
         raise InvalidInputError(f"the model takes {params.n_branches} input(s) per row, got {len(inputs)}")
     xs = [_as_batch(x, params.input_dim, name) for x, name in zip(inputs, ("x", "x_b"))]
     if xs[-1].shape[0] != xs[0].shape[0]:
         raise InvalidInputError(f"paired batches differ in length: {xs[0].shape[0]} vs {xs[-1].shape[0]}")
-    dropout = training and params.dropout_rate > 0.0
-    if dropout and rng is None:
-        raise InvalidInputError("training forward with dropout needs an rng")
-    cache = {} if out is None else out
-    e = params.encoder_output_dim
-    # Each branch's embedding lands in its columns of the head input.
-    emb = _buf(cache, "emb", (xs[0].shape[0], params.head_input_dim)) if params.encoder_layers else xs[0]
-    enc = [
-        _stack(params.encoder_layers, x, cache, ("enc", k), emb[:, k * e : (k + 1) * e]) for k, x in enumerate(xs)
-    ]
-    mask, head_input = None, emb
-    if dropout:
-        mask = rng.random(out=_buf(cache, "mask", emb.shape))
-        keep = np.greater_equal(mask, params.dropout_rate, out=_buf(cache, "keep", emb.shape, bool))
-        # Kept units scale by 1 / (1 - rate): True / (1 - rate) to the bit.
-        np.multiply(keep, 1.0 / (1.0 - params.dropout_rate), out=mask)
-        head_input = np.multiply(emb, mask, out=_buf(cache, "dropped", emb.shape))
-    head_pres, head_acts = _stack(params.head_layers, head_input, cache, "head")
-    cache.update(
-        params=params,
-        inputs=xs,
-        enc_pres=[pres for pres, _ in enc],
-        enc_acts=[acts for _, acts in enc],
-        head_input=head_input,
-        drop_mask=mask,
-        head_pres=head_pres,
-        head_acts=head_acts,
-    )
-    return head_pres[-1], cache
+    embs, enc_ins, enc_pres = zip(*(_stack(params.encoder_layers, x, relu_last=True) for x in xs))
+    head_input = embs[0] if len(embs) == 1 else np.concatenate(embs, axis=1)
+    mask = None
+    if training and params.dropout_rate > 0.0:
+        if rng is None:
+            raise InvalidInputError("training forward with dropout needs an rng")
+        mask = (rng.random(head_input.shape) >= params.dropout_rate) / (1.0 - params.dropout_rate)
+        head_input = head_input * mask
+    logits, head_ins, head_pres = _stack(params.head_layers, head_input, relu_last=False)
+    cache = {
+        "params": params,
+        "enc_ins": enc_ins,
+        "enc_pres": enc_pres,
+        "drop_mask": mask,
+        "head_ins": head_ins,
+        "head_pres": head_pres,
+    }
+    return logits, cache
 
 
-def _layer_grad(g: np.ndarray, inp: np.ndarray, out: tuple[np.ndarray, np.ndarray]) -> None:
-    np.matmul(g.T, inp, out=out[0])
-    np.add.reduce(g, axis=0, out=out[1])
-
-
-def _backprop_encoder(
-    cache: dict, k: int, grad_emb: np.ndarray, out: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> None:
-    """Backpropagate branch ``k``'s embedding gradient through the encoder
-    into the per-layer gradient views ``out``."""
-    layers = cache["params"].encoder_layers
-    x, pres, acts = cache["inputs"][k], cache["enc_pres"][k], cache["enc_acts"][k]
-    key, g = ("enc", k), grad_emb
+def _backprop(
+    layers: Sequence[tuple],
+    ins: list[np.ndarray],
+    pres: list[np.ndarray],
+    g: np.ndarray,
+    out: Sequence[tuple[np.ndarray, np.ndarray]],
+    relu_last: bool,
+) -> np.ndarray:
+    """Backpropagate ``g``, the gradient at the output of a stack that
+    ``_stack`` ran (``relu_last`` as there), and write each layer's gradient
+    into its (w, b) views in ``out``. Returns the gradient at the first
+    layer's pre-activation."""
     for i in range(len(layers) - 1, -1, -1):
-        relu = np.greater(pres[i], 0, out=_buf(cache, (key, "relu", i), pres[i].shape, bool))
-        g = np.multiply(g, relu, out=_buf(cache, (key, "grad", i), pres[i].shape))
-        _layer_grad(g, x if i == 0 else acts[i - 1], out[i])
+        if relu_last or i < len(layers) - 1:
+            g = g * (pres[i] > 0)
+        np.matmul(g.T, ins[i], out=out[i][0])
+        np.add.reduce(g, axis=0, out=out[i][1])
         if i > 0:
-            w = layers[i][0]
-            g = np.matmul(g, w, out=_buf(cache, (key, "grad_in", i), (g.shape[0], w.shape[1])))
+            g = g @ layers[i][0]
+    return g
 
 
-def backward(cache: dict, grad_logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def backward(cache: dict, grad_logits: np.ndarray) -> np.ndarray:
     """Backpropagate a logit gradient through the cache from a forward pass.
 
     ``grad_logits`` must match the cached logits' shape. Returns the gradient
-    as one vector laid out like ``ModelParams.vector``, written into ``out``
-    when given (else a new vector); every layer's gradient goes straight into
-    its view of it. Each branch after the first is backpropagated into a
-    scratch vector and added into the shared encoder gradient. The scratch
-    arrays live in the cache.
+    as one vector laid out like ``ModelParams.vector``; every layer's gradient
+    is written straight into its view of it. Each branch after the first is
+    backpropagated into a scratch vector and added into the shared encoder
+    gradient.
     """
-    if not isinstance(cache, dict) or "inputs" not in cache or "params" not in cache:
+    if not isinstance(cache, dict) or "head_pres" not in cache or "params" not in cache:
         raise InvalidStateError("backward needs the cache produced by a forward pass")
     params: ModelParams = cache["params"]
     expected = cache["head_pres"][-1].shape
     g = np.asarray(grad_logits, dtype=np.float64)
     if g.shape != expected:
         raise InvalidInputError(f"grad_logits shape {g.shape} does not match logits {expected}")
-    grad = np.empty_like(params.vector) if out is None else out
-    if grad.shape != params.vector.shape:
-        raise InvalidInputError(f"out shape {grad.shape} does not match the parameters' {params.vector.shape}")
 
-    encoder_grads, head_grads = _views_in(cache, "grad_views", grad, params.layout)
-    for i in range(len(params.head_layers) - 1, -1, -1):
-        w = params.head_layers[i][0]
-        _layer_grad(g, cache["head_input"] if i == 0 else cache["head_acts"][i - 1], head_grads[i])
-        g = np.matmul(g, w, out=_buf(cache, ("head", "grad_in", i), (g.shape[0], w.shape[1])))
-        if i > 0:
-            g *= np.greater(cache["head_pres"][i - 1], 0, out=_buf(cache, ("head", "relu", i), g.shape, bool))
+    grad = np.empty_like(params.vector)
+    encoder_grads, head_grads = _views(grad, params.layout)
+    g = _backprop(params.head_layers, cache["head_ins"], cache["head_pres"], g, head_grads, relu_last=False)
+    g = g @ params.head_layers[0][0]
     if cache["drop_mask"] is not None:
-        g *= cache["drop_mask"]
-
+        g = g * cache["drop_mask"]
     e = params.encoder_output_dim
-    for k in range(len(cache["inputs"])):
+    for k, (ins, pres) in enumerate(zip(cache["enc_ins"], cache["enc_pres"])):
         if k == 0:
-            _backprop_encoder(cache, k, g[:, :e], encoder_grads)
+            _backprop(params.encoder_layers, ins, pres, g[:, :e], encoder_grads, relu_last=True)
         else:
-            branch = _buf(cache, "branch", grad.shape)
-            branch_grads = _views_in(cache, "branch_views", branch, params.layout)[0]
-            _backprop_encoder(cache, k, g[:, k * e : (k + 1) * e], branch_grads)
+            branch = np.empty_like(grad)
+            branch_grads = _views(branch, params.layout)[0]
+            _backprop(params.encoder_layers, ins, pres, g[:, k * e : (k + 1) * e], branch_grads, relu_last=True)
             grad[: params.head_offset] += branch[: params.head_offset]
     return grad
 
@@ -716,12 +670,9 @@ def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelPara
     onehot = np.eye(n_classes)[data.labels]
 
     seed_init, seed_batch, seed_drop = np.random.SeedSequence(cfg.seed).spawn(3)
-    # The workspace: the live parameters and optimizer state, updated in
-    # place, the gradient vector, and one cache of batch arrays per batch size.
+    # The live parameters and optimizer state, which every step updates in place.
     params = init_params(cfg.encoder_dims, cfg.head_dims, cfg.dropout, seed=seed_init)
     opt_state = init_optimizer_state(cfg.optimizer, params)
-    grad = np.empty_like(params.vector)
-    caches: dict[int, dict] = {}
     rng_batch = np.random.default_rng(seed_batch)
     rng_drop = np.random.default_rng(seed_drop)
 
@@ -736,31 +687,22 @@ def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelPara
         loss_sum = 0.0
         sample_count = 0
         for batch_no, idx in enumerate(make_batches(data.labels, cfg, rng_batch)):
-            n = idx.size
-            cache = caches.setdefault(n, {})
-            # Batch indices are always in range, and "clip" takes rows without buffering.
-            rows = [
-                x.take(idx, 0, _buf(cache, ("rows", k), (n, x.shape[1])), "clip")
-                for k, x in enumerate(inputs)
-            ]
-            targets = onehot.take(idx, 0, _buf(cache, "targets", (n, n_classes)), "clip")
-            logits = forward(params, rows, training=True, rng=rng_drop, out=cache)[0]
+            targets = onehot[idx]
+            logits, cache = forward(params, [x[idx] for x in inputs], training=True, rng=rng_drop)
             if not np.isfinite(logits).all():
                 raise NumericError(f"non-finite logits at epoch {epoch} batch {batch_no}: the run diverged")
-            loss_value, grad_logits = batch_loss_gradient(
-                cfg.loss_kind, logits, targets, cfg.loss, out=_buf(cache, "grad_logits", logits.shape)
-            )
+            loss_value, grad_logits = batch_loss_gradient(cfg.loss_kind, logits, targets, cfg.loss)
             if not math.isfinite(loss_value):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch} batch {batch_no}: "
                     + _loss_diagnostics(logits, targets, cfg.loss)
                 )
-            backward(cache, grad_logits, out=grad)
+            grads = backward(cache, grad_logits)
             params, opt_state = optimizer_step(
-                opt_state, params, grad, lr, out=(params, opt_state), freeze_head=frozen
+                opt_state, params, grads, lr, out=(params, opt_state), freeze_head=frozen
             )
-            loss_sum += loss_value * n
-            sample_count += n
+            loss_sum += loss_value * idx.size
+            sample_count += idx.size
 
         val_pred = np.argmax(forward(params, val_data.inputs)[0], axis=1)
         cm = confusion_from_predictions(val_data.labels, val_pred, n_classes)

@@ -6,8 +6,8 @@ rebuilds (and re-validates) a ``ModelParams``. Forward and backward allocate
 a fresh array for every result, and each loss term has one function for its
 per-row values and another for its derivative with respect to the
 probabilities. The arithmetic of each array is what ``ordchange.model`` and
-``ordchange.losses`` now do on one vector and in reused buffers, so the two
-must agree bit for bit.
+``ordchange.losses`` now do on one vector, partly in place, so the two must
+agree bit for bit.
 """
 
 from __future__ import annotations

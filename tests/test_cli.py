@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ordchange.cli as cli
+import ordchange.model as model_mod
 from ordchange.cli import (
     GEN_SCHEMA,
     TRAIN_SCHEMA,
@@ -285,6 +286,19 @@ class TestTrain:
         assert rc == 3
         assert "t1" in capsys.readouterr().err
 
+    def test_siamese_head_without_encoder_layers_exit_3(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "gen.cfg").write_text("task=t1\nn_patients=6\nfeature_dim=8\nseed=0\n")
+        (tmp_path / "train.cfg").write_text("task=t1\nloss=focal\nencoder_dims=8\nhead_dims=16,4\nepochs=1\n")
+        assert main(["gen", "--config", str(tmp_path / "gen.cfg"), "--out", str(tmp_path / "d")]) == 0
+        steps = []
+        monkeypatch.setattr(model_mod, "forward", lambda *args, **kwargs: steps.append(args))
+        capsys.readouterr()
+        argv = ["train", "--config", str(tmp_path / "train.cfg"), "--data", str(tmp_path / "d" / "dataset.csv")]
+        assert main([*argv, "--out", str(tmp_path / "m.ckpt")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: head input 16 must equal the encoder output 8") and err.count("\n") == 1
+        assert steps == [] and not list(tmp_path.glob("m.*"))
+
     def test_task_mismatch_exit_3(self, workdir, tmp_path):
         rc = main(
             [
@@ -440,7 +454,8 @@ def set_field(lines: list[str], line: int, field: int, value: str) -> None:
 
 
 class TestBadDataset:
-    """Malformed dataset rows end train and predict with exit 2 and one line."""
+    """Malformed dataset rows end train and predict with exit 2 (a repeated
+    case_id with exit 6) and one line."""
 
     def run(self, workdir, tmp_path, command: str, data: Path) -> int:
         if command == "train":
@@ -449,9 +464,9 @@ class TestBadDataset:
             argv = ["predict", "--ckpt", str(workdir / "model.ckpt"), "--out", str(tmp_path / "p.csv")]
         return main(argv + ["--data", str(data)])
 
-    def check(self, workdir, tmp_path, capsys, command, edit, message):
+    def check(self, workdir, tmp_path, capsys, command, edit, message, code=2):
         data = edited_dataset(workdir, tmp_path / "bad.csv", edit)
-        assert self.run(workdir, tmp_path, command, data) == 2
+        assert self.run(workdir, tmp_path, command, data) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
         assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "p.csv").exists()
@@ -466,6 +481,13 @@ class TestBadDataset:
     @pytest.mark.parametrize("command", ["train", "predict"])
     def test_duplicate_row_exit_2(self, workdir, tmp_path, capsys, command):
         self.check(workdir, tmp_path, capsys, command, lambda lines: lines.append(lines[1]), "duplicate row key")
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_repeated_case_id_exit_6(self, workdir, tmp_path, capsys, command):
+        # Row 2 takes row 1's case_id; the rows themselves stay distinct.
+        case_id = workdir.joinpath("data", "dataset.csv").read_text().splitlines()[1].split(",")[0]
+        message = f"{tmp_path / 'bad.csv'}: case_id {case_id!r} appears more than once"
+        self.check(workdir, tmp_path, capsys, command, lambda lines: set_field(lines, 2, 0, case_id), message, 6)
 
     @pytest.mark.parametrize("command", ["train", "predict"])
     def test_conflicting_volume_labels_exit_2(self, workdir, tmp_path, capsys, command):
