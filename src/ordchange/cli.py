@@ -23,9 +23,10 @@ one after another.
 A dataset CSV becomes a ``core.Dataset``; a prediction CSV becomes a
 ``Predictions`` table of columns. ``predict`` builds that table from the
 dataset's columns and the model's (N, C) probabilities, ``ensemble`` votes
-on the ``probs`` matrices of its input tables and writes the first one's
-with its label columns replaced, and ``eval`` scores one label column. Each
-file is checked once, when it is read.
+on one (M, N, C) stack of its input tables' ``probs`` and writes the first
+table with its label columns replaced, and ``eval`` scores one label column.
+``_row_order`` matches one file's rows to another file's keys for both.
+Each file is checked once, when it is read.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .core import ClassLabel, Dataset, Task, _column, as_prob_rows, atomic_write
 from .datagen import GenConfig, gen_t1_pairs, gen_t2_volumes
 from .ensemble import (
     PostprocessConfig,
-    PredictionSet,
     TieBreak,
     mean_ensemble,
     unanimity_ensemble,
@@ -107,10 +107,14 @@ def _read_csv(path: str | os.PathLike) -> tuple[list[str], list[list[str]]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty CSV") from None
-        rows = [row for row in reader]
+            header = next(reader, None)
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: empty CSV")
     ragged = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
     if ragged is not None:
         raise DataError(f"{path}: line {ragged + 2} has {len(rows[ragged])} fields, expected {len(header)}")
@@ -238,7 +242,10 @@ def _load_config(path: str | None, schema: dict[str, Callable[[str], object]]) -
     if path is None:
         return {}, ""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return parse_kv_config(text, schema, source=path), text
 
 
@@ -471,7 +478,8 @@ def read_predictions_csv(path: str | os.PathLike) -> Predictions:
     )
 
 
-def read_truth_csv(path: str | os.PathLike, task: Task) -> dict[str, int]:
+def read_truth_csv(path: str | os.PathLike, task: Task) -> tuple[list[str], np.ndarray]:
+    """The case ids and the int64 labels of a truth CSV, in file order."""
     header, rows = _read_csv(path)
     if header != _truth_header(task):
         raise DataError(f"{path}: unrecognized truth header for task {task.value}")
@@ -484,7 +492,7 @@ def read_truth_csv(path: str | os.PathLike, task: Task) -> dict[str, int]:
         raise DataError(f"{path}: line {off + 2}: label {labels[off]} is not valid for task {task.value}")
     case_ids = [row[0] for row in rows]
     _check_unique(path, case_ids)
-    return dict(zip(case_ids, labels))
+    return case_ids, np.array(labels, dtype=np.int64)
 
 
 def _check_unique(path: str | os.PathLike, case_ids: Sequence[str]) -> None:
@@ -492,6 +500,20 @@ def _check_unique(path: str | os.PathLike, case_ids: Sequence[str]) -> None:
     if len(counts) != len(case_ids):
         repeated = next(key for key, n in counts.items() if n > 1)
         raise AlignmentError(f"{path}: case_id {repeated!r} appears more than once")
+
+
+def _row_order(keys: list[str], base: list[str], what: str) -> np.ndarray:
+    """The indices that put the rows keyed by ``keys`` in the order of ``base``.
+
+    Both lists hold unique keys, as every reader checks. A key that only
+    one of them holds raises AlignmentError, naming ``what``, the count of
+    such keys and the first 10 of them.
+    """
+    row_of = dict(zip(keys, range(len(keys))))
+    offenders = sorted(row_of.keys() ^ set(base))
+    if offenders:
+        raise AlignmentError(f"{what} disagree on keys ({len(offenders)} total); first offenders: {offenders[:10]}")
+    return np.fromiter((row_of[key] for key in base), np.intp, len(base))
 
 
 # --- history and report CSVs ---------------------------------------------------------
@@ -626,21 +648,23 @@ def cmd_ensemble(args) -> int:
     widths = {table.probs.shape[1] for table in tables}
     if len(widths) != 1:
         raise ConfigError(f"prediction files mix class counts {sorted(widths)}; cannot ensemble")
-    # Each row is renormalized to undo the 9-decimal rounding of the files.
-    sets = [
-        PredictionSet(path, table.case_id.tolist(), table.probs / table.probs.sum(axis=1, keepdims=True))
+    first = tables[0]
+    base = first.case_id.tolist()
+    stack = np.stack([
+        table.probs[_row_order(table.case_id.tolist(), base, f"prediction files {args.preds[0]} and {path}")]
         for path, table in zip(args.preds, tables)
-    ]
+    ])
+    # Each row is renormalized to undo the 9-decimal rounding of the files.
+    stack /= stack.sum(axis=2, keepdims=True)
     pp_cfg = PostprocessConfig(
         stable_ratio_threshold=args.stable_threshold,
         tie_break=TieBreak(args.tie_break),
         majority_includes_stable=args.majority_includes_stable,
     )
     if args.mode == "mean":
-        labels, probs = mean_ensemble(sets)
+        labels, probs = mean_ensemble(stack)
     else:
-        labels, probs = unanimity_ensemble(sets, pp_cfg)
-    first = tables[0]
+        labels, probs = unanimity_ensemble(stack, pp_cfg)
     final = labels
     if args.postprocess:
         final = volume_consistency(first.volume_id, labels, probs, pp_cfg)
@@ -661,22 +685,14 @@ def cmd_eval(args) -> int:
     started = time.monotonic()
     task = _parse_task(args.task)
     pred = read_predictions_csv(args.pred)
-    truth = read_truth_csv(args.truth, task)
-    case_ids = pred.case_id.tolist()
-    pred_keys = set(case_ids)
-    truth_keys = set(truth)
-    if pred_keys != truth_keys:
-        offenders = sorted(pred_keys ^ truth_keys)[:10]
-        raise AlignmentError(
-            f"prediction and truth keys disagree ({len(pred_keys ^ truth_keys)} total); "
-            f"first offenders: {offenders}"
-        )
+    truth_ids, truth_labels = read_truth_csv(args.truth, task)
+    order = _row_order(truth_ids, pred.case_id.tolist(), f"prediction file {args.pred} and truth file {args.truth}")
     if pred.probs.shape[1] != task.n_classes:
         raise ConfigError(
             f"predictions carry {pred.probs.shape[1]} classes, task {task.value} expects {task.n_classes}"
         )
     labels = pred.pred_label if pred.final_label is None else pred.final_label
-    cm = confusion_from_predictions([truth[key] for key in case_ids], labels, task.n_classes)
+    cm = confusion_from_predictions(truth_labels[order], labels, task.n_classes)
     report = compute_report(cm, task)
     print(f"task                {task.value}")
     for name, value in report.values().items():

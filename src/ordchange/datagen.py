@@ -2,14 +2,15 @@
 
 Every patient gets a random offset in feature space; every volume sits at
 
-    latent = patient_offset + rank(class) * step_size * ordinal_direction
+    latent = patient_offset + rank(class) * step_size * direction,
 
-and its B-scans scatter around the latent with isotropic noise. Class
-separability is therefore controlled by the step_size / noise_sigma ratio,
-while patient offsets act as confounds that only patient-disjoint splits can
-expose. Visit pairs walk a per-patient activity level between consecutive
-visits and are labeled by the sign of the change; a configurable fraction is
-corrupted (noise burst or sign flip) and relabeled as the catch-all class.
+where direction is a random unit vector, the seed's first draw. Its B-scans
+scatter around the latent with isotropic noise. Class separability is
+therefore controlled by the step_size / noise_sigma ratio, while patient
+offsets act as confounds that only patient-disjoint splits can expose. Visit
+pairs walk a per-patient activity level between consecutive visits and are
+labeled by the sign of the change; a configurable fraction is corrupted
+(noise burst or sign flip) and relabeled as the catch-all class.
 
 Both generators return a columnar ``Dataset``: one row per B-scan for T2,
 one row per visit pair for T1. All generation is driven by a single seed and
@@ -33,7 +34,6 @@ class GenConfig:
     class_ratios orders the three ordinal classes (reduced, stable,
     worsened); pair generation draws activity deltas with exactly these
     probabilities, so they set the label distribution in both tasks.
-    ordinal_direction defaults to a random unit vector drawn from the seed.
     """
 
     n_patients: int = 60
@@ -45,7 +45,6 @@ class GenConfig:
     noise_sigma: float = 0.5
     patient_sigma: float = 1.0
     other_rate: float = 0.10
-    ordinal_direction: tuple[float, ...] | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -70,21 +69,9 @@ class GenConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not (0.0 <= self.other_rate <= 1.0):
             raise ConfigError(f"other_rate must lie in [0, 1], got {self.other_rate}")
-        if self.ordinal_direction is not None:
-            vec = np.asarray(self.ordinal_direction, dtype=np.float64)
-            if vec.shape != (self.feature_dim,):
-                raise ConfigError(
-                    f"ordinal_direction must have length {self.feature_dim}, got shape {vec.shape}"
-                )
-            norm = float(np.linalg.norm(vec))
-            if norm <= 0 or not np.isfinite(norm):
-                raise ConfigError("ordinal_direction must have a positive finite norm")
-            object.__setattr__(self, "ordinal_direction", tuple(vec / norm))
 
 
 def _direction(cfg: GenConfig, rng: np.random.Generator) -> np.ndarray:
-    if cfg.ordinal_direction is not None:
-        return np.asarray(cfg.ordinal_direction, dtype=np.float64)
     vec = rng.normal(size=cfg.feature_dim)
     norm = np.linalg.norm(vec)
     while norm == 0.0:  # vanishing draws are essentially impossible but cheap to guard

@@ -1,9 +1,10 @@
 """Combining predictions across models and enforcing volume-level agreement.
 
-Predictions are arrays. A ``PredictionSet`` is one model's read-only (N, C)
-probability matrix with its N record keys, checked once when it is built.
-Both voting rules are one kernel, ``group_vote``, which gives each group of
-rows one label:
+Predictions are arrays: the models' probabilities arrive as one (M, N, C)
+stack, M models over the same N records in one row order, and each entry
+point checks its input once. Putting rows in that order is the caller's job;
+this module knows nothing of record keys. Both voting rules are one kernel,
+``group_vote``, which gives each group of rows one label:
 
   * a group is Stable when the fraction of its rows labeled Stable is at
     least the threshold;
@@ -13,8 +14,7 @@ rows one label:
     then the lower class, or the most severe class.
 
 The non-Stable-majority reading keeps the rules from collapsing into plain
-majority voting. Three entry points use the stacked (M, N, C) matrices of
-aligned sets:
+majority voting. The three entry points:
 
   * ``mean_ensemble``: the mean over models, then the argmax (ties to the
     lower class).
@@ -27,7 +27,6 @@ aligned sets:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -35,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ClassLabel, as_prob_rows
-from .errors import AlignmentError, ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError
 
 
 class TieBreak(Enum):
@@ -60,48 +59,14 @@ class PostprocessConfig:
             raise ConfigError(f"tie_break must be a TieBreak, got {self.tie_break!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class PredictionSet:
-    """One model's probabilities: row i of the (N, C) matrix ``probs`` belongs
-    to ``keys[i]``. Keys must be unique and every row a probability vector."""
-
-    model_id: str
-    keys: tuple[str, ...]
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        keys = tuple(self.keys)
-        if len(set(keys)) != len(keys):
-            repeated = next(key for key, n in Counter(keys).items() if n > 1)
-            raise InvalidInputError(f"prediction set {self.model_id} repeats key {repeated!r}")
-        probs = as_prob_rows(self.probs).view()
-        if probs.shape[0] != len(keys):
-            raise InvalidInputError(
-                f"prediction set {self.model_id} has {len(keys)} keys for {probs.shape[0]} rows"
-            )
-        probs.setflags(write=False)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "probs", probs)
-
-
-def _stack(sets: Sequence[PredictionSet]) -> np.ndarray:
-    """The (M, N, C) probabilities of aligned sets, rows in the first set's key order."""
-    if not sets:
-        raise InvalidInputError("need at least one prediction set")
-    base = sets[0]
-    stack = [base.probs]
-    for ps in sets[1:]:
-        if set(ps.keys) != set(base.keys):
-            missing = sorted(set(base.keys) ^ set(ps.keys))[:10]
-            raise AlignmentError(
-                f"prediction sets {base.model_id!r} and {ps.model_id!r} disagree on keys; "
-                f"first offenders: {missing}"
-            )
-        if ps.probs.shape[1] != base.probs.shape[1]:
-            raise InvalidInputError("prediction sets disagree on the number of classes")
-        row_of = dict(zip(ps.keys, range(len(ps.keys))))
-        stack.append(ps.probs[[row_of[key] for key in base.keys]])
-    return np.stack(stack)
+def _checked(stack: np.ndarray) -> np.ndarray:
+    """``stack`` as a float64 (M, N, C) array of at least one model whose
+    every row passes the simplex gate."""
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.ndim != 3 or not stack.shape[0]:
+        raise InvalidInputError(f"need an (M >= 1, N, C) stack of probabilities, got shape {stack.shape}")
+    as_prob_rows(stack.reshape(-1, stack.shape[2]))
+    return stack
 
 
 def group_vote(
@@ -140,26 +105,25 @@ def group_vote(
     return np.where(stable_group, int(ClassLabel.STABLE), winner)
 
 
-def mean_ensemble(sets: Sequence[PredictionSet]) -> tuple[np.ndarray, np.ndarray]:
-    """Average probabilities across models and take the argmax per record.
-
-    All sets must cover identical keys. Returns (labels, mean probabilities)
-    in the first set's key order; argmax ties resolve to the lower class.
+def mean_ensemble(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average the (M, N, C) probabilities across models and take the argmax
+    per record. Returns the (N,) labels and the (N, C) mean probabilities;
+    argmax ties resolve to the lower class.
     """
-    mean = np.mean(_stack(sets), axis=0)
+    mean = np.mean(_checked(stack), axis=0)
     return mean.argmax(axis=1), mean
 
 
 def unanimity_ensemble(
-    sets: Sequence[PredictionSet], cfg: PostprocessConfig | None = None
+    stack: np.ndarray, cfg: PostprocessConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the unanimity vote per record across aligned prediction sets.
+    """Apply the unanimity vote per record across the (M, N, C) probabilities.
 
-    Each record's group holds its models' rows in set order. Returns
-    (labels, mean probabilities) in the first set's key order; downstream
-    volume tie-breaking uses the means.
+    Each record's group holds its models' rows in model order. Returns the
+    (N,) labels and the (N, C) mean probabilities; downstream volume
+    tie-breaking uses the means.
     """
-    stack = _stack(sets)
+    stack = _checked(stack)
     n_models, n_records, n_classes = stack.shape
     rows = stack.transpose(1, 0, 2).reshape(-1, n_classes)
     groups = np.repeat(np.arange(n_records), n_models)

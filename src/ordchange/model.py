@@ -17,15 +17,14 @@ vector laid out w0, b0, w1, b1, ... in encoder-then-head order (the
 checkpoint body's order); the per-layer (w, b) pairs of ``ModelParams`` are
 views into it. ``backward`` writes every layer's gradient into its view of
 the gradient vector, and ``optimizer_step`` is a few vector operations.
-``ModelParams`` is validated when a model is built, loaded or saved; the
-parameters each optimizer step makes keep the checked layout and are only
-checked for non-finite entries.
+``ModelParams`` is validated when a model is built, copied, loaded or
+saved; an optimizer step keeps the checked layout and only checks its
+result for non-finite entries.
 
 ``forward``, ``backward`` and ``losses.batch_loss_gradient`` allocate their
-results and leave their arguments as they are. ``optimizer_step`` does too,
-unless given ``out=(params, state)``: ``train`` updates its live parameters
-and Adam moments in place that way, with the operands and order of the
-allocating update, so both give the same bits.
+results and leave their arguments as they are. ``optimizer_step`` updates
+the parameter vector and the Adam moments in place, so ``train`` keeps one
+live set of them and copies the parameters of each improving epoch.
 
 ``train`` and ``predict`` take a columnar ``Dataset`` and feed the network
 its ``inputs``: the feature matrix, or for T1 pairs both matrices. Batches
@@ -85,18 +84,6 @@ def _views(vector: np.ndarray, layout: tuple) -> tuple[tuple, tuple]:
         views.append((vector[off:end].reshape(out_dim, in_dim), vector[end : end + out_dim]))
         off = end + out_dim
     return tuple(views[:n_encoder]), tuple(views[n_encoder:])
-
-
-def _over(vector: np.ndarray, layout: tuple, dropout_rate: float) -> ModelParams:
-    """ModelParams held in ``vector``, without the constructor's checks: for
-    vectors made from an already checked layout."""
-    params = object.__new__(ModelParams)
-    encoder, head = _views(vector, layout)
-    # A frozen dataclass: the fields are set in the instance dict directly.
-    vars(params).update(
-        encoder_layers=encoder, head_layers=head, dropout_rate=dropout_rate, vector=vector, layout=layout
-    )
-    return params
 
 
 @dataclass(frozen=True)
@@ -355,10 +342,9 @@ def finite_difference_check_params(
     batch = [np.asarray(x, dtype=np.float64)[None, :] for x in inputs]
     logits, cache = forward(params, batch)
     analytic = backward(cache, loss_gradient(loss_kind, logits[0], target, cfg)[1][None, :])
-    vector = params.vector.copy()
-    bumped = _over(vector, params.layout, params.dropout_rate)
+    bumped = ModelParams(params.encoder_layers, params.head_layers, params.dropout_rate)
     return central_difference_error(
-        lambda _: loss_gradient(loss_kind, forward(bumped, batch)[0][0], target, cfg)[0], vector, analytic, h
+        lambda _: loss_gradient(loss_kind, forward(bumped, batch)[0][0], target, cfg)[0], bumped.vector, analytic, h
     )
 
 
@@ -413,21 +399,17 @@ def optimizer_step(
     params: ModelParams,
     grads: np.ndarray,
     lr: float,
-    out: tuple[ModelParams, OptimizerState] | None = None,
     freeze_head: bool = False,
 ) -> tuple[ModelParams, OptimizerState]:
-    """Apply one update and return the new parameters and optimizer state.
+    """Apply one update in place and return the parameters and the new state.
 
     ``grads`` is a gradient vector laid out like ``params.vector``, as
-    ``backward`` returns it. The update is a handful of vector operations;
-    every entry gets the same arithmetic a per-layer update gives it. The
-    new parameters are checked for non-finite entries only.
-
-    ``out`` is the (parameters, state) pair that receives the update,
-    ``(params, state)`` itself for an update in place; the returned state
-    shares its moment vectors. Omitted, new ones are made and the arguments
-    stay as they are. ``freeze_head`` leaves the head's parameters and
-    moments as they are, weight decay included.
+    ``backward`` returns it. The update is a handful of vector operations
+    on ``params.vector`` and the Adam moments of ``state``, which the
+    returned state shares; every entry gets the same arithmetic a per-layer
+    update gives it. The updated parameters are checked for non-finite
+    entries only. ``freeze_head`` leaves the head's parameters and moments
+    as they are, weight decay included.
     """
     if not (np.isfinite(lr) and lr > 0):
         raise InvalidInputError(f"learning rate must be finite and > 0, got {lr}")
@@ -435,24 +417,16 @@ def optimizer_step(
     if g.shape != p.shape:
         raise InvalidInputError(f"gradient vector shape {g.shape} does not match the parameters' {p.shape}")
     cfg = state.config
-    if out is None:
-        new = _over(p.copy(), params.layout, params.dropout_rate)
-        new_state = OptimizerState(cfg, state.step, *(a if a is None else a.copy() for a in (state.m, state.v)))
-    else:
-        new, new_state = out
-        for dst, src in ((new.vector, p), (new_state.m, state.m), (new_state.v, state.v)):
-            if dst is not src:
-                np.copyto(dst, src)
-    # In place on the new vectors, each with the operands and order of the
-    # expression in its comment, so the update is bit-identical to it.
+    # In place, each with the operands and order of the expression in its
+    # comment, so the update is bit-identical to it.
     n = params.head_offset if freeze_head else None
-    p, g = new.vector[:n], g[:n]
+    p, g = p[:n], g[:n]
     step, scratch = np.empty_like(p), np.empty_like(p)
     if cfg.kind == "sgd":
         np.multiply(g, lr, out=step)  # step = lr * g
     else:
         t = state.step + 1
-        m, v = new_state.m[:n], new_state.v[:n]
+        m, v = state.m[:n], state.v[:n]
         m *= cfg.beta1  # m = beta1 * m + (1 - beta1) * g
         m += np.multiply(g, 1 - cfg.beta1, out=scratch)
         v *= cfg.beta2  # v = beta2 * v + (1 - beta2) * g * g
@@ -470,7 +444,7 @@ def optimizer_step(
     p -= decay
     if not np.isfinite(p).all():
         raise NumericError("the optimizer step produced non-finite parameters")
-    return new, OptimizerState(cfg, state.step + 1, new_state.m, new_state.v)
+    return params, OptimizerState(cfg, state.step + 1, state.m, state.v)
 
 
 # --- training configuration ------------------------------------------------------
@@ -698,9 +672,7 @@ def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelPara
                     + _loss_diagnostics(logits, targets, cfg.loss)
                 )
             grads = backward(cache, grad_logits)
-            params, opt_state = optimizer_step(
-                opt_state, params, grads, lr, out=(params, opt_state), freeze_head=frozen
-            )
+            params, opt_state = optimizer_step(opt_state, params, grads, lr, freeze_head=frozen)
             loss_sum += loss_value * idx.size
             sample_count += idx.size
 
@@ -712,7 +684,7 @@ def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelPara
         )
         if report.average > best_avg:
             best_avg = report.average
-            best_params = _over(params.vector.copy(), params.layout, params.dropout_rate)
+            best_params = ModelParams(params.encoder_layers, params.head_layers, params.dropout_rate)
             best_epoch = epoch
         elif cfg.early_stop_patience > 0 and epoch - best_epoch >= cfg.early_stop_patience:
             break

@@ -19,7 +19,6 @@ from ordchange.core import Task, confusion_from_predictions
 from ordchange.datagen import GenConfig, gen_t2_volumes
 from ordchange.ensemble import (
     PostprocessConfig,
-    PredictionSet,
     unanimity_ensemble,
     volume_consistency,
 )
@@ -199,7 +198,6 @@ def _run_experiment(seed: int) -> dict:
     test_patients, rest = order[:15], order[15:]
     test = data.take(np.isin(data.patient_id, test_patients))
     true_test = test.labels.tolist()
-    test_keys = [f"{v}/{i}" for v, i in zip(test.volume_id.tolist(), test.bscan_index.tolist())]
 
     def fold_split(i):
         held = np.isin(data.patient_id, rest[i::3])
@@ -224,15 +222,15 @@ def _run_experiment(seed: int) -> dict:
     rep_claim = _report(true_test, pred_claim)
     rep_base = _report(true_test, pred_base)
 
-    fold_sets = [PredictionSet("fold0", test_keys, claim_probs)]
+    fold_probs = [claim_probs]
     for i in (1, 2):
         train_i, val_i = fold_split(i)
         params_i, _ = train(
             train_i, val_i,
             TrainConfig(loss_kind="combined", balanced_batches=True, seed=seed + i, **base),
         )
-        fold_sets.append(PredictionSet(f"fold{i}", test_keys, predict(params_i, test)))
-    voted, voted_probs = unanimity_ensemble(fold_sets)
+        fold_probs.append(predict(params_i, test))
+    voted, voted_probs = unanimity_ensemble(np.stack(fold_probs))
     # 0.45: unanimity over three balance-trained folds thins out Stable votes,
     # so the volume rule needs a majority-style threshold at this noise level.
     relabeled = volume_consistency(

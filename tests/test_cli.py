@@ -357,6 +357,21 @@ class TestNonFiniteConfig:
         assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
         assert not (tmp_path / "d").exists() and not (tmp_path / "m.ckpt").exists()
 
+
+@pytest.mark.parametrize("command", ["gen", "train"])
+def test_config_not_utf8_exit_3(workdir, tmp_path, capsys, command):
+    cfg = tmp_path / "x.cfg"
+    cfg.write_bytes((GEN_CFG if command == "gen" else TRAIN_CFG).encode() + b"# \xff\n")
+    if command == "gen":
+        argv = ["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]
+    else:
+        argv = ["train", "--config", str(cfg), "--data", str(workdir / "data" / "dataset.csv"),
+                "--out", str(tmp_path / "m.ckpt")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text (invalid start byte)\n"
+    assert not (tmp_path / "d").exists() and not (tmp_path / "m.ckpt").exists()
+
+
 class TestPredict:
     def test_probabilities_serialize_to_simplex(self, workdir):
         lines = (workdir / "preds.csv").read_text().splitlines()
@@ -382,9 +397,9 @@ class TestPredict:
         assert (tmp_path / "again.csv").read_bytes() == (workdir / "preds.csv").read_bytes()
 
     def test_covers_every_case(self, workdir):
-        truth = read_truth_csv(workdir / "data" / "truth.csv", Task.T2)
+        case_ids, _ = read_truth_csv(workdir / "data" / "truth.csv", Task.T2)
         table = read_predictions_csv(workdir / "preds.csv")
-        assert set(table.case_id.tolist()) == set(truth)
+        assert set(table.case_id.tolist()) == set(case_ids)
 
     def test_corrupt_checkpoint_exit_5(self, workdir, tmp_path, capsys):
         blob = bytearray((workdir / "model.ckpt").read_bytes())
@@ -466,6 +481,9 @@ class TestBadDataset:
 
     def check(self, workdir, tmp_path, capsys, command, edit, message, code=2):
         data = edited_dataset(workdir, tmp_path / "bad.csv", edit)
+        self.check_file(workdir, tmp_path, capsys, command, data, message, code)
+
+    def check_file(self, workdir, tmp_path, capsys, command, data, message, code=2):
         assert self.run(workdir, tmp_path, command, data) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
@@ -509,6 +527,17 @@ class TestBadDataset:
                 set_field(lines, line, 5, "9" * 20)
 
         self.check(workdir, tmp_path, capsys, command, relabel_volume, "malformed dataset row")
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_not_utf8_exit_2(self, workdir, tmp_path, capsys, command):
+        data = tmp_path / "bad.csv"
+        data.write_bytes((workdir / "data" / "dataset.csv").read_bytes() + b"\xff")
+        self.check_file(workdir, tmp_path, capsys, command, data, f"{data}: not UTF-8 text (invalid start byte)")
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_oversized_field_exit_2(self, workdir, tmp_path, capsys, command):
+        message = f"{tmp_path / 'bad.csv'}: line 2: field larger than field limit"
+        self.check(workdir, tmp_path, capsys, command, lambda lines: set_field(lines, 1, 0, "x" * 200_000), message)
 
     def test_label_outside_task_exit_2(self, workdir, tmp_path, capsys):
         # Label 3 (OTHER) exists only in t1; all three B-scans of the volume carry it.
@@ -560,9 +589,10 @@ def uniform_pair_rows(cases: list[str], true_labels: list[int] | None = None) ->
     )
 
 
-def first_rows(table: Predictions, n: int) -> Predictions:
+def take_rows(table: Predictions, rows) -> Predictions:
+    """The table of ``table``'s rows selected by ``rows``, a slice or an index array."""
     columns = {f.name: getattr(table, f.name) for f in fields(table)}
-    return Predictions(**{name: None if col is None else col[:n] for name, col in columns.items()})
+    return Predictions(**{name: None if col is None else col[rows] for name, col in columns.items()})
 
 
 class TestEnsemble:
@@ -631,7 +661,7 @@ class TestEnsemble:
 
     def test_misaligned_keys_exit_6(self, workdir, tmp_path, capsys):
         table = read_predictions_csv(workdir / "preds.csv")
-        write_predictions_csv(tmp_path / "short.csv", first_rows(table, -1))
+        write_predictions_csv(tmp_path / "short.csv", take_rows(table, slice(12, None)))
         rc = main(
             [
                 "ensemble", str(workdir / "preds.csv"), str(tmp_path / "short.csv"),
@@ -639,7 +669,29 @@ class TestEnsemble:
             ]
         )
         assert rc == 6
-        assert "offenders" in capsys.readouterr().err
+        # All 12 missing keys are counted; the first 10 are listed.
+        missing = sorted(table.case_id[:12].tolist())
+        assert capsys.readouterr().err == (
+            f"error: prediction files {workdir / 'preds.csv'} and {tmp_path / 'short.csv'} disagree on keys "
+            f"(12 total); first offenders: {missing[:10]}\n"
+        )
+        assert not (tmp_path / "comb.csv").exists()
+
+    def test_second_file_row_order_does_not_matter(self, workdir, tmp_path):
+        # A second model whose rows differ from the first's on every record.
+        table = read_predictions_csv(workdir / "preds.csv")
+        second = replace(table, probs=table.probs[:, ::-1], pred_label=table.probs[:, ::-1].argmax(axis=1))
+        write_predictions_csv(tmp_path / "second.csv", second)
+        shuffled = np.random.default_rng(0).permutation(len(table.case_id))
+        write_predictions_csv(tmp_path / "shuffled.csv", take_rows(second, shuffled))
+        outputs = []
+        for name in ("second.csv", "shuffled.csv"):
+            out = tmp_path / f"comb-{name}"
+            argv = ["ensemble", str(workdir / "preds.csv"), str(tmp_path / name), "--out", str(out)]
+            assert main(argv + ["--mode", "unanimity", "--postprocess"]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert read_predictions_csv(tmp_path / "comb-second.csv").case_id.tolist() == table.case_id.tolist()
 
     def test_postprocess_without_volume_ids_exit_3(self, tmp_path, capsys):
         write_predictions_csv(tmp_path / "t1.csv", uniform_pair_rows([f"pair{i}" for i in range(3)]))
@@ -685,9 +737,9 @@ def header_only(source: Path, out: Path) -> Path:
 
 class TestEval:
     def test_perfect_predictions_score_one(self, workdir, tmp_path, capsys):
-        truth = read_truth_csv(workdir / "data" / "truth.csv", Task.T2)
+        case_ids, labels = read_truth_csv(workdir / "data" / "truth.csv", Task.T2)
         table = read_predictions_csv(workdir / "preds.csv")
-        labels = np.array([truth[key] for key in table.case_id.tolist()])
+        assert table.case_id.tolist() == case_ids  # both files follow the dataset's rows
         probs = np.full((len(labels), 3), 0.01)
         probs[np.arange(len(labels)), labels] = 0.98
         perfect = replace(table, true_label=labels, probs=probs, pred_label=labels)
@@ -710,9 +762,9 @@ class TestEval:
         assert lines[1].startswith("t2,1.000000,")
 
     def test_eval_respects_final_label_column(self, workdir, tmp_path, capsys):
-        truth = read_truth_csv(workdir / "data" / "truth.csv", Task.T2)
+        case_ids, labels = read_truth_csv(workdir / "data" / "truth.csv", Task.T2)
         table = read_predictions_csv(workdir / "preds.csv")
-        labels = np.array([truth[key] for key in table.case_id.tolist()])
+        assert table.case_id.tolist() == case_ids  # both files follow the dataset's rows
         wrong = (labels + 1) % 3
         probs = np.full((len(labels), 3), 0.01)
         probs[np.arange(len(labels)), wrong] = 0.98
@@ -735,7 +787,7 @@ class TestEval:
 
     def test_misaligned_keys_exit_6(self, workdir, tmp_path, capsys):
         table = read_predictions_csv(workdir / "preds.csv")
-        write_predictions_csv(tmp_path / "short.csv", first_rows(table, -2))
+        write_predictions_csv(tmp_path / "short.csv", take_rows(table, slice(-2)))
         rc = main(
             [
                 "eval",
@@ -745,8 +797,22 @@ class TestEval:
             ]
         )
         assert rc == 6
-        err = capsys.readouterr().err
-        assert "offenders" in err and table.case_id[-1] in err
+        assert capsys.readouterr().err == (
+            f"error: prediction file {tmp_path / 'short.csv'} and truth file {workdir / 'data' / 'truth.csv'} "
+            f"disagree on keys (2 total); first offenders: {sorted(table.case_id[-2:].tolist())}\n"
+        )
+
+    def test_truth_row_order_does_not_matter(self, workdir, tmp_path):
+        lines = (workdir / "data" / "truth.csv").read_text().splitlines(keepends=True)
+        body = [lines[1 + i] for i in np.random.default_rng(0).permutation(len(lines) - 1)]
+        (tmp_path / "truth.csv").write_text("".join(lines[:1] + body))
+        reports = []
+        for truth in (workdir / "data" / "truth.csv", tmp_path / "truth.csv"):
+            out = tmp_path / f"report-{len(reports)}.csv"
+            argv = ["eval", "--pred", str(workdir / "preds.csv"), "--truth", str(truth), "--task", "t2"]
+            assert main(argv + ["--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def eval_rc(self, workdir, pred: Path, truth: Path | None = None) -> int:
         truth = truth or workdir / "data" / "truth.csv"
@@ -775,8 +841,8 @@ class TestEval:
         assert capsys.readouterr().err == f"error: {empty}: holds no prediction rows\n"
 
     def test_width_mismatch_exit_3(self, workdir, tmp_path):
-        truth = read_truth_csv(workdir / "data" / "truth.csv", Task.T2)
-        write_predictions_csv(tmp_path / "wide.csv", uniform_pair_rows(list(truth), list(truth.values())))
+        case_ids, labels = read_truth_csv(workdir / "data" / "truth.csv", Task.T2)
+        write_predictions_csv(tmp_path / "wide.csv", uniform_pair_rows(case_ids, labels.tolist()))
         rc = main(
             [
                 "eval",
@@ -824,6 +890,18 @@ class TestBadPredictionAndTruthFiles:
         truth = edited_copy(workdir / "data" / "truth.csv", tmp_path / "truth.csv", 1, lambda f: f.append("2"))
         rc = self.run(workdir, "eval", workdir / "preds.csv", truth)
         self.check(capsys, rc, truth, "line 2 has 6 fields, expected 5")
+
+    @pytest.mark.parametrize("command", ["ensemble", "eval"])
+    def test_prediction_file_not_utf8_exit_2(self, workdir, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes((workdir / "preds.csv").read_bytes() + b"\xff")
+        self.check(capsys, self.run(workdir, command, bad), bad, "not UTF-8 text (invalid start byte)")
+
+    def test_truth_file_not_utf8_exit_2(self, workdir, tmp_path, capsys):
+        pred, truth = tmp_path / "preds.csv", tmp_path / "truth.csv"
+        pred.write_bytes((workdir / "preds.csv").read_bytes())
+        truth.write_bytes((workdir / "data" / "truth.csv").read_bytes() + b"\xff")
+        self.check(capsys, self.run(workdir, "eval", pred, truth), truth, "not UTF-8 text (invalid start byte)")
 
     def test_pred_label_out_of_range_exit_2(self, workdir, tmp_path, capsys):
         def set_pred_label(fields):

@@ -6,10 +6,10 @@ from ordchange.datagen import GenConfig, gen_t1_pairs, gen_t2_volumes
 from ordchange.errors import ConfigError
 
 
-def axis_direction(dim: int) -> tuple[float, ...]:
-    vec = [0.0] * dim
-    vec[0] = 1.0
-    return tuple(vec)
+def seed_direction(seed: int, dim: int) -> np.ndarray:
+    """The ordinal direction a generator draws: the seed's first normal draw, normalized."""
+    vec = np.random.default_rng(seed).normal(size=dim)
+    return vec / np.linalg.norm(vec)
 
 
 class TestGenConfig:
@@ -28,8 +28,8 @@ class TestGenConfig:
             {"noise_sigma": -1.0},
             {"patient_sigma": -0.5},
             {"other_rate": 1.5},
-            {"ordinal_direction": (1.0, 0.0)},
-            {"ordinal_direction": tuple([0.0] * 16)},
+            {"other_rate": -0.1},
+            {"seed": -1},
         ],
     )
     def test_rejects(self, kwargs):
@@ -37,8 +37,12 @@ class TestGenConfig:
             GenConfig(**kwargs)
 
     def test_direction_is_normalized(self):
-        cfg = GenConfig(feature_dim=2, ordinal_direction=(3.0, 4.0))
-        np.testing.assert_allclose(cfg.ordinal_direction, (0.6, 0.8))
+        # Without offsets or noise, a Stable B-scan sits at step_size times the direction.
+        cfg = GenConfig(n_patients=4, feature_dim=3, step_size=2.0, noise_sigma=0.0, patient_sigma=0.0, seed=5)
+        data = gen_t2_volumes(cfg)
+        stable = data.x[data.labels == ClassLabel.STABLE]
+        assert len(stable)
+        np.testing.assert_allclose(stable, np.broadcast_to(2.0 * seed_direction(5, 3), stable.shape), rtol=1e-12)
 
 
 class TestT2Volumes:
@@ -90,10 +94,10 @@ class TestT2Volumes:
             cfg = GenConfig(
                 n_patients=40, feature_dim=4, step_size=step, noise_sigma=noise,
                 patient_sigma=0.0, class_ratios=(1 / 3, 1 / 3, 1 / 3),
-                ordinal_direction=axis_direction(4), seed=11,
+                seed=11,
             )
             data = gen_t2_volumes(cfg)
-            proj = data.x[:, 0]
+            proj = data.x @ seed_direction(11, 4)
             centers = np.array([0.0, step, 2.0 * step])
             pred = np.argmin(np.abs(proj[:, None] - centers[None, :]), axis=1)
             return float(np.mean(pred == data.labels))
@@ -127,11 +131,10 @@ class TestT1Pairs:
     def test_label_matches_projection_delta(self):
         cfg = GenConfig(
             n_patients=50, feature_dim=3, step_size=1.0, noise_sigma=0.01,
-            patient_sigma=0.0, other_rate=0.0, ordinal_direction=axis_direction(3),
-            class_ratios=(0.3, 0.4, 0.3), seed=13,
+            patient_sigma=0.0, other_rate=0.0, class_ratios=(0.3, 0.4, 0.3), seed=13,
         )
         data = gen_t1_pairs(cfg)
-        for delta, label in zip((data.x_b[:, 0] - data.x[:, 0]).tolist(), data.labels.tolist()):
+        for delta, label in zip(((data.x_b - data.x) @ seed_direction(13, 3)).tolist(), data.labels.tolist()):
             if label == ClassLabel.REDUCED:
                 assert delta < -0.5
             elif label == ClassLabel.STABLE:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from ordchange.cli import _row_order
 from ordchange.core import ClassLabel
 from ordchange.ensemble import (
     PostprocessConfig,
-    PredictionSet,
     TieBreak,
     group_vote,
     mean_ensemble,
@@ -29,8 +29,9 @@ def stable_unanimity_vote(preds: list[tuple[int, np.ndarray]], cfg: PostprocessC
     return int(group_vote(groups, np.array(labels), np.array(probs), 1.0, cfg or PostprocessConfig())[0])
 
 
-def pset(model_id: str, rows: dict[str, list[float]]) -> PredictionSet:
-    return PredictionSet(model_id, list(rows), np.array(list(rows.values())))
+def stack(*models: list[list[float]]) -> np.ndarray:
+    """The (M, N, C) stack of M models' probability rows over the same N records."""
+    return np.array(models, dtype=np.float64)
 
 
 class TestUnanimityVote:
@@ -64,64 +65,58 @@ class TestUnanimityVote:
         assert stable_unanimity_vote(preds) == R
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            unanimity_ensemble([])
+        for empty in ([], np.zeros((0, 2, 3))):
+            with pytest.raises(InvalidInputError, match="stack of probabilities"):
+                unanimity_ensemble(empty)
 
 
 class TestMeanEnsemble:
     def test_averages_probabilities(self):
-        a = pset("a", {"k1": [0.6, 0.3, 0.1], "k2": [0.1, 0.8, 0.1]})
-        b = pset("b", {"k1": [0.2, 0.3, 0.5], "k2": [0.3, 0.4, 0.3]})
-        labels, probs = mean_ensemble([a, b])
+        a = [[0.6, 0.3, 0.1], [0.1, 0.8, 0.1]]
+        b = [[0.2, 0.3, 0.5], [0.3, 0.4, 0.3]]
+        labels, probs = mean_ensemble(stack(a, b))
         np.testing.assert_allclose(probs[0], [0.4, 0.3, 0.3])
         assert labels[0] == R
         np.testing.assert_allclose(probs[1], [0.2, 0.6, 0.2])
         assert labels[1] == S
 
     def test_argmax_tie_takes_lower_index(self):
-        a = pset("a", {"k": [0.5, 0.5, 0.0]})
-        labels, _ = mean_ensemble([a])
+        labels, _ = mean_ensemble(stack([[0.5, 0.5, 0.0]]))
         assert labels[0] == R
 
     def test_single_set_passthrough(self):
-        a = pset("a", {"k1": [0.2, 0.7, 0.1]})
-        labels, probs = mean_ensemble([a])
+        labels, probs = mean_ensemble(stack([[0.2, 0.7, 0.1]]))
         np.testing.assert_allclose(probs[0], [0.2, 0.7, 0.1])
         assert labels[0] == S
 
-    def test_order_follows_first_set(self):
-        a = PredictionSet("a", ["z", "a"], np.array([[1.0, 0, 0], [0, 1.0, 0]]))
-        b = PredictionSet("b", ["a", "z"], np.array([[0, 1.0, 0], [1.0, 0, 0]]))
-        labels, probs = mean_ensemble([a, b])
-        assert labels.tolist() == [R, S]  # rows follow a's keys "z", "a"
-        np.testing.assert_array_equal(probs, a.probs)
-
     def test_misaligned_keys_list_offenders(self):
-        a = pset("a", {f"k{i}": [1.0, 0.0, 0.0] for i in range(15)})
-        b = pset("b", {f"j{i}": [1.0, 0.0, 0.0] for i in range(15)})
+        # Rows are matched by key before they are stacked, in cli._row_order.
+        keys = [f"k{i}" for i in range(15)]
+        base = [f"j{i}" for i in range(15)]
         with pytest.raises(AlignmentError) as err:
-            mean_ensemble([a, b])
+            _row_order(keys, base, "files 'a' and 'b'")
         message = str(err.value)
         assert "'a'" in message and "'b'" in message
-        # 30 symmetric-difference keys but only the first 10 are listed
-        assert message.count("k") + message.count("j") <= 30
+        # All 30 symmetric-difference keys are counted; only the first 10 are listed.
+        assert "(30 total)" in message
+        assert message.endswith(f"first offenders: {sorted(keys + base)[:10]}")
 
     def test_width_mismatch_rejected(self):
-        a = pset("a", {"k": [0.5, 0.5, 0.0]})
-        b = PredictionSet("b", ["k"], np.array([[0.25, 0.25, 0.25, 0.25]]))
-        with pytest.raises(InvalidInputError):
-            mean_ensemble([a, b])
+        # Models of 3 and 4 classes make no (M, N, C) stack.
+        with pytest.raises(ValueError):
+            mean_ensemble([[[0.5, 0.5, 0.0]], [[0.25, 0.25, 0.25, 0.25]]])
 
     def test_no_sets_rejected(self):
-        with pytest.raises(InvalidInputError):
-            mean_ensemble([])
+        for empty in ([], np.zeros((0, 2, 3)), np.full((2, 3), 1 / 3)):
+            with pytest.raises(InvalidInputError, match="stack of probabilities"):
+                mean_ensemble(empty)
 
 
 class TestUnanimityEnsemble:
     def test_per_record_votes_and_mean_probs(self):
-        a = pset("a", {"k1": [0.1, 0.8, 0.1], "k2": [0.1, 0.8, 0.1]})
-        b = pset("b", {"k1": [0.1, 0.7, 0.2], "k2": [0.1, 0.2, 0.7]})
-        labels, probs = unanimity_ensemble([a, b])
+        a = [[0.1, 0.8, 0.1], [0.1, 0.8, 0.1]]
+        b = [[0.1, 0.7, 0.2], [0.1, 0.2, 0.7]]
+        labels, probs = unanimity_ensemble(stack(a, b))
         assert labels[0] == S  # both argmax Stable
         assert labels[1] == W  # one dissent wins
         np.testing.assert_allclose(probs[1], [0.1, 0.5, 0.4])
@@ -194,17 +189,15 @@ class TestVolumeConsistency:
 
 
 class TestValidation:
-    def test_prediction_set_rejects_duplicate_keys(self):
-        with pytest.raises(InvalidInputError, match="repeats"):
-            PredictionSet("m", ["k", "k"], np.array([[1.0, 0, 0], [1.0, 0, 0]]))
-
     def test_prediction_set_rejects_mixed_widths(self):
-        with pytest.raises(InvalidInputError, match="mixes"):
-            PredictionSet("m", ["a", "b"], [[1.0, 0, 0], [0.5, 0.5, 0.0, 0.0]])
+        # One model whose rows mix 3 and 4 classes makes no (M, N, C) stack.
+        with pytest.raises(ValueError):
+            unanimity_ensemble([[[1.0, 0, 0], [0.5, 0.5, 0.0, 0.0]]])
 
     def test_prediction_set_rejects_non_simplex(self):
-        with pytest.raises(InvalidInputError):
-            PredictionSet("m", ["a"], np.array([[0.9, 0.9, 0.9]]))
+        for ensemble in (mean_ensemble, unanimity_ensemble):
+            with pytest.raises(InvalidInputError, match="sum to"):
+                ensemble(stack([[0.2, 0.8, 0.0]], [[0.9, 0.9, 0.9]]))
 
     @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.2])
     def test_threshold_bounds(self, threshold):
@@ -219,10 +212,3 @@ class TestValidation:
     def test_tie_break_type_checked(self):
         with pytest.raises(ConfigError):
             PostprocessConfig(tie_break="most_severe")
-
-    def test_prediction_set_is_read_only_and_checks_row_count(self):
-        ps = pset("m", {"a": [0.2, 0.8, 0.0]})
-        with pytest.raises(ValueError):
-            ps.probs[0, 0] = 1.0
-        with pytest.raises(InvalidInputError, match="2 keys for 1 rows"):
-            PredictionSet("m", ["a", "b"], np.array([[0.2, 0.8, 0.0]]))

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from ordchange.cli import main
 from ordchange.ensemble import (
     PostprocessConfig,
-    PredictionSet,
     TieBreak,
     group_vote,
     mean_ensemble,
@@ -107,11 +106,12 @@ def prediction_sets(draw):
 @settings(max_examples=400, deadline=None)
 @given(sets=prediction_sets(), cfg=configs)
 def test_ensembles_match_reference(sets, cfg):
-    new = [PredictionSet(name, keys, np.array(rows)) for name, keys, rows in sets]
+    # Each model's rows in the first model's key order.
+    stack = np.stack([np.array(rows)[[keys.index(key) for key in sets[0][1]]] for _, keys, rows in sets])
     old = [ref.PredictionSet(name, tuple(zip(keys, rows))) for name, keys, rows in sets]
     for (labels, probs), expected in (
-        (mean_ensemble(new), ref.mean_ensemble(old)),
-        (unanimity_ensemble(new, cfg), ref.unanimity_ensemble(old, cfg)),
+        (mean_ensemble(stack), ref.mean_ensemble(old)),
+        (unanimity_ensemble(stack, cfg), ref.unanimity_ensemble(old, cfg)),
     ):
         assert [k for k, _, _ in expected] == sets[0][1]
         assert labels.tolist() == [lab for _, lab, _ in expected]

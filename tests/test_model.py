@@ -306,45 +306,18 @@ class TestOptimizers:
         g = np.array([[0.3, -0.2, 0.7]])
         grads = np.append(g, 0.0)
         cfg = OptimizerConfig(kind="adam")
-        new, state = optimizer_step(init_optimizer_state(cfg, params), params, grads, lr=0.1)
         # After bias correction the first update is -lr * g/(|g| + eps).
         expected = params.head_layers[0][0] - 0.1 * g / (np.abs(g) + cfg.eps)
+        new, state = optimizer_step(init_optimizer_state(cfg, params), params, grads, lr=0.1)
         np.testing.assert_allclose(new.head_layers[0][0], expected, atol=1e-12)
         assert state.step == 1
 
     def test_adam_zero_gradient_is_fixed_point(self):
         params = init_params((3, 4), (4, 3), seed=2)
         state = init_optimizer_state(OptimizerConfig(kind="adam"), params)
-        new, _ = optimizer_step(state, params, np.zeros_like(params.vector), lr=0.5)
-        for (w0, b0), (w1, b1) in zip(params.head_layers, new.head_layers):
-            np.testing.assert_array_equal(w0, w1)
-            np.testing.assert_array_equal(b0, b1)
-
-    def test_step_is_functional(self):
-        params = init_params((3, 4), (4, 3), seed=2)
-        before = params.head_layers[0][0].copy()
-        state = init_optimizer_state(OptimizerConfig(kind="adam"), params)
-        optimizer_step(state, params, np.ones_like(params.vector), lr=0.1)
-        np.testing.assert_array_equal(params.head_layers[0][0], before)
-        assert state.step == 0
-
-    @pytest.mark.parametrize("kind", ["sgd", "adam"])
-    def test_step_into_out_matches_the_allocating_step(self, kind):
-        params = init_params((3, 4), (4, 3), seed=2)
-        state = init_optimizer_state(OptimizerConfig(kind=kind, weight_decay=0.01), params)
-        grads = np.random.default_rng(0).normal(size=params.vector.size)
-        new, new_state = optimizer_step(state, params, grads, lr=0.1)
-        other = init_params((3, 4), (4, 3), seed=9)
-        into = optimizer_step(state, params, grads, 0.1, out=(other, init_optimizer_state(state.config, other)))
         before = params.vector.copy()
-        in_place = optimizer_step(state, params, grads, 0.1, out=(params, state))
-        assert into[0] is other and in_place[0] is params
-        assert other.vector.tobytes() == params.vector.tobytes() == new.vector.tobytes() != before.tobytes()
-        for s in (into[1], in_place[1]):
-            assert s.step == new_state.step == 1
-            if kind == "adam":
-                assert s.m.tobytes() == new_state.m.tobytes() and s.v.tobytes() == new_state.v.tobytes()
-        assert in_place[1].m is state.m
+        new, _ = optimizer_step(state, params, np.zeros_like(params.vector), lr=0.5)
+        np.testing.assert_array_equal(new.vector, before)
 
     def test_bad_lr_rejected(self):
         params = init_params((3, 4), (4, 3))

@@ -85,7 +85,7 @@ def test_training_steps_match_per_layer_oracle(run):
         ref_grads = ref.backward(ref_cache, ref_grad_logits)
         assert same_bits(grads, np.concatenate([a.ravel() for a in ref_grads]))
 
-        stepped, state = optimizer_step(state, params, grads, run["lr"], out=(params, state), freeze_head=frozen)
+        stepped, state = optimizer_step(state, params, grads, run["lr"], freeze_head=frozen)
         ref_params, ref_step, ref_m, ref_v = ref.optimizer_step(
             run["optimizer"], ref_step, ref_m, ref_v, ref_params, ref_grads, run["lr"], freeze_head=frozen
         )
