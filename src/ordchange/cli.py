@@ -26,7 +26,9 @@ dataset's columns and the model's (N, C) probabilities, ``ensemble`` votes
 on one (M, N, C) stack of its input tables' ``probs`` and writes the first
 table with its label columns replaced, and ``eval`` scores one label column.
 ``_row_order`` matches one file's rows to another file's keys for both.
-Each file is checked once, when it is read.
+Each file is checked once, when ``_read_table`` reads it in one structured
+``np.loadtxt`` pass. ``_write_csv`` streams every CSV into the temporary
+file that ``core.atomic_write`` renames.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -95,30 +98,59 @@ def _fmt_metric(v: float) -> str:
 
 
 def _write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write(path, buf.getvalue())
+    def write(fh) -> None:  # streams the rows into the temporary file atomic_write renames
+        text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+        csv.writer(text, lineterminator="\n").writerows(chain([header], rows))
+        text.detach()  # flushes, and leaves fh to atomic_write
+
+    atomic_write(path, write)
 
 
-def _read_csv(path: str | os.PathLike) -> tuple[list[str], list[list[str]]]:
-    """The header and the rows of a CSV whose every row has the header's field count."""
+def _read_table(path: str | os.PathLike, layout: Callable[[list[str]], tuple]) -> tuple[object, np.ndarray]:
+    """Read a CSV into a structured array in one ``np.loadtxt`` pass.
+
+    ``layout(header)`` checks the header and returns what the caller keeps of
+    it and the ``(name, type, width)`` groups of a row's fields (``object``
+    fields hold text). A blank line, a field over the ``csv`` module's limit,
+    a wrong field count or a field that does not convert each raise DataError
+    naming the file line."""
+    options = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 1}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader, lineno, line = csv.reader(fh), 1, ""
+
+        def check_count() -> None:
+            n_fields = len(next(csv.reader([line]), []))
+            if n_fields != len(header):
+                raise DataError(f"{path}: line {lineno} has {n_fields} fields, expected {len(header)}")
+
+        def lines() -> Iterator[str]:
+            nonlocal lineno, line
+            for lineno, line in enumerate(fh, reader.line_num + 1):
+                if line[0] in "\r\n" or len(line) > csv.field_size_limit():  # loadtxt skips one, takes the other
+                    check_count()
+                yield line
+
         try:
             header = next(reader, None)
-            rows = list(reader)
+            if header is None:
+                raise DataError(f"{path}: empty CSV")
+            info, groups = layout(header)
+            dtype = np.dtype([(name, kind, (width,)) for name, kind, width in groups])
+            rows = lines()
+            first = next(rows, None)  # loadtxt warns on a file with no rows
+            table = np.empty(0, dtype) if first is None else np.loadtxt(chain([first], rows), dtype, **options)
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:
-            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    if header is None:
-        raise DataError(f"{path}: empty CSV")
-    ragged = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
-    if ragged is not None:
-        raise DataError(f"{path}: line {ragged + 2} has {len(rows[ragged])} fields, expected {len(header)}")
-    return header, rows
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
+        except ValueError as exc:  # loadtxt stops on the line it rejects
+            check_count()
+            try:
+                np.loadtxt([line], dtype, **options)
+            except ValueError as alone:
+                raise DataError(f"{path}: line {lineno}: {str(alone).replace(' at row 0,', ' at')}") from None
+            raise DataError(f"{path}: {exc}") from None
+    return info, table
 
 
 def _write_manifest(
@@ -328,38 +360,37 @@ def read_dataset_csv(path: str | os.PathLike) -> tuple[Task, Dataset, list[str]]
     """Read a dataset CSV, detecting the task from its header.
 
     Returns the task, the dataset, and the per-row case ids in file order.
-    Features parse straight into one preallocated float64 matrix; a pair
-    row's two halves become the views ``x`` and ``x_b``.
+    One ``np.loadtxt`` pass reads the id columns as text and the features
+    into one float64 matrix; a pair row's halves become the views ``x`` and
+    ``x_b``. The id columns then go through ``int`` and the ``Dataset`` checks.
     """
-    header, rows = _read_csv(path)
-    if header[:6] == _dataset_header(Task.T2, 0):
-        task = Task.T2
-    elif header[:3] == _dataset_header(Task.T1, 0):
-        task = Task.T1
-    else:
-        raise DataError(f"{path}: unrecognized dataset header")
-    n_ids = len(_dataset_header(task, 0))
-    dim = (len(header) - n_ids) // (2 if task is Task.T1 else 1)
-    if header != _dataset_header(task, dim):
-        raise DataError(f"{path}: malformed {task.value} dataset header")
 
-    def column(j: int) -> list[str]:
-        return [row[j] for row in rows]
+    def layout(header: list[str]) -> tuple:
+        if header[:6] == _dataset_header(Task.T2, 0):
+            task = Task.T2
+        elif header[:3] == _dataset_header(Task.T1, 0):
+            task = Task.T1
+        else:
+            raise DataError(f"{path}: unrecognized dataset header")
+        n_ids = len(_dataset_header(task, 0))
+        dim = (len(header) - n_ids) // (2 if task is Task.T1 else 1)
+        if header != _dataset_header(task, dim):
+            raise DataError(f"{path}: malformed {task.value} dataset header")
+        return (task, dim), [("ids", object, n_ids), ("x", np.float64, len(header) - n_ids)]
 
-    feats = np.empty((len(rows), len(header) - n_ids))
+    (task, dim), table = _read_table(path, layout)
+    ids, feats = table["ids"], np.ascontiguousarray(table["x"])
     try:
-        for i, row in enumerate(rows):
-            feats[i] = row[n_ids:]
         # The label is the last id column of either layout.
-        ids = {"patient_id": column(1), "labels": list(map(int, column(n_ids - 1)))}
+        columns = {"patient_id": ids[:, 1], "labels": list(map(int, ids[:, -1]))}
         if task is Task.T2:
-            ids.update(visit_id=column(2), volume_id=column(3), bscan_index=list(map(int, column(4))))
-        data = Dataset(x=feats[:, :dim], x_b=feats[:, dim:] if task is Task.T1 else None, **ids)
+            columns.update(visit_id=ids[:, 2], volume_id=ids[:, 3], bscan_index=list(map(int, ids[:, 4])))
+        data = Dataset(x=feats[:, :dim], x_b=feats[:, dim:] if task is Task.T1 else None, **columns)
     except InvalidInputError as exc:
         raise DataError(f"{path}: {exc}") from exc
     except (ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed dataset row: {exc}") from exc
-    case_ids = column(0)
+    case_ids = ids[:, 0].tolist()
     _check_unique(path, case_ids)
     return task, data, case_ids
 
@@ -441,19 +472,24 @@ def read_predictions_csv(path: str | os.PathLike) -> Predictions:
     writing it back gives the same bytes. Every probability row must pass the
     simplex gate within ``_ROUNDED_PROB_TOL``, every label column must name a
     class of the file's width, and every case_id must be unique."""
-    header, rows = _read_csv(path)
-    if not rows:
+
+    def layout(header: list[str]) -> tuple:
+        layouts = [(c, f) for c in (4, 3) for f in (True, False) if header == _pred_header(c, f)]
+        if not layouts:
+            raise DataError(f"{path}: unrecognized prediction header")
+        # Labels stay text here, so that a label beyond int64 fails below with int's message.
+        n_classes, n_labels = layouts[0][0], len(header) - 5 - layouts[0][0]
+        return layouts[0], [("ids", object, 5), ("probs", np.float64, n_classes), ("labels", object, n_labels)]
+
+    (n_classes, with_final), table = _read_table(path, layout)
+    if not len(table):
         raise DataError(f"{path}: holds no prediction rows")
-    layouts = [(c, f) for c in (4, 3) for f in (True, False) if header == _pred_header(c, f)]
-    if not layouts:
-        raise DataError(f"{path}: unrecognized prediction header")
-    n_classes, with_final = layouts[0]
-    columns = list(zip(*rows))
+    header = _pred_header(n_classes, with_final)
+    ids, probs = table["ids"], np.ascontiguousarray(table["probs"])
     # true_label, pred_label[, final_label, postprocessed]: all but the flag are labels.
     int_columns = [4, *range(5 + n_classes, len(header))]
     try:
-        probs = np.ascontiguousarray(np.array(columns[5 : 5 + n_classes], dtype=np.float64).T)
-        ints = np.array([columns[j] for j in int_columns], dtype=np.int64).T
+        ints = np.array(np.hstack([ids[:, 4:], table["labels"]]), dtype=np.int64)
     except (ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed prediction row: {exc}") from exc
     try:
@@ -471,26 +507,31 @@ def read_predictions_csv(path: str | os.PathLike) -> Predictions:
     if off.size:
         i, j = off[0]
         raise DataError(f"{path}: line {i + 2}: {header[int_columns[j]]} {labels[i, j]} outside [0, {n_classes})")
-    _check_unique(path, columns[0])
+    case_ids = ids[:, 0].tolist()
+    _check_unique(path, case_ids)
     return Predictions(
-        *columns[:4], true_label=ints[:, 0], probs=probs, pred_label=ints[:, 1],
+        case_ids, ids[:, 1], ids[:, 2], ids[:, 3], true_label=ints[:, 0], probs=probs, pred_label=ints[:, 1],
         final_label=ints[:, 2] if with_final else None, postprocessed=ints[:, 3] if with_final else None,
     )
 
 
 def read_truth_csv(path: str | os.PathLike, task: Task) -> tuple[list[str], np.ndarray]:
     """The case ids and the int64 labels of a truth CSV, in file order."""
-    header, rows = _read_csv(path)
-    if header != _truth_header(task):
-        raise DataError(f"{path}: unrecognized truth header for task {task.value}")
+
+    def layout(header: list[str]) -> tuple:
+        if header != _truth_header(task):
+            raise DataError(f"{path}: unrecognized truth header for task {task.value}")
+        return None, [("ids", object, len(header))]
+
+    ids = _read_table(path, layout)[1]["ids"]
     try:
-        labels = [int(row[-1]) for row in rows]
+        labels = [int(label) for label in ids[:, -1]]
     except ValueError as exc:
         raise DataError(f"{path}: malformed truth row: {exc}") from exc
     off = next((i for i, label in enumerate(labels) if not 0 <= label < task.n_classes), None)
     if off is not None:
         raise DataError(f"{path}: line {off + 2}: label {labels[off]} is not valid for task {task.value}")
-    case_ids = [row[0] for row in rows]
+    case_ids = ids[:, 0].tolist()
     _check_unique(path, case_ids)
     return case_ids, np.array(labels, dtype=np.int64)
 

@@ -14,7 +14,7 @@ import contextlib
 import os
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
-from typing import Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -247,14 +247,18 @@ class Dataset:
         return Dataset(**{name: None if col is None else col[rows] for name, col in columns.items()})
 
 
-def atomic_write(path: str | os.PathLike, data: str | bytes) -> None:
-    """Write bytes, or text as UTF-8, to ``path`` through a temporary file and
-    a rename, so ``path`` holds either its old content or all of the new. The
-    temporary file is removed when either step fails."""
+def atomic_write(path: str | os.PathLike, data: str | bytes | Callable[[BinaryIO], None]) -> None:
+    """Write bytes, text as UTF-8, or whatever ``data(fh)`` writes to the open
+    binary file, to ``path`` through a temporary file and a rename, so ``path``
+    holds either its old content or all of the new. The temporary file is
+    removed when either step fails."""
     tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data if isinstance(data, bytes) else data.encode("utf-8"))
+            if callable(data):
+                data(fh)
+            else:
+                fh.write(data if isinstance(data, bytes) else data.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -539,6 +539,31 @@ class TestBadDataset:
         message = f"{tmp_path / 'bad.csv'}: line 2: field larger than field limit"
         self.check(workdir, tmp_path, capsys, command, lambda lines: set_field(lines, 1, 0, "x" * 200_000), message)
 
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_blank_line_exit_2(self, workdir, tmp_path, capsys, command):
+        # numpy's parser skips blank lines; the reader does not.
+        message = f"{tmp_path / 'bad.csv'}: line 5 has 0 fields, expected 11"
+        self.check(workdir, tmp_path, capsys, command, lambda lines: lines.insert(4, "\n"), message)
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("feature", ["abc", "1_0"])
+    def test_feature_that_is_not_a_number_exit_2(self, workdir, tmp_path, capsys, command, feature):
+        # Python's float() reads 1_0 as 10.0; numpy's parser, which reads the features, rejects it.
+        message = f"{tmp_path / 'bad.csv'}: line 6: could not convert string {feature!r} to float64"
+        self.check(workdir, tmp_path, capsys, command, lambda lines: set_field(lines, 5, 7, feature), message)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_header_only_file_exit_2_without_a_warning(self, workdir, tmp_path, capsys, command):
+        def drop_rows(lines):
+            del lines[1:]
+
+        message = {
+            "train": "error: need at least two patients for a patient-disjoint split",
+            "predict": f"error: {tmp_path / 'bad.csv'}: dataset holds no records",
+        }[command]
+        self.check(workdir, tmp_path, capsys, command, drop_rows, message)
+
     def test_label_outside_task_exit_2(self, workdir, tmp_path, capsys):
         # Label 3 (OTHER) exists only in t1; all three B-scans of the volume carry it.
         def relabel_volume(lines):
@@ -566,6 +591,21 @@ class TestFailedWrite:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: cannot rename")
         assert not list((tmp_path / "out").glob("*.tmp.*"))
+
+    @pytest.mark.filterwarnings("error")
+    def test_failed_row_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path):
+        # The rows stream into the temporary file, so a failure can come after part of the text is written.
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def rows():
+            yield ["1", "2"]
+            raise OSError("row source failed")
+
+        with pytest.raises(OSError, match="row source failed"):
+            cli._write_csv(path, ["a", "b"], rows())
+        assert path.read_text() == "old\n"
+        assert not list(tmp_path.glob("*.tmp.*"))
 
 
 def stable_rows(cases: list[str], vol: str, peak_classes: list[int] | None = None) -> Predictions:
@@ -887,9 +927,10 @@ class TestBadPredictionAndTruthFiles:
 
     def test_truth_row_with_extra_field_exit_2(self, workdir, tmp_path, capsys):
         # Read as the last field, the appended 2 used to be scored as the label.
+        pred = tmp_path / "preds.csv"
+        pred.write_bytes((workdir / "preds.csv").read_bytes())
         truth = edited_copy(workdir / "data" / "truth.csv", tmp_path / "truth.csv", 1, lambda f: f.append("2"))
-        rc = self.run(workdir, "eval", workdir / "preds.csv", truth)
-        self.check(capsys, rc, truth, "line 2 has 6 fields, expected 5")
+        self.check(capsys, self.run(workdir, "eval", pred, truth), truth, "line 2 has 6 fields, expected 5")
 
     @pytest.mark.parametrize("command", ["ensemble", "eval"])
     def test_prediction_file_not_utf8_exit_2(self, workdir, tmp_path, capsys, command):
@@ -923,9 +964,10 @@ class TestBadPredictionAndTruthFiles:
         def set_label(fields):
             fields[-1] = "9"
 
+        pred = tmp_path / "preds.csv"
+        pred.write_bytes((workdir / "preds.csv").read_bytes())
         truth = edited_copy(workdir / "data" / "truth.csv", tmp_path / "truth.csv", 2, set_label)
-        rc = self.run(workdir, "eval", workdir / "preds.csv", truth)
-        self.check(capsys, rc, truth, "line 3: label 9 is not valid for task t2")
+        self.check(capsys, self.run(workdir, "eval", pred, truth), truth, "line 3: label 9 is not valid for task t2")
 
     @pytest.mark.parametrize("command", ["ensemble", "eval"])
     def test_negative_probability_exit_2(self, workdir, tmp_path, capsys, command):

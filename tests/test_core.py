@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from ordchange.core import (
     Dataset,
     Task,
     as_logits,
+    atomic_write,
     as_prob_vector,
     confusion_from_predictions,
     softmax,
@@ -186,3 +189,25 @@ class TestRecords:
         masked = data.take(np.array([False, True, False]))
         assert len(masked) == 1 and masked.patient_id.tolist() == ["P1"]
         assert len(data.take(np.zeros(3, dtype=bool))) == 0
+
+
+class TestAtomicWrite:
+    def test_writes_what_the_callback_writes(self, tmp_path):
+        atomic_write(tmp_path / "out.txt", lambda fh: fh.write(b"new\n"))
+        assert (tmp_path / "out.txt").read_bytes() == b"new\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_callback_that_raises_keeps_the_old_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old bytes\n")
+
+        def half_then_fail(fh):
+            text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+            text.write("first half of the new text\n")
+            text.flush()
+            raise OSError("second half failed")
+
+        with pytest.raises(OSError, match="second half failed"):
+            atomic_write(path, half_then_fail)
+        assert path.read_bytes() == b"old bytes\n"
+        assert not list(tmp_path.glob("*.tmp.*"))
