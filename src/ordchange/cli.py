@@ -27,18 +27,22 @@ on one (M, N, C) stack of its input tables' ``probs`` and writes the first
 table with its label columns replaced, and ``eval`` scores one label column.
 ``_row_order`` matches one file's rows to another file's keys for both.
 Each file is checked once, when ``_read_table`` reads it in one structured
-``np.loadtxt`` pass. ``_write_csv`` streams every CSV into the temporary
-file that ``core.atomic_write`` renames.
+``np.loadtxt`` pass. ``_write_csv`` writes every CSV from its columns, with
+no ``csv.writer``: it quotes each text column once and formats each row of
+a float matrix by ``repr`` as it writes that line into the temporary file
+that ``core.atomic_write`` renames. The bytes are ``csv.writer``'s.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from collections import Counter
@@ -89,18 +93,29 @@ PROB_COLUMNS = {
 # --- small formatting and io helpers ---------------------------------------------
 
 
-def _fmt_prob(v: float) -> str:
-    return f"{float(v):.9f}"
+_QUOTE_CHARS = re.compile('[,"\n]')  # what csv.writer(lineterminator="\n") quotes; it writes "\r" bare
 
 
-def _fmt_metric(v: float) -> str:
-    return f"{float(v):.6f}"
+def _quoted(column: Iterable) -> list[str]:
+    """Each field of a column as csv.writer writes it: floats by repr, ints by
+    str, and text that holds a comma, a quote or a line feed in quotes."""
+    text = list(map(str, column))
+    if not _QUOTE_CHARS.search("".join(text)):
+        return text
+    return ['"' + t.replace('"', '""') + '"' if _QUOTE_CHARS.search(t) else t for t in text]
 
 
-def _write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    def write(fh) -> None:  # streams the rows into the temporary file atomic_write renames
+def _write_csv(path: str | os.PathLike, header: Sequence[str], columns: Sequence[Iterable], floats=None) -> None:
+    """Write the header, then each row of the (one or more) text columns
+    followed by that row of the float matrix ``floats`` (one or more columns)
+    when given, byte for byte as csv.writer(lineterminator="\n") does."""
+    lines = map(",".join, zip(*map(_quoted, columns)))
+    if floats is not None:
+        lines = (f"{text},{','.join(map(float.__repr__, row.tolist()))}" for text, row in zip(lines, floats))
+
+    def write(fh) -> None:  # csv writes a row of one empty field as ""
         text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
-        csv.writer(text, lineterminator="\n").writerows(chain([header], rows))
+        text.writelines((line or '""') + "\n" for line in chain([",".join(_quoted(header))], lines))
         text.detach()  # flushes, and leaves fh to atomic_write
 
     atomic_write(path, write)
@@ -149,7 +164,16 @@ def _read_table(path: str | os.PathLike, layout: Callable[[list[str]], tuple]) -
                 np.loadtxt([line], dtype, **options)
             except ValueError as alone:
                 raise DataError(f"{path}: line {lineno}: {str(alone).replace(' at row 0,', ' at')}") from None
-            raise DataError(f"{path}: {exc}") from None
+            fh.seek(0)  # the rejected row spans lines: name the line it starts on
+            reader, start = csv.reader(fh), 1
+            with contextlib.suppress(csv.Error):
+                for row in reader:
+                    if len(row) != len(header):
+                        break
+                    start = reader.line_num + 1
+            if start > reader.line_num:
+                raise DataError(f"{path}: {exc}") from None
+            raise DataError(f"{path}: line {start}: quote not closed (read to line {reader.line_num})") from None
     return info, table
 
 
@@ -341,9 +365,9 @@ def write_dataset_csv(path: str | os.PathLike, data: Dataset) -> None:
     ids = [_case_ids(data), data.patient_id.tolist()]
     if data.task is Task.T2:
         ids += [data.visit_id.tolist(), data.volume_id.tolist(), data.bscan_index.tolist()]
-    # csv writes a float as its repr, the shortest text that reads back exactly.
-    rows = ([*row, *f.tolist()] for row, f in zip(zip(*ids, data.labels.tolist()), np.hstack(data.inputs)))
-    _write_csv(path, _dataset_header(data.task, data.x.shape[1]), rows)
+    feats = data.x if data.x_b is None else np.hstack(data.inputs)  # a pair row's halves side by side
+    # A feature is written as its repr, the shortest text that reads back exactly.
+    _write_csv(path, _dataset_header(data.task, data.x.shape[1]), [*ids, data.labels.tolist()], feats)
 
 
 def _truth_header(task: Task) -> list[str]:
@@ -352,8 +376,7 @@ def _truth_header(task: Task) -> list[str]:
 
 def write_truth_csv(path: str | os.PathLike, data: Dataset) -> None:
     ids = [data.volume_id.tolist(), data.bscan_index.tolist()] if data.task is Task.T2 else []
-    rows = zip(_case_ids(data), data.patient_id.tolist(), *ids, data.labels.tolist())
-    _write_csv(path, _truth_header(data.task), rows)
+    _write_csv(path, _truth_header(data.task), [_case_ids(data), data.patient_id.tolist(), *ids, data.labels.tolist()])
 
 
 def read_dataset_csv(path: str | os.PathLike) -> tuple[Task, Dataset, list[str]]:
@@ -464,7 +487,7 @@ def write_predictions_csv(path: str | os.PathLike, table: Predictions) -> None:
     with_final = table.final_label is not None
     if with_final:
         columns += [table.final_label.tolist(), table.postprocessed.tolist()]
-    _write_csv(path, _pred_header(n_classes, with_final), zip(*columns))
+    _write_csv(path, _pred_header(n_classes, with_final), columns)
 
 
 def read_predictions_csv(path: str | os.PathLike) -> Predictions:
@@ -560,23 +583,18 @@ def _row_order(keys: list[str], base: list[str], what: str) -> np.ndarray:
 # --- history and report CSVs ---------------------------------------------------------
 
 
+def _report_fields(report: MetricReport) -> list[str]:
+    return [*(f"{v:.6f}" for v in report.values().values()), ";".join(report.flags)]
+
+
 def _write_history_csv(path: str | os.PathLike, history) -> None:
-    header = ["epoch", "train_loss", "lr", *METRIC_NAMES, "flags"]
-    rows = []
-    for e in history.entries:
-        rows.append(
-            [str(e.epoch), _fmt_prob(e.train_loss), _fmt_prob(e.lr)]
-            + [_fmt_metric(v) for v in e.val_report.values().values()]
-            + [";".join(e.val_report.flags)]
-        )
-    _write_csv(path, header, rows)
+    rows = [[e.epoch, f"{e.train_loss:.9f}", f"{e.lr:.9f}", *_report_fields(e.val_report)] for e in history.entries]
+    _write_csv(path, ["epoch", "train_loss", "lr", *METRIC_NAMES, "flags"], list(zip(*rows)))
 
 
 def _write_report_csv(path: str | os.PathLike, report: MetricReport) -> None:
-    header = ["task", *METRIC_NAMES, "flags"]
-    row = [report.task.value] + [_fmt_metric(v) for v in report.values().values()]
-    row.append(";".join(report.flags))
-    _write_csv(path, header, [row])
+    row = [report.task.value, *_report_fields(report)]
+    _write_csv(path, ["task", *METRIC_NAMES, "flags"], [[field] for field in row])
 
 
 # --- commands -------------------------------------------------------------------------

@@ -564,6 +564,23 @@ class TestBadDataset:
         }[command]
         self.check(workdir, tmp_path, capsys, command, drop_rows, message)
 
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_quote_left_open_names_its_line_exit_2(self, workdir, tmp_path, capsys, command):
+        # numpy's parser reads on to the end of the file inside the quoted field and names no file line.
+        end = len((workdir / "data" / "dataset.csv").read_text().splitlines())
+        message = f"{tmp_path / 'bad.csv'}: line 4: quote not closed (read to line {end})"
+        self.check(workdir, tmp_path, capsys, command, lambda lines: set_field(lines, 3, 1, '"P0'), message)
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_quote_left_open_past_the_field_limit_exit_2(self, workdir, tmp_path, capsys, command):
+        # In a larger file the quoted field outgrows the csv module's field limit before the file ends.
+        def open_quote_in_a_long_file(lines):
+            set_field(lines, 3, 1, '"P0')
+            lines += lines[4:] * (200_000 // len("".join(lines[4:])) + 1)
+
+        message = f"{tmp_path / 'bad.csv'}: line 4: quote not closed (read to line "
+        self.check(workdir, tmp_path, capsys, command, open_quote_in_a_long_file, message)
+
     def test_label_outside_task_exit_2(self, workdir, tmp_path, capsys):
         # Label 3 (OTHER) exists only in t1; all three B-scans of the volume carry it.
         def relabel_volume(lines):
@@ -594,16 +611,16 @@ class TestFailedWrite:
 
     @pytest.mark.filterwarnings("error")
     def test_failed_row_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path):
-        # The rows stream into the temporary file, so a failure can come after part of the text is written.
+        # The float rows stream into the temporary file, so a failure can come after part of the text is written.
         path = tmp_path / "out.csv"
         path.write_text("old\n")
 
-        def rows():
-            yield ["1", "2"]
+        def float_rows():
+            yield from np.ones((5000, 1))  # 30 kB, more than the text and file buffers hold
             raise OSError("row source failed")
 
         with pytest.raises(OSError, match="row source failed"):
-            cli._write_csv(path, ["a", "b"], rows())
+            cli._write_csv(path, ["a", "b"], [["x"] * 5001], float_rows())
         assert path.read_text() == "old\n"
         assert not list(tmp_path.glob("*.tmp.*"))
 

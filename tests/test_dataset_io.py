@@ -106,3 +106,21 @@ def test_gen_output_matches_golden_digest(task, tmp_path):
     _, data, _ = read_dataset_csv(tmp_path / "d" / "dataset.csv")
     write_dataset_csv(tmp_path / "again.csv", data)
     assert (tmp_path / "again.csv").read_bytes() == dataset
+
+
+def test_spaces_around_quotes_split_as_the_csv_module_splits_them(tmp_path):
+    # numpy's parser, which reads the rows, and the csv module agree: a quote
+    # opens a quoted field only as the field's first character, so ' "P,0"'
+    # is the two fields ' "P' and '0"'.
+    spellings = ["a ", ' "b"', ' "q""r"', ' ""', '"b,x"', ' "b"x', 'a "b" c', '" b,x"', "é ", " \"b'\""]
+    lines = [f"c{i},{s},{spellings[-1 - i]},V{i},{i},1,0.5" for i, s in enumerate(spellings)]
+    lines.append('c10, "P,0",V10,10,1,0.5')
+    path = tmp_path / "dataset.csv"
+    path.write_text("\n".join(["case_id,patient_id,visit_id,volume_id,bscan_index,label,f0", *lines]) + "\n")
+    _, data, case_ids = read_dataset_csv(path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert all(len(row) == 7 for row in rows)
+    assert case_ids == [row[0] for row in rows]
+    for j, name in enumerate(("patient_id", "visit_id", "volume_id"), start=1):
+        assert getattr(data, name).tolist() == [row[j] for row in rows], name
