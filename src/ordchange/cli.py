@@ -93,12 +93,12 @@ PROB_COLUMNS = {
 # --- small formatting and io helpers ---------------------------------------------
 
 
-_QUOTE_CHARS = re.compile('[,"\n]')  # what csv.writer(lineterminator="\n") quotes; it writes "\r" bare
+_QUOTE_CHARS = re.compile('[,"\r\n]')  # what csv.writer(lineterminator="\r\n") quotes
 
 
 def _quoted(column: Iterable) -> list[str]:
     """Each field of a column as csv.writer writes it: floats by repr, ints by
-    str, and text that holds a comma, a quote or a line feed in quotes."""
+    str, and text that holds a comma, a quote or a line break in quotes."""
     text = list(map(str, column))
     if not _QUOTE_CHARS.search("".join(text)):
         return text
@@ -108,7 +108,7 @@ def _quoted(column: Iterable) -> list[str]:
 def _write_csv(path: str | os.PathLike, header: Sequence[str], columns: Sequence[Iterable], floats=None) -> None:
     """Write the header, then each row of the (one or more) text columns
     followed by that row of the float matrix ``floats`` (one or more columns)
-    when given, byte for byte as csv.writer(lineterminator="\n") does."""
+    when given, as csv.writer with CR LF line ends would, each ended by LF."""
     lines = map(",".join, zip(*map(_quoted, columns)))
     if floats is not None:
         lines = (f"{text},{','.join(map(float.__repr__, row.tolist()))}" for text, row in zip(lines, floats))
@@ -126,9 +126,9 @@ def _read_table(path: str | os.PathLike, layout: Callable[[list[str]], tuple]) -
 
     ``layout(header)`` checks the header and returns what the caller keeps of
     it and the ``(name, type, width)`` groups of a row's fields (``object``
-    fields hold text). A blank line, a field over the ``csv`` module's limit,
-    a wrong field count or a field that does not convert each raise DataError
-    naming the file line."""
+    fields hold text). A blank line outside a quoted field, a field over the
+    ``csv`` module's limit, a wrong field count or a field that does not
+    convert each raise DataError naming the file line."""
     options = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 1}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader, lineno, line = csv.reader(fh), 1, ""
@@ -140,9 +140,12 @@ def _read_table(path: str | os.PathLike, layout: Callable[[list[str]], tuple]) -
 
         def lines() -> Iterator[str]:
             nonlocal lineno, line
+            quoted = 0  # 1 while a quoted field runs on past a line end, where a blank line is text
             for lineno, line in enumerate(fh, reader.line_num + 1):
-                if line[0] in "\r\n" or len(line) > csv.field_size_limit():  # loadtxt skips one, takes the other
+                # loadtxt skips a blank line and takes a line over the field limit
+                if (line[0] in "\r\n" and not quoted) or len(line) > csv.field_size_limit():
                     check_count()
+                quoted ^= line.count('"') & 1
                 yield line
 
         try:
@@ -203,15 +206,10 @@ def _write_manifest(
 #
 # GenConfig and TrainConfig, with the LossConfig and OptimizerConfig that
 # TrainConfig nests, define every config key and its default; the type of the
-# default picks the key's parser. These tables hold the only departures.
+# default picks the key's parser. This table holds the only departures.
 
 # Config keys named differently from the dataclass field they set.
 _FIELD_OF_KEY = {"loss": "loss_kind", "optimizer": "kind", "adam_eps": "eps"}
-# (lo, hi) fields set by the two keys <prefix>_min and <prefix>_max.
-_RANGE_PREFIX = {"visits_per_patient": "visits", "bscans_per_volume": "bscans"}
-# Keys that no config dataclass holds, with their defaults; gen's task
-# defaults to the task that train defaults to.
-_EXTRA_KEYS = {GenConfig: {"task": TrainConfig.task}, TrainConfig: {"val_ratio": 0.2, "folds": 0}}
 
 
 def _as_bool(raw: str) -> bool:
@@ -230,31 +228,28 @@ def _as_float(raw: str) -> float:
     return value
 
 
-def _parser(default) -> Callable[[str], object] | None:
-    """The parser of a key with this default; None for a field that is no key."""
+def _parser(default) -> Callable[[str], object]:
+    """The parser of a key with this default; an Enum default parses as its Enum."""
+    if isinstance(default, (str, Enum)):
+        return type(default)
     if isinstance(default, bool):
         return _as_bool
     if isinstance(default, int):
         return int
     if isinstance(default, float):
         return _as_float
-    if isinstance(default, (str, Enum)):
-        return str
     if isinstance(default, tuple):
         item = _parser(default[0])
         return lambda raw: tuple(item(part) for part in raw.split(","))
-    return None
+    raise TypeError(f"no config parser for the default {default!r}")
 
 
 def _field_defaults(cls) -> dict[str, object]:
-    """The default of each field of ``cls`` and of the configs it nests, with
-    each range field split into its two ends."""
+    """The default of each field of ``cls`` and of the configs it nests."""
     defaults: dict[str, object] = {}
     for f in fields(cls):
         if is_dataclass(f.default_factory):
             defaults.update(_field_defaults(f.default_factory))
-        elif f.name in _RANGE_PREFIX:
-            defaults[f"{_RANGE_PREFIX[f.name]}_min"], defaults[f"{_RANGE_PREFIX[f.name]}_max"] = f.default
         else:
             defaults[f.name] = f.default
     return defaults
@@ -262,9 +257,7 @@ def _field_defaults(cls) -> dict[str, object]:
 
 def _schema(cls) -> dict[str, Callable[[str], object]]:
     key_of = {name: key for key, name in _FIELD_OF_KEY.items()}
-    defaults = {**_EXTRA_KEYS[cls], **_field_defaults(cls)}
-    parsers = {key_of.get(name, name): _parser(default) for name, default in defaults.items()}
-    return {key: parser for key, parser in parsers.items() if parser is not None}
+    return {key_of.get(name, name): _parser(default) for name, default in _field_defaults(cls).items()}
 
 
 GEN_SCHEMA = _schema(GenConfig)
@@ -305,13 +298,6 @@ def _load_config(path: str | None, schema: dict[str, Callable[[str], object]]) -
     return parse_kv_config(text, schema, source=path), text
 
 
-def _parse_task(value: str | Task) -> Task:
-    try:
-        return Task(value)
-    except ValueError:
-        raise ConfigError(f"task must be 't1' or 't2', got {value!r}") from None
-
-
 def _construct(cls, given: dict):
     """``cls`` from the given field values; nested configs are built from the
     same dict, and fields absent from it keep their defaults."""
@@ -324,22 +310,16 @@ def _construct(cls, given: dict):
     return cls(**kwargs)
 
 
-def _build_config(cls, values: dict, args) -> tuple:
+def _build_config(cls, values: dict, args):
     """The ``cls`` config of a command from its parsed config values and its
-    command-line overrides, and every given value by field name, the keys
-    that no dataclass holds included."""
-    given = {**_EXTRA_KEYS[cls], **values}
+    command-line overrides."""
     overrides = {key: getattr(args, key, None) for key in ("task", "loss", "seed", "folds")}
-    given.update((key, value) for key, value in overrides.items() if value is not None)
+    given = {**values, **{key: value for key, value in overrides.items() if value is not None}}
     given = {_FIELD_OF_KEY.get(key, key): value for key, value in given.items()}
-    task = given["task"] = _parse_task(given.get("task", TrainConfig.task))
+    task = given["task"] = Task(given.get("task", cls.task))  # --task gives the text of a Task
     if cls is TrainConfig:  # the head's output width follows the task
         given.setdefault("head_dims", TrainConfig.head_dims[:-1] + (task.n_classes,))
-    for name, prefix in _RANGE_PREFIX.items():
-        if hasattr(cls, name):
-            lo, hi = getattr(cls, name)
-            given[name] = (given.pop(f"{prefix}_min", lo), given.pop(f"{prefix}_max", hi))
-    return _construct(cls, given), given
+    return _construct(cls, given)
 
 
 # --- dataset CSV schemas ------------------------------------------------------------
@@ -603,18 +583,17 @@ def _write_report_csv(path: str | os.PathLike, report: MetricReport) -> None:
 def cmd_gen(args) -> int:
     started = time.monotonic()
     values, config_text = _load_config(args.config, GEN_SCHEMA)
-    cfg, given = _build_config(GenConfig, values, args)
-    task = given["task"]
-    data = gen_t2_volumes(cfg) if task is Task.T2 else gen_t1_pairs(cfg)
+    cfg = _build_config(GenConfig, values, args)
+    data = gen_t2_volumes(cfg) if cfg.task is Task.T2 else gen_t1_pairs(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = out_dir / "dataset.csv"
     truth_path = out_dir / "truth.csv"
     write_dataset_csv(dataset_path, data)
     write_truth_csv(truth_path, data)
-    counts = np.bincount(data.labels, minlength=task.n_classes)
+    counts = np.bincount(data.labels, minlength=cfg.task.n_classes)
     summary = ", ".join(f"{ClassLabel(c).name.lower()}={n}" for c, n in enumerate(counts.tolist()) if n)
-    print(f"wrote {len(data)} {task.value} records to {dataset_path} ({summary})")
+    print(f"wrote {len(data)} {cfg.task.value} records to {dataset_path} ({summary})")
     inputs = [args.config] if args.config else []
     outputs = [str(dataset_path), str(truth_path)]
     _write_manifest(out_dir / "manifest.json", args, started, inputs, outputs, config_text, cfg.seed)
@@ -637,12 +616,7 @@ def _fold_val_patients(patients: list[str], folds: int, val_ratio: float, seed: 
 def cmd_train(args) -> int:
     started = time.monotonic()
     values, config_text = _load_config(args.config, TRAIN_SCHEMA)
-    cfg, given = _build_config(TrainConfig, values, args)
-    folds, val_ratio = given["folds"], given["val_ratio"]
-    if folds < 0 or folds == 1:
-        raise ConfigError(f"folds must be 0 (single split) or >= 2, got {folds}")
-    if not (0.0 < val_ratio < 1.0):
-        raise ConfigError(f"val_ratio must lie in (0, 1), got {val_ratio}")
+    cfg = _build_config(TrainConfig, values, args)
     data_task, data, _ = read_dataset_csv(args.data)
     if data_task is not cfg.task:
         raise ConfigError(
@@ -651,7 +625,7 @@ def cmd_train(args) -> int:
     patients = np.unique(data.patient_id).tolist()
     if len(patients) < 2:
         raise DataError("need at least two patients for a patient-disjoint split")
-    val_sets = _fold_val_patients(patients, folds, val_ratio, cfg.seed)
+    val_sets = _fold_val_patients(patients, cfg.folds, cfg.val_ratio, cfg.seed)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -742,7 +716,7 @@ def cmd_ensemble(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
-    task = _parse_task(args.task)
+    task = Task(args.task)
     pred = read_predictions_csv(args.pred)
     truth_ids, truth_labels = read_truth_csv(args.truth, task)
     order = _row_order(truth_ids, pred.case_id.tolist(), f"prediction file {args.pred} and truth file {args.truth}")

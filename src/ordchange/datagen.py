@@ -23,22 +23,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClassLabel, Dataset
+from .core import ClassLabel, Dataset, Task
 from .errors import ConfigError
 
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Shape and geometry of a generated dataset.
-
-    class_ratios orders the three ordinal classes (reduced, stable,
-    worsened); pair generation draws activity deltas with exactly these
-    probabilities, so they set the label distribution in both tasks.
+    """Task, shape and geometry of a generated dataset; each field is the gen
+    config key of its name. Visit and B-scan counts are drawn from [min, max].
+    class_ratios orders the three ordinal classes (reduced, stable, worsened);
+    pair generation draws activity deltas with exactly these probabilities,
+    so they set the label distribution in both tasks.
     """
 
+    task: Task = Task.T2
     n_patients: int = 60
-    visits_per_patient: tuple[int, int] = (3, 5)
-    bscans_per_volume: tuple[int, int] = (6, 10)
+    visits_min: int = 3
+    visits_max: int = 5
+    bscans_min: int = 6
+    bscans_max: int = 10
     feature_dim: int = 16
     class_ratios: tuple[float, float, float] = (0.10, 0.80, 0.10)
     step_size: float = 1.0
@@ -50,10 +53,10 @@ class GenConfig:
     def __post_init__(self) -> None:
         if self.n_patients < 1:
             raise ConfigError(f"n_patients must be >= 1, got {self.n_patients}")
-        for name in ("visits_per_patient", "bscans_per_volume"):
-            lo, hi = getattr(self, name)
+        for name in ("visits", "bscans"):
+            lo, hi = getattr(self, f"{name}_min"), getattr(self, f"{name}_max")
             if lo < 1 or hi < lo:
-                raise ConfigError(f"{name} must satisfy 1 <= lo <= hi, got ({lo}, {hi})")
+                raise ConfigError(f"{name}_min and {name}_max must satisfy 1 <= min <= max, got ({lo}, {hi})")
         if self.feature_dim < 1:
             raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
         ratios = tuple(float(r) for r in self.class_ratios)
@@ -67,6 +70,7 @@ class GenConfig:
         for name in ("noise_sigma", "patient_sigma", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+            object.__setattr__(self, name, getattr(self, name) + 0)  # -0.0 to 0.0: numpy rejects a scale of -0.0
         if not (0.0 <= self.other_rate <= 1.0):
             raise ConfigError(f"other_rate must lie in [0, 1], got {self.other_rate}")
 
@@ -95,12 +99,12 @@ def gen_t2_volumes(cfg: GenConfig) -> Dataset:
     for p in range(cfg.n_patients):
         patient_id = f"P{p:03d}"
         offset = rng.normal(0.0, cfg.patient_sigma, size=cfg.feature_dim)
-        n_visits = int(rng.integers(cfg.visits_per_patient[0], cfg.visits_per_patient[1] + 1))
+        n_visits = int(rng.integers(cfg.visits_min, cfg.visits_max + 1))
         for v in range(n_visits):
             label = ClassLabel(int(rng.choice(3, p=cfg.class_ratios)))
             latent = offset + int(label) * cfg.step_size * direction
             volumes.append((patient_id, f"V{v:02d}", f"{patient_id}_V{v:02d}", label))
-            n_bscans = int(rng.integers(cfg.bscans_per_volume[0], cfg.bscans_per_volume[1] + 1))
+            n_bscans = int(rng.integers(cfg.bscans_min, cfg.bscans_max + 1))
             blocks.append(latent + rng.normal(0.0, cfg.noise_sigma, size=(n_bscans, cfg.feature_dim)))
     sizes = [len(b) for b in blocks]
     patient_id, visit_id, volume_id, labels = (np.repeat(col, sizes) for col in zip(*volumes))
@@ -133,7 +137,7 @@ def gen_t1_pairs(cfg: GenConfig) -> Dataset:
     for p in range(cfg.n_patients):
         patient_id = f"P{p:03d}"
         offset = rng.normal(0.0, cfg.patient_sigma, size=cfg.feature_dim)
-        n_visits = int(rng.integers(cfg.visits_per_patient[0], cfg.visits_per_patient[1] + 1))
+        n_visits = int(rng.integers(cfg.visits_min, cfg.visits_max + 1))
         activity = int(rng.integers(0, 3))
         for _ in range(n_visits - 1):
             delta = int(rng.choice((-1, 0, 1), p=cfg.class_ratios))

@@ -74,7 +74,7 @@ def _flag(message: str) -> None:
     warnings.warn(message, DegenerateMetricWarning, stacklevel=3)
 
 
-def _check_cm(cm: np.ndarray, *, require_samples: bool = True) -> np.ndarray:
+def _check_cm(cm: np.ndarray) -> np.ndarray:
     arr = np.asarray(cm)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
         raise InvalidInputError(f"confusion matrix must be square with C >= 2, got shape {arr.shape}")
@@ -83,7 +83,7 @@ def _check_cm(cm: np.ndarray, *, require_samples: bool = True) -> np.ndarray:
     arr = arr.astype(np.float64)
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise InvalidInputError("confusion matrix entries must be finite and non-negative")
-    if require_samples and arr.sum() == 0:
+    if arr.sum() == 0:
         raise UndefinedMetricError("confusion matrix has no samples")
     return arr
 
@@ -180,8 +180,6 @@ def balanced_accuracy(cm: np.ndarray) -> float:
             _flag(f"balanced_accuracy:empty_class:{k}")
             continue
         recalls.append(arr[k, k] / rows[k])
-    if not recalls:
-        raise UndefinedMetricError("no class appears in the truth")
     return float(np.mean(recalls))
 
 

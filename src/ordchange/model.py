@@ -115,6 +115,8 @@ class ModelParams:
             where = f"encoder layer {i}" if i < n_enc else f"head layer {i - n_enc}"
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ConfigError(f"{where}: weight {w.shape} and bias {b.shape} are inconsistent")
+            if 0 in w.shape:
+                raise ConfigError(f"{where}: weight {w.shape} has a zero dimension")
             if i not in (0, n_enc) and w.shape[1] != layers[i - 1][0].shape[0]:
                 raise ConfigError(f"{where} input {w.shape[1]} breaks the chain")
         if n_enc:
@@ -457,7 +459,8 @@ class TrainConfig:
     balanced_batches and undersample_majority are mutually exclusive batch
     composition modes; leaving both off shuffles and chunks the epoch plainly.
     freeze_head_epochs keeps the head parameters fixed for the first epochs
-    while the learning-rate ramp runs.
+    while the learning-rate ramp runs. val_ratio and folds pick the
+    patient-disjoint splits that the ``train`` command fits one after another.
     """
 
     task: Task = Task.T2
@@ -477,6 +480,8 @@ class TrainConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     early_stop_patience: int = 0
     freeze_head_epochs: int = 0
+    val_ratio: float = 0.2
+    folds: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "encoder_dims", tuple(int(d) for d in self.encoder_dims))
@@ -508,6 +513,10 @@ class TrainConfig:
             raise ConfigError(
                 f"head output {self.head_dims[-1]} must equal the task's {self.task.n_classes} classes"
             )
+        if self.folds < 0 or self.folds == 1:
+            raise ConfigError(f"folds must be 0 (single split) or >= 2, got {self.folds}")
+        if not (0.0 < self.val_ratio < 1.0):
+            raise ConfigError(f"val_ratio must lie in (0, 1), got {self.val_ratio}")
 
 
 @dataclass(frozen=True)

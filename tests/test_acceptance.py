@@ -188,8 +188,8 @@ def _run_experiment(seed: int) -> dict:
         noise_sigma=0.5,
         patient_sigma=0.3,
         feature_dim=16,
-        visits_per_patient=(4, 6),
-        bscans_per_volume=(8, 12),
+        visits_min=4, visits_max=6,
+        bscans_min=8, bscans_max=12,
         seed=seed,
     )
     data = gen_t2_volumes(gen_cfg)

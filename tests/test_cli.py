@@ -1,12 +1,14 @@
+import argparse
 import json
 import os
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ordchange.cli as cli
+from checkpoint_bytes import zero_checkpoint
 import ordchange.model as model_mod
 from ordchange.cli import (
     GEN_SCHEMA,
@@ -19,8 +21,10 @@ from ordchange.cli import (
     write_predictions_csv,
 )
 from ordchange.core import Task
+from ordchange.datagen import GenConfig
 from ordchange.errors import ConfigError
-from ordchange.model import init_params, save_checkpoint
+from ordchange.losses import LossConfig
+from ordchange.model import OptimizerConfig, TrainConfig, init_params, save_checkpoint
 
 GEN_CFG = """\
 # tiny but non-trivial dataset
@@ -131,6 +135,97 @@ class TestParseConfig:
     def test_field_names_that_are_not_keys_are_unknown(self, schema, key):
         with pytest.raises(ConfigError, match=rf"cfg:1: unknown config key '{key}'"):
             parse_kv_config(f"{key}=1\n", GEN_SCHEMA if schema == "gen" else TRAIN_SCHEMA, "cfg")
+
+
+# Every config key with the value a command uses when neither its config file
+# nor its command line sets it, as taken before the keys became fields.
+DEFAULTS = {
+    GenConfig: {
+        "task": Task.T2, "n_patients": 60, "visits_min": 3, "visits_max": 5, "bscans_min": 6, "bscans_max": 10,
+        "feature_dim": 16, "class_ratios": (0.1, 0.8, 0.1), "step_size": 1.0, "noise_sigma": 0.5,
+        "patient_sigma": 1.0, "other_rate": 0.1, "seed": 0,
+    },
+    TrainConfig: {
+        "task": Task.T2, "loss": "combined", "alpha": 1.0, "gamma": 2.0, "focal_weight": 1.0, "emd_weight": 1.0,
+        "epsilon": 1e-12, "encoder_dims": (16, 32), "head_dims": (32, 3), "dropout": 0.0, "epochs": 30,
+        "warmup_epochs": 0, "lr": 0.001, "lr_decay": 0.97, "batch_size": 32, "seed": 0,
+        "balanced_batches": False, "undersample_majority": 0.0, "optimizer": "adam", "beta1": 0.9,
+        "beta2": 0.999, "adam_eps": 1e-08, "weight_decay": 0.0, "early_stop_patience": 0,
+        "freeze_head_epochs": 0, "val_ratio": 0.2, "folds": 0,
+    },
+}
+
+
+def key_values(cfg, nested: list) -> dict:
+    """The value of each field of ``cfg`` by config key name, fields of the
+    configs it nests included; each nested config's type goes to ``nested``."""
+    key_of = {name: key for key, name in cli._FIELD_OF_KEY.items()}
+    values = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            nested.append(type(value))
+            values.update(key_values(value, nested))
+        else:
+            values[key_of.get(f.name, f.name)] = value
+    return values
+
+
+class TestConfigKeys:
+    """Each config key is the field of its name (or of the name that
+    ``cli._FIELD_OF_KEY`` gives it) in one of the four config dataclasses,
+    and the field's default is the key's default."""
+
+    @pytest.mark.parametrize("cls, schema", [(GenConfig, GEN_SCHEMA), (TrainConfig, TRAIN_SCHEMA)])
+    def test_every_field_is_a_key_with_its_old_default(self, cls, schema):
+        nested = []
+        values = key_values(cli._build_config(cls, {}, argparse.Namespace()), nested)
+        assert nested == ([] if cls is GenConfig else [LossConfig, OptimizerConfig])
+        assert set(values) == set(schema) == set(DEFAULTS[cls])
+        for key, default in DEFAULTS[cls].items():
+            assert values[key] == default and type(values[key]) is type(default), key
+
+    @pytest.mark.parametrize("cls, schema", [(GenConfig, GEN_SCHEMA), (TrainConfig, TRAIN_SCHEMA)])
+    def test_each_key_parses_the_text_of_its_default(self, cls, schema):
+        for key, default in DEFAULTS[cls].items():
+            if isinstance(default, tuple):
+                text = ",".join(map(str, default))
+            else:
+                text = default.value if isinstance(default, Task) else str(default)
+            assert parse_kv_config(f"{key}={text}\n", schema, "cfg") == {key: default}, key
+
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_bad_task_names_its_file_and_line_exit_3(self, workdir, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("task=t3\n")
+        if command == "gen":
+            argv = ["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]
+        else:
+            argv = ["train", "--config", str(cfg), "--data", str(workdir / "data" / "dataset.csv"),
+                    "--out", str(tmp_path / "m.ckpt")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {cfg}:1: bad value for 'task': 't3' is not a valid Task\n"
+        assert not (tmp_path / "d").exists() and not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"folds": 1}, "folds must be 0 (single split) or >= 2, got 1"),
+            ({"folds": -2}, "folds must be 0 (single split) or >= 2, got -2"),
+            ({"val_ratio": 1.0}, "val_ratio must lie in (0, 1), got 1.0"),
+            ({"val_ratio": 0.0}, "val_ratio must lie in (0, 1), got 0.0"),
+        ],
+    )
+    def test_split_settings_are_checked_by_train_config(self, workdir, tmp_path, capsys, kwargs, message):
+        with pytest.raises(ConfigError) as caught:
+            TrainConfig(**kwargs)
+        assert str(caught.value) == message
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(TRAIN_CFG + "".join(f"{key}={value}\n" for key, value in kwargs.items()))
+        argv = ["train", "--config", str(cfg), "--data", str(workdir / "data" / "dataset.csv")]
+        assert main([*argv, "--out", str(tmp_path / "m.ckpt")]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("m.*"))
 
 
 class TestNegativeSeed:
@@ -416,6 +511,15 @@ class TestPredict:
         )
         assert rc == 5
         assert "checksum" in capsys.readouterr().err
+
+    def test_checkpoint_with_a_zero_width_layer_exit_5(self, workdir, tmp_path, capsys):
+        ckpt = tmp_path / "zero.ckpt"
+        ckpt.write_bytes(zero_checkpoint([(0, 4)], [(3, 0)]))
+        argv = ["predict", "--ckpt", str(ckpt), "--data", str(workdir / "data" / "dataset.csv")]
+        assert main([*argv, "--out", str(tmp_path / "p.csv")]) == 5
+        err = capsys.readouterr().err
+        assert err == f"error: checkpoint {ckpt} holds inconsistent parameters: encoder layer 0: weight (0, 4) has a zero dimension\n"
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize(
         "encoder, head, gen_cfg, message",

@@ -1,7 +1,8 @@
 """``cli._write_csv`` against ``csv.writer``, the writer it replaced: the same
-bytes for any table of text columns and float rows. Text ids that hold
-commas and quotes read back as written, and writing them again gives the
-same bytes. ``csv.writer`` is kept here as the oracle only."""
+bytes for any table of text columns and float rows, once each row's CR LF
+line end is cut to LF. Text ids that hold commas, quotes, carriage returns
+and line breaks read back as written, and writing them again gives the same
+bytes. ``csv.writer`` is kept here as the oracle only."""
 
 import csv
 import io
@@ -10,6 +11,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +22,8 @@ EDGE_FLOATS = (
     math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
     1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 123456789.0,
 )
-# Text csv quotes, text it doubles a quote in, text it writes bare ("\r" and
-# leading or trailing spaces), and non-ASCII text.
+# Text csv quotes, text it doubles a quote in, text it writes bare (leading or
+# trailing spaces), and non-ASCII text.
 EDGE_TEXT = ("", ",", '"', '""', "\n", "\r", "\r\n", "a,b", 'say "hi"', " lead", "trail ", "é", "日本", "x\ry", " ")
 
 texts = st.one_of(st.sampled_from(EDGE_TEXT), st.text(max_size=6))
@@ -46,9 +48,16 @@ def csv_writer_bytes(header: list[str], columns: list[list], matrix: np.ndarray 
     rows = [list(row) for row in zip(*columns)]
     if matrix is not None:
         rows = [[*row, *floats] for row, floats in zip(rows, matrix.tolist())]
+    # With CR LF line ends csv quotes a field holding "\r" as it quotes one holding "\n".
     text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows([header, *rows])
-    return text.getvalue().encode("utf-8")
+    writer = csv.writer(text, lineterminator="\r\n")
+    lines = []
+    for row in [header, *rows]:
+        text.seek(0)
+        text.truncate()
+        writer.writerow(row)
+        lines.append(text.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines).encode("utf-8")
 
 
 @settings(max_examples=300, deadline=None)
@@ -65,7 +74,7 @@ def test_writer_matches_csv_writer(table):
 
 
 # Ids made of the characters that csv quotes or doubles, next to plain ones.
-ids = st.text(alphabet='ab,"é 1', min_size=1, max_size=6)
+ids = st.text(alphabet='ab,"é 1\r\n', min_size=1, max_size=6)
 
 
 @st.composite
@@ -85,6 +94,23 @@ def t2_datasets(draw) -> Dataset:
 @settings(max_examples=60, deadline=None)
 @given(data=t2_datasets())
 def test_text_ids_with_commas_and_quotes_round_trip(data):
+    check_round_trip(data)
+
+
+@pytest.mark.parametrize("text", ["a\rb", "\r", "\r\r", "a\r\nb", "a\n\nb", 'q"\n\n"w', "\n\r\n\n"])
+def test_ids_holding_carriage_returns_and_blank_lines_round_trip(text):
+    """A quoted field that holds a bare CR or an empty line is text, not a row
+    break or a blank line, in both the dataset and the prediction CSV."""
+    n = 3
+    check_round_trip(Dataset(
+        x=np.arange(2.0 * n).reshape(n, 2), labels=[1, 1, 2], patient_id=[text, "P1", text],
+        visit_id=["V0", text, "V1"], volume_id=[text, text, "v"], bscan_index=[0, 1, 0],
+    ))
+
+
+def check_round_trip(data: Dataset) -> None:
+    """Write ``data`` as a dataset CSV and its rows as a prediction CSV, read
+    each back, and write it again: the columns and the bytes must hold."""
     with tempfile.TemporaryDirectory() as tmp:
         first, again = Path(tmp) / "dataset.csv", Path(tmp) / "again.csv"
         cli.write_dataset_csv(first, data)

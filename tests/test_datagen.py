@@ -17,9 +17,9 @@ class TestGenConfig:
         "kwargs",
         [
             {"n_patients": 0},
-            {"visits_per_patient": (0, 3)},
-            {"visits_per_patient": (4, 2)},
-            {"bscans_per_volume": (5, 1)},
+            {"visits_min": 0, "visits_max": 3},
+            {"visits_min": 4, "visits_max": 2},
+            {"bscans_min": 5, "bscans_max": 1},
             {"feature_dim": 0},
             {"class_ratios": (0.5, 0.5)},
             {"class_ratios": (0.5, 0.3, 0.1)},
@@ -35,6 +35,13 @@ class TestGenConfig:
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             GenConfig(**kwargs)
+
+    @pytest.mark.parametrize("generate", [gen_t2_volumes, gen_t1_pairs])
+    def test_negative_zero_sigmas_generate_as_zero(self, generate):
+        zero = generate(GenConfig(n_patients=3, noise_sigma=0.0, patient_sigma=0.0, seed=4))
+        negative_zero = generate(GenConfig(n_patients=3, noise_sigma=-0.0, patient_sigma=-0.0, seed=4))
+        assert negative_zero.x.tobytes() == zero.x.tobytes()
+        assert negative_zero.labels.tolist() == zero.labels.tolist()
 
     def test_direction_is_normalized(self):
         # Without offsets or noise, a Stable B-scan sits at step_size times the direction.
@@ -70,7 +77,7 @@ class TestT2Volumes:
         assert len(set(keys)) == len(keys)
 
     def test_counts_respect_ranges(self):
-        cfg = GenConfig(n_patients=15, visits_per_patient=(2, 4), bscans_per_volume=(3, 6), seed=2)
+        cfg = GenConfig(n_patients=15, visits_min=2, visits_max=4, bscans_min=3, bscans_max=6, seed=2)
         data = gen_t2_volumes(cfg)
         by_volume: dict[str, int] = {}
         by_patient: dict[str, set] = {}
@@ -125,7 +132,7 @@ class TestT1Pairs:
         assert a.x_b.tobytes() == b.x_b.tobytes()
 
     def test_pair_count_is_visits_minus_one(self):
-        cfg = GenConfig(n_patients=25, visits_per_patient=(4, 4), seed=9)
+        cfg = GenConfig(n_patients=25, visits_min=4, visits_max=4, seed=9)
         assert len(gen_t1_pairs(cfg)) == 25 * 3
 
     def test_label_matches_projection_delta(self):
@@ -143,7 +150,7 @@ class TestT1Pairs:
                 assert label == ClassLabel.WORSENED and delta > 0.5
 
     def test_other_rate_sets_other_fraction(self):
-        cfg = GenConfig(n_patients=800, visits_per_patient=(4, 4), other_rate=0.10, seed=17)
+        cfg = GenConfig(n_patients=800, visits_min=4, visits_max=4, other_rate=0.10, seed=17)
         data = gen_t1_pairs(cfg)
         fraction = np.mean(data.labels == ClassLabel.OTHER)
         assert abs(fraction - 0.10) < 0.02
@@ -154,12 +161,12 @@ class TestT1Pairs:
 
     def test_step_labels_follow_class_ratios(self):
         cfg = GenConfig(
-            n_patients=1500, visits_per_patient=(3, 3), other_rate=0.0,
+            n_patients=1500, visits_min=3, visits_max=3, other_rate=0.0,
             class_ratios=(0.2, 0.6, 0.2), seed=23,
         )
         counts = np.bincount(gen_t1_pairs(cfg).labels, minlength=3)
         np.testing.assert_allclose(counts / counts.sum(), (0.2, 0.6, 0.2), atol=0.02)
 
     def test_single_visit_patients_give_an_empty_dataset(self):
-        data = gen_t1_pairs(GenConfig(n_patients=3, visits_per_patient=(1, 1), feature_dim=4))
+        data = gen_t1_pairs(GenConfig(n_patients=3, visits_min=1, visits_max=1, feature_dim=4))
         assert len(data) == 0 and data.x.shape == (0, 4) and data.task is Task.T1

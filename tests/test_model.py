@@ -1,10 +1,12 @@
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ordchange.model as model_mod
+from checkpoint_bytes import seal, zero_checkpoint
 from ordchange.core import Dataset, Task, softmax
 from ordchange.errors import (
     CheckpointError,
@@ -714,18 +716,29 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
-        import struct
-        import zlib
-
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, self.make_params())
         blob = bytearray(path.read_bytes())
         blob[8:12] = struct.pack("<I", 99)
-        payload = bytes(blob[:-4])
-        path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+        path.write_bytes(seal(bytes(blob[:-4])))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "nope.ckpt")
+
+    @pytest.mark.parametrize(
+        "encoder, head",
+        [([(0, 4)], [(3, 0)]), ([], [(3, 0)]), ([(4, 2)], [(0, 4)]), ([(4, 2)], [(3, 4), (0, 3)])],
+        ids=["zero_wide_encoder", "zero_wide_input", "zero_classes", "zero_classes_deep"],
+    )
+    def test_zero_width_layer_is_rejected(self, tmp_path, encoder, head):
+        layers = [(np.zeros(shape), np.zeros(shape[0])) for shape in (*encoder, *head)]
+        with pytest.raises(ConfigError, match=r"has a zero dimension"):
+            ModelParams(tuple(layers[: len(encoder)]), tuple(layers[len(encoder) :]))
+        # The same layers in a checkpoint whose checksum holds.
+        path = tmp_path / "zero.ckpt"
+        path.write_bytes(zero_checkpoint(encoder, head))
+        with pytest.raises(CheckpointError, match=r"inconsistent parameters: .* has a zero dimension"):
+            load_checkpoint(path)
