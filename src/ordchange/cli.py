@@ -36,7 +36,6 @@ that ``core.atomic_write`` renames. The bytes are ``csv.writer``'s.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -84,11 +83,6 @@ from .model import (
     train,
 )
 
-PROB_COLUMNS = {
-    3: ("p_reduced", "p_stable", "p_worsened"),
-    4: ("p_reduced", "p_stable", "p_worsened", "p_other"),
-}
-
 
 # --- small formatting and io helpers ---------------------------------------------
 
@@ -121,31 +115,51 @@ def _write_csv(path: str | os.PathLike, header: Sequence[str], columns: Sequence
     atomic_write(path, write)
 
 
+def _record_lines(path: str | os.PathLike) -> list[int]:
+    """The file line each data record of a CSV starts on, by one ``csv`` pass.
+
+    The ``csv`` module defines a record. Raises DataError on text that is not
+    UTF-8, and names the first record it rejects or whose field count is not
+    the header's: a quote not closed when a quoted field runs on to the end
+    of the file, or over lines into the field limit."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            n_fields, starts = len(next(reader)), [reader.line_num + 1]
+            for row in reader:
+                if len(row) != n_fields:
+                    break
+                starts.append(reader.line_num + 1)
+            else:
+                return starts[:-1]
+            is_last = next(fh, None) is None
+            fh.seek(0)  # after the last line, '"' closes a quoted field left open, or else reads as a record [""]
+            if not is_last or list(csv.reader(chain(fh, ['"'])))[-1] == [""]:
+                raise DataError(f"{path}: line {starts[-1]} has {len(row)} fields, expected {n_fields}")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            if reader.line_num == starts[-1]:
+                raise DataError(f"{path}: line {starts[-1]}: {exc}") from None
+    raise DataError(f"{path}: line {starts[-1]}: quote not closed (read to line {reader.line_num})")
+
+
 def _read_table(path: str | os.PathLike, layout: Callable[[list[str]], tuple]) -> tuple[object, np.ndarray]:
     """Read a CSV into a structured array in one ``np.loadtxt`` pass.
 
     ``layout(header)`` checks the header and returns what the caller keeps of
     it and the ``(name, type, width)`` groups of a row's fields (``object``
-    fields hold text). A blank line outside a quoted field, a field over the
-    ``csv`` module's limit, a wrong field count or a field that does not
-    convert each raise DataError naming the file line."""
+    fields hold text). ``_record_lines`` judges the file when it is not UTF-8,
+    ``loadtxt`` rejects a row, or a line is blank or over the ``csv`` limit."""
     options = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 1}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader, lineno, line = csv.reader(fh), 1, ""
-
-        def check_count() -> None:
-            n_fields = len(next(csv.reader([line]), []))
-            if n_fields != len(header):
-                raise DataError(f"{path}: line {lineno} has {n_fields} fields, expected {len(header)}")
+        reader, lineno, starts = csv.reader(fh), 1, None
 
         def lines() -> Iterator[str]:
-            nonlocal lineno, line
-            quoted = 0  # 1 while a quoted field runs on past a line end, where a blank line is text
+            nonlocal lineno, starts
             for lineno, line in enumerate(fh, reader.line_num + 1):
-                # loadtxt skips a blank line and takes a line over the field limit
-                if (line[0] in "\r\n" and not quoted) or len(line) > csv.field_size_limit():
-                    check_count()
-                quoted ^= line.count('"') & 1
+                if starts is None and (line[0] in "\r\n" or len(line) > csv.field_size_limit()):
+                    starts = _record_lines(path)
                 yield line
 
         try:
@@ -157,26 +171,11 @@ def _read_table(path: str | os.PathLike, layout: Callable[[list[str]], tuple]) -
             rows = lines()
             first = next(rows, None)  # loadtxt warns on a file with no rows
             table = np.empty(0, dtype) if first is None else np.loadtxt(chain([first], rows), dtype, **options)
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from None
-        except ValueError as exc:  # loadtxt stops on the line it rejects
-            check_count()
-            try:
-                np.loadtxt([line], dtype, **options)
-            except ValueError as alone:
-                raise DataError(f"{path}: line {lineno}: {str(alone).replace(' at row 0,', ' at')}") from None
-            fh.seek(0)  # the rejected row spans lines: name the line it starts on
-            reader, start = csv.reader(fh), 1
-            with contextlib.suppress(csv.Error):
-                for row in reader:
-                    if len(row) != len(header):
-                        break
-                    start = reader.line_num + 1
-            if start > reader.line_num:
-                raise DataError(f"{path}: {exc}") from None
-            raise DataError(f"{path}: line {start}: quote not closed (read to line {reader.line_num})") from None
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+        except ValueError as exc:  # text that is not UTF-8, or a row loadtxt rejects on its last line
+            start = max(line for line in starts or _record_lines(path) if line <= lineno)
+            raise DataError(f"{path}: line {start}: {re.sub(' at row [0-9]+,', ' at', str(exc))}") from None
     return info, table
 
 
@@ -446,7 +445,7 @@ _ROUNDED_PROB_TOL = 3e-9
 
 def _pred_header(n_classes: int, with_final: bool) -> list[str]:
     header = ["case_id", "patient_id", "volume_id", "bscan_index", "true_label"]
-    header += list(PROB_COLUMNS[n_classes])
+    header += [f"p_{ClassLabel(c).name.lower()}" for c in range(n_classes)]
     header.append("pred_label")
     if with_final:
         header += ["final_label", "postprocessed"]
@@ -457,7 +456,7 @@ def write_predictions_csv(path: str | os.PathLike, table: Predictions) -> None:
     n_rows, n_classes = table.probs.shape
     if not n_rows:
         raise InvalidInputError("refusing to write an empty prediction CSV")
-    if n_classes not in PROB_COLUMNS:
+    if n_classes not in {task.n_classes for task in Task}:
         raise ConfigError(f"cannot serialize {n_classes}-class probabilities")
     # One formatting pass over the row-major matrix; text[j::C] is class j's column.
     text = ["%.9f" % v for v in table.probs.ravel().tolist()]
@@ -503,13 +502,14 @@ def read_predictions_csv(path: str | os.PathLike) -> Predictions:
             try:
                 as_prob_rows(probs[i : i + 1], tol=_ROUNDED_PROB_TOL)
             except InvalidInputError as exc:
-                raise DataError(f"{path}: line {i + 2}: {exc}") from exc
+                raise DataError(f"{path}: line {_record_lines(path)[i]}: {exc}") from exc
         raise DataError(f"{path}: {whole}") from whole
     labels = ints[:, :3]
     off = np.argwhere((labels < 0) | (labels >= n_classes))
     if off.size:
         i, j = off[0]
-        raise DataError(f"{path}: line {i + 2}: {header[int_columns[j]]} {labels[i, j]} outside [0, {n_classes})")
+        line = _record_lines(path)[i]
+        raise DataError(f"{path}: line {line}: {header[int_columns[j]]} {labels[i, j]} outside [0, {n_classes})")
     case_ids = ids[:, 0].tolist()
     _check_unique(path, case_ids)
     return Predictions(
@@ -531,9 +531,9 @@ def read_truth_csv(path: str | os.PathLike, task: Task) -> tuple[list[str], np.n
         labels = [int(label) for label in ids[:, -1]]
     except ValueError as exc:
         raise DataError(f"{path}: malformed truth row: {exc}") from exc
-    off = next((i for i, label in enumerate(labels) if not 0 <= label < task.n_classes), None)
-    if off is not None:
-        raise DataError(f"{path}: line {off + 2}: label {labels[off]} is not valid for task {task.value}")
+    for i, label in enumerate(labels):
+        if not 0 <= label < task.n_classes:
+            raise DataError(f"{path}: line {_record_lines(path)[i]}: label {label} is not valid for task {task.value}")
     case_ids = ids[:, 0].tolist()
     _check_unique(path, case_ids)
     return case_ids, np.array(labels, dtype=np.int64)
@@ -638,8 +638,6 @@ def cmd_train(args) -> int:
     for i, (val_patients, ckpt_path) in enumerate(zip(val_sets, ckpt_paths)):
         in_val = np.isin(data.patient_id, list(val_patients))
         train_data, val_data = data.take(~in_val), data.take(in_val)
-        if not len(train_data) or not len(val_data):
-            raise DataError(f"fold {i} has an empty train or validation side")
         params, history = train(train_data, val_data, replace(cfg, seed=cfg.seed + i))
         save_checkpoint(ckpt_path, params)
         history_path = f"{ckpt_path}.history.csv"

@@ -701,6 +701,8 @@ def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelPara
     return best_params, TrainHistory(entries=tuple(history), best_epoch=best_epoch)
 
 
+# Logits that overflow end in softmax's one InvalidInputError, without numpy's warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def predict(params: ModelParams, data: Dataset) -> np.ndarray:
     """Class probabilities as an (N, C) matrix, one row per dataset row in
     order. Dropout never fires here."""

@@ -546,6 +546,15 @@ class TestPredict:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not list(tmp_path.glob("p.csv*"))
 
+    def test_overflowing_logits_print_one_error_line_exit_3(self, workdir, tmp_path, capsys):
+        params = model_mod.load_checkpoint(workdir / "model.ckpt")
+        scaled = [tuple((w * 1e300, b) for w, b in layers) for layers in (params.encoder_layers, params.head_layers)]
+        save_checkpoint(tmp_path / "big.ckpt", model_mod.ModelParams(*scaled, params.dropout_rate))
+        argv = ["predict", "--ckpt", str(tmp_path / "big.ckpt"), "--data", str(workdir / "data" / "dataset.csv")]
+        assert main([*argv, "--out", str(tmp_path / "p.csv")]) == 3
+        assert capsys.readouterr().err == "error: logit rows must have length >= 2 and be finite\n"
+        assert not (tmp_path / "p.csv").exists()
+
     def test_missing_checkpoint_exit_5(self, workdir, tmp_path):
         rc = main(
             [
@@ -650,11 +659,29 @@ class TestBadDataset:
         self.check(workdir, tmp_path, capsys, command, lambda lines: lines.insert(4, "\n"), message)
 
     @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_blank_line_after_a_quote_inside_a_field_exit_2(self, workdir, tmp_path, capsys, command):
+        # The csv module and numpy's parser both read a"x as text holding a quote, not as an open quoted field.
+        def stray_quote_then_blank_line(lines):
+            set_field(lines, 1, 1, 'a"x')
+            lines.insert(2, "\n")
+
+        message = f"{tmp_path / 'bad.csv'}: line 3 has 0 fields, expected 11"
+        self.check(workdir, tmp_path, capsys, command, stray_quote_then_blank_line, message)
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
     @pytest.mark.parametrize("feature", ["abc", "1_0"])
     def test_feature_that_is_not_a_number_exit_2(self, workdir, tmp_path, capsys, command, feature):
         # Python's float() reads 1_0 as 10.0; numpy's parser, which reads the features, rejects it.
         message = f"{tmp_path / 'bad.csv'}: line 6: could not convert string {feature!r} to float64"
         self.check(workdir, tmp_path, capsys, command, lambda lines: set_field(lines, 5, 7, feature), message)
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_rejected_row_in_a_file_cut_inside_a_character_exit_2(self, workdir, tmp_path, capsys, command):
+        # numpy's parser rejects line 6 before the decoder reaches the end of the file, where a character
+        # is cut short; the csv pass that names the rejected row then reads that end.
+        data = edited_dataset(workdir, tmp_path / "bad.csv", lambda lines: set_field(lines, 5, 7, "abc"))
+        data.write_bytes(data.read_bytes() + b"\xc3")
+        self.check_file(workdir, tmp_path, capsys, command, data, f"{data}: not UTF-8 text (unexpected end of data)")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["train", "predict"])
@@ -692,6 +719,19 @@ class TestBadDataset:
                 set_field(lines, line, 5, "3")
 
         self.check(workdir, tmp_path, capsys, "predict", relabel_volume, "label 3 is not valid for task t2")
+
+
+def test_written_files_are_read_without_the_csv_pass(workdir, monkeypatch):
+    """The files gen and predict write hold no blank line, no quote and no
+    line over the field limit, so numpy's parser alone reads them."""
+
+    def record_lines(path):
+        raise AssertionError(f"{path} took the csv pass")
+
+    monkeypatch.setattr(cli, "_record_lines", record_lines)
+    assert len(cli.read_dataset_csv(workdir / "data" / "dataset.csv")[1]) == 48
+    assert len(read_truth_csv(workdir / "data" / "truth.csv", Task.T2)[0]) == 48
+    assert len(read_predictions_csv(workdir / "preds.csv").case_id) == 48
 
 
 class TestFailedWrite:
@@ -1025,6 +1065,16 @@ def edited_copy(source: Path, out: Path, line: int, edit) -> Path:
     return out
 
 
+def first_case_id_on_two_lines(path: Path) -> Path:
+    """Rewrite ``path`` with its first case_id quoted over two lines, as
+    ``_write_csv`` writes an id that holds a line break."""
+    lines = path.read_text().splitlines(keepends=True)
+    case_id, rest = lines[1].split(",", 1)
+    lines[1] = f'"{case_id}\n{case_id}",{rest}'
+    path.write_text("".join(lines))
+    return path
+
+
 class TestBadPredictionAndTruthFiles:
     """A malformed prediction or truth row ends ensemble and eval with exit 2
     and one line that names the file."""
@@ -1073,6 +1123,14 @@ class TestBadPredictionAndTruthFiles:
         self.check(capsys, self.run(workdir, "eval", bad), bad, "line 3: pred_label 7 outside [0, 3)")
 
     @pytest.mark.parametrize("command", ["ensemble", "eval"])
+    def test_pred_label_after_an_id_on_two_lines_names_its_line(self, workdir, tmp_path, capsys, command):
+        def set_pred_label(fields):
+            fields[8] = "7"
+
+        bad = first_case_id_on_two_lines(edited_copy(workdir / "preds.csv", tmp_path / "bad.csv", 3, set_pred_label))
+        self.check(capsys, self.run(workdir, command, bad), bad, "line 5: pred_label 7 outside [0, 3)")
+
+    @pytest.mark.parametrize("command", ["ensemble", "eval"])
     def test_pred_label_beyond_int64_exit_2(self, workdir, tmp_path, capsys, command):
         def set_pred_label(fields):
             fields[8] = "9" * 20
@@ -1089,6 +1147,16 @@ class TestBadPredictionAndTruthFiles:
         pred.write_bytes((workdir / "preds.csv").read_bytes())
         truth = edited_copy(workdir / "data" / "truth.csv", tmp_path / "truth.csv", 2, set_label)
         self.check(capsys, self.run(workdir, "eval", pred, truth), truth, "line 3: label 9 is not valid for task t2")
+
+    def test_truth_label_after_an_id_on_two_lines_names_its_line(self, workdir, tmp_path, capsys):
+        def set_label(fields):
+            fields[-1] = "9"
+
+        pred = tmp_path / "preds.csv"
+        pred.write_bytes((workdir / "preds.csv").read_bytes())
+        truth = edited_copy(workdir / "data" / "truth.csv", tmp_path / "truth.csv", 2, set_label)
+        first_case_id_on_two_lines(truth)
+        self.check(capsys, self.run(workdir, "eval", pred, truth), truth, "line 4: label 9 is not valid for task t2")
 
     @pytest.mark.parametrize("command", ["ensemble", "eval"])
     def test_negative_probability_exit_2(self, workdir, tmp_path, capsys, command):
@@ -1109,6 +1177,18 @@ class TestBadPredictionAndTruthFiles:
         assert err.startswith(f"error: {bad}: line 5: probabilities sum to ") and err.count("\n") == 1
         assert err.endswith(", expected 1 within 3e-09\n")
         assert not (tmp_path / "comb.csv").exists() and not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("command", ["ensemble", "eval"])
+    def test_probabilities_off_the_simplex_after_an_id_on_two_lines_name_the_line(
+        self, workdir, tmp_path, capsys, command
+    ):
+        def set_prob(fields):
+            fields[5] = "0.5"
+
+        bad = first_case_id_on_two_lines(edited_copy(workdir / "preds.csv", tmp_path / "bad.csv", 4, set_prob))
+        assert self.run(workdir, command, bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 6: probabilities sum to ") and err.count("\n") == 1
 
 
 class TestGradcheck:
