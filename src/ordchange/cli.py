@@ -31,6 +31,12 @@ Each file is checked once, when ``_read_table`` reads it in one structured
 no ``csv.writer``: it quotes each text column once and formats each row of
 a float matrix by ``repr`` as it writes that line into the temporary file
 that ``core.atomic_write`` renames. The bytes are ``csv.writer``'s.
+
+``write_dataset_csv`` also writes a binary twin of the dataset CSV,
+``<csv>.npy``, keyed by the CSV's length and CRC-32. ``read_dataset_csv``
+takes its columns from the twin in place of the ``loadtxt`` pass when the
+key matches the CSV and the arrays have the header's shapes; otherwise it
+parses the text. Both reads end in the same checks.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ import os
 import re
 import sys
 import time
+import zlib
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
@@ -144,8 +151,61 @@ def _record_lines(path: str | os.PathLike) -> list[int]:
     raise DataError(f"{path}: line {starts[-1]}: quote not closed (read to line {reader.line_num})")
 
 
-def _read_table(path: str | os.PathLike, layout: Callable[[list[str]], tuple]) -> tuple[object, np.ndarray]:
-    """Read a CSV into a structured array in one ``np.loadtxt`` pass.
+# The first value of a twin's key; a change of the twin's layout changes it.
+_TWIN_VERSION = 1
+
+
+def _twin_key(path: str | os.PathLike) -> list[int]:
+    """The key a twin holds of its CSV: the format version, then the CSV's
+    byte length and CRC-32, read in 1 MiB chunks."""
+    size = crc = 0
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            size, crc = size + len(chunk), zlib.crc32(chunk, crc)
+    return [_TWIN_VERSION, size, crc]
+
+
+def _write_twin(path: str | os.PathLike, columns: Sequence[Sequence], floats: np.ndarray) -> None:
+    """Write ``<path>.npy``, the binary twin of the CSV just written to
+    ``path`` from these text columns and float matrix: three ``np.save``
+    records, the CSV's key, the (N, K) text of the columns and the matrix."""
+    key = np.array(_twin_key(path), dtype=np.int64)
+    arrays = (key, np.array(columns, dtype=str).T, np.ascontiguousarray(floats, dtype=np.float64))
+
+    def write(fh) -> None:
+        for arr in arrays:
+            np.save(fh, arr, allow_pickle=False)
+
+    atomic_write(f"{os.fspath(path)}.npy", write)
+
+
+def _read_twin(path: str | os.PathLike, groups: Sequence[tuple]) -> dict[str, np.ndarray] | None:
+    """The fields of a CSV read from its twin ``<path>.npy``, or None when
+    the twin is missing, unreadable or stale (its key is not the CSV's), or
+    its records are not one (N, width) array per ``(name, type, width)``
+    group: text for an ``object`` group, float64 for a float one."""
+    try:
+        with open(f"{os.fspath(path)}.npy", "rb") as fh:
+            if np.load(fh, allow_pickle=False).tolist() != _twin_key(path):
+                return None
+            table = {name: np.load(fh, allow_pickle=False) for name, _, _ in groups}
+            if fh.read(1):
+                return None
+    except (OSError, ValueError, EOFError, MemoryError):
+        return None
+    n_rows = table[groups[0][0]].shape[:1]  # a first record that is not 2-D matches no shape below
+    for name, kind, width in groups:
+        arr = table[name]
+        if arr.shape != (*n_rows, width) or not (arr.dtype.kind == "U" if kind is object else arr.dtype == kind):
+            return None
+    # Text as the object arrays loadtxt gives, so that both reads go on alike.
+    return {name: table[name].astype(object) if kind is object else table[name] for name, kind, _ in groups}
+
+
+def _read_table(path: str | os.PathLike, layout: Callable[[list[str]], tuple]) -> tuple[object, dict[str, np.ndarray]]:
+    """Read a CSV into one array per group of fields, from its twin when
+    ``_read_twin`` takes it (only ``write_dataset_csv`` writes one), else in
+    one structured ``np.loadtxt`` pass.
 
     ``layout(header)`` checks the header and returns what the caller keeps of
     it and the ``(name, type, width)`` groups of a row's fields (``object``
@@ -167,6 +227,9 @@ def _read_table(path: str | os.PathLike, layout: Callable[[list[str]], tuple]) -
             if header is None:
                 raise DataError(f"{path}: empty CSV")
             info, groups = layout(header)
+            table = _read_twin(path, groups)
+            if table is not None:
+                return info, table
             dtype = np.dtype([(name, kind, (width,)) for name, kind, width in groups])
             rows = lines()
             first = next(rows, None)  # loadtxt warns on a file with no rows
@@ -176,7 +239,7 @@ def _read_table(path: str | os.PathLike, layout: Callable[[list[str]], tuple]) -
         except ValueError as exc:  # text that is not UTF-8, or a row loadtxt rejects on its last line
             start = max(line for line in starts or _record_lines(path) if line <= lineno)
             raise DataError(f"{path}: line {start}: {re.sub(' at row [0-9]+,', ' at', str(exc))}") from None
-    return info, table
+    return info, {name: table[name] for name in dtype.names}
 
 
 def _write_manifest(
@@ -344,9 +407,11 @@ def write_dataset_csv(path: str | os.PathLike, data: Dataset) -> None:
     ids = [_case_ids(data), data.patient_id.tolist()]
     if data.task is Task.T2:
         ids += [data.visit_id.tolist(), data.volume_id.tolist(), data.bscan_index.tolist()]
+    ids.append(data.labels.tolist())
     feats = data.x if data.x_b is None else np.hstack(data.inputs)  # a pair row's halves side by side
     # A feature is written as its repr, the shortest text that reads back exactly.
-    _write_csv(path, _dataset_header(data.task, data.x.shape[1]), [*ids, data.labels.tolist()], feats)
+    _write_csv(path, _dataset_header(data.task, data.x.shape[1]), ids, feats)
+    _write_twin(path, ids, feats)
 
 
 def _truth_header(task: Task) -> list[str]:
@@ -362,9 +427,10 @@ def read_dataset_csv(path: str | os.PathLike) -> tuple[Task, Dataset, list[str]]
     """Read a dataset CSV, detecting the task from its header.
 
     Returns the task, the dataset, and the per-row case ids in file order.
-    One ``np.loadtxt`` pass reads the id columns as text and the features
-    into one float64 matrix; a pair row's halves become the views ``x`` and
-    ``x_b``. The id columns then go through ``int`` and the ``Dataset`` checks.
+    The CSV's twin, or else one ``np.loadtxt`` pass, gives the id columns as
+    text and the features as one float64 matrix; a pair row's halves become
+    the views ``x`` and ``x_b``. The id columns then go through ``int`` and
+    the ``Dataset`` checks.
     """
 
     def layout(header: list[str]) -> tuple:
@@ -484,7 +550,7 @@ def read_predictions_csv(path: str | os.PathLike) -> Predictions:
         return layouts[0], [("ids", object, 5), ("probs", np.float64, n_classes), ("labels", object, n_labels)]
 
     (n_classes, with_final), table = _read_table(path, layout)
-    if not len(table):
+    if not len(table["ids"]):
         raise DataError(f"{path}: holds no prediction rows")
     header = _pred_header(n_classes, with_final)
     ids, probs = table["ids"], np.ascontiguousarray(table["probs"])
@@ -496,14 +562,14 @@ def read_predictions_csv(path: str | os.PathLike) -> Predictions:
         raise DataError(f"{path}: malformed prediction row: {exc}") from exc
     try:
         as_prob_rows(probs, tol=_ROUNDED_PROB_TOL)
-    except InvalidInputError as whole:
-        # Name the first row the gate rejects, the way label errors do.
+    except InvalidInputError:
+        # Name the first row the gate rejects, the way label errors do. Each
+        # check of the gate is a check of each row, so one row fails.
         for i in range(len(probs)):
             try:
                 as_prob_rows(probs[i : i + 1], tol=_ROUNDED_PROB_TOL)
             except InvalidInputError as exc:
                 raise DataError(f"{path}: line {_record_lines(path)[i]}: {exc}") from exc
-        raise DataError(f"{path}: {whole}") from whole
     labels = ints[:, :3]
     off = np.argwhere((labels < 0) | (labels >= n_classes))
     if off.size:
@@ -595,7 +661,7 @@ def cmd_gen(args) -> int:
     summary = ", ".join(f"{ClassLabel(c).name.lower()}={n}" for c, n in enumerate(counts.tolist()) if n)
     print(f"wrote {len(data)} {cfg.task.value} records to {dataset_path} ({summary})")
     inputs = [args.config] if args.config else []
-    outputs = [str(dataset_path), str(truth_path)]
+    outputs = [str(dataset_path), f"{dataset_path}.npy", str(truth_path)]
     _write_manifest(out_dir / "manifest.json", args, started, inputs, outputs, config_text, cfg.seed)
     return 0
 

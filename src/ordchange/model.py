@@ -496,6 +496,15 @@ class TrainConfig:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not (0 < self.lr_decay <= 1):
             raise ConfigError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
+        # The rate rises through the warmup and falls after it, so its first
+        # epoch, last warmup epoch and last epoch hold its extremes.
+        for epoch in sorted({0, max(self.warmup_epochs - 1, 0), self.epochs - 1}):
+            rate = lr_schedule(epoch, self)
+            if not (math.isfinite(rate) and rate > 0):
+                raise ConfigError(
+                    f"lr={self.lr}, lr_decay={self.lr_decay}, warmup_epochs={self.warmup_epochs} and "
+                    f"epochs={self.epochs} give epoch {epoch} a learning rate of {rate}; it must be finite and > 0"
+                )
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.balanced_batches and self.batch_size < self.task.n_classes:

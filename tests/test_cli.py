@@ -394,6 +394,31 @@ class TestTrain:
         assert err.startswith("error: head input 16 must equal the encoder output 8") and err.count("\n") == 1
         assert steps == [] and not list(tmp_path.glob("m.*"))
 
+    @pytest.mark.parametrize(
+        "settings, epoch",
+        [
+            ("lr_decay=1e-300\nepochs=3", 2),  # decays to 0.0 at the last epoch
+            ("lr=5e-324\nwarmup_epochs=2", 0),  # the first ramp step, lr / 2, is 0.0
+            ("lr=1e308\nwarmup_epochs=2", 1),  # lr * 2 overflows before the division
+        ],
+    )
+    def test_schedule_out_of_range_exit_3_before_any_step(
+        self, workdir, tmp_path, capsys, monkeypatch, settings, epoch
+    ):
+        keys = {line.split("=")[0] for line in settings.splitlines()}
+        kept = [line for line in TRAIN_CFG.splitlines() if line.split("=")[0] not in keys]  # epochs=3
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("\n".join(kept + [settings]) + "\n")
+        steps = []
+        monkeypatch.setattr(model_mod, "forward", lambda *args, **kwargs: steps.append(args))
+        argv = ["train", "--config", str(cfg), "--data", str(workdir / "data" / "dataset.csv")]
+        assert main([*argv, "--out", str(tmp_path / "m.ckpt")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(f"{key}=" in err for key in ("lr", "lr_decay", "warmup_epochs", "epochs"))
+        assert f"epoch {epoch} a learning rate of " in err
+        assert steps == [] and not list(tmp_path.glob("m.*"))
+
     def test_task_mismatch_exit_3(self, workdir, tmp_path):
         rc = main(
             [
