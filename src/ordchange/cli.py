@@ -26,11 +26,14 @@ dataset's columns and the model's (N, C) probabilities, ``ensemble`` votes
 on one (M, N, C) stack of its input tables' ``probs`` and writes the first
 table with its label columns replaced, and ``eval`` scores one label column.
 ``_row_order`` matches one file's rows to another file's keys for both.
-Each file is checked once, when ``_read_table`` reads it in one structured
-``np.loadtxt`` pass. ``_write_csv`` writes every CSV from its columns, with
-no ``csv.writer``: it quotes each text column once and formats each row of
-a float matrix by ``repr`` as it writes that line into the temporary file
-that ``core.atomic_write`` renames. The bytes are ``csv.writer``'s.
+Each kind of CSV is one declaration of its typed fields. ``_read_csv``
+reads every kind in one ``_read_table`` pass, parses its ints at once and
+names the line of a label outside the file's classes or of a text field
+that ends in NUL, which numpy's text arrays would drop. ``_write_csv``
+writes every CSV from its columns, with no ``csv.writer``: it quotes each
+text column once and formats each row of a float matrix by ``repr`` as it
+writes that line into the temporary file that ``core.atomic_write``
+renames. The bytes are ``csv.writer``'s.
 
 ``write_dataset_csv`` also writes a binary twin of the dataset CSV,
 ``<csv>.npy``, keyed by the CSV's length and CRC-32. ``read_dataset_csv``
@@ -54,7 +57,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
-from itertools import chain
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -242,6 +245,52 @@ def _read_table(path: str | os.PathLike, layout: Callable[[list[str]], tuple]) -
     return info, {name: table[name] for name in dtype.names}
 
 
+class _Label(int):
+    """The type of a CSV field that holds a label: an int that names one of the file's classes."""
+
+
+def _read_csv(path: str | os.PathLike, what: str, kinds: Callable[[list[str]], Iterable[tuple]]) -> tuple:
+    """The key, the text and int columns by name, the case ids and the float
+    matrix of a CSV whose header names the fields of one of the ``(key,
+    fields, n_classes, valid)`` kinds that ``kinds(header)`` yields.
+
+    Fields are ``(name, type)`` pairs in file order, typed ``str``, ``int``,
+    ``_Label`` or ``float`` (one run at most). Errors say ``unrecognized
+    <what>`` or ``malformed <what's first word> row``, or name the line of a
+    label outside ``[0, n_classes)`` (``valid`` words the range) or of a text
+    field that ends in NUL."""
+
+    def layout(header: list[str]) -> tuple:
+        for kind in kinds(header):
+            if header == [name for name, _ in kind[1]]:
+                runs = groupby(kind[1], lambda field: np.float64 if field[1] is float else object)
+                return kind, [(str(i), dtype, len(list(run))) for i, (dtype, run) in enumerate(runs)]
+        raise DataError(f"{path}: unrecognized {what}")
+
+    (key, declared, n_classes, valid), table = _read_table(path, layout)
+    text = np.hstack([arr for arr in table.values() if arr.dtype == object])
+    columns = dict(zip([name for name, kind in declared if kind is not float], text.T))
+    floats = [np.ascontiguousarray(arr) for arr in table.values() if arr.dtype == np.float64]
+    ints = [name for name, kind in declared if kind in (int, _Label)]
+    try:
+        parsed = np.array(np.column_stack([columns[name] for name in ints]), dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: malformed {what.split()[0]} row: {exc}") from exc
+    columns.update(zip(ints, parsed.T))
+    names = [name for name, kind in declared if kind is _Label]
+    labels = np.column_stack([columns[name] for name in names])
+    off = np.argwhere((labels < 0) | (labels >= n_classes))
+    if off.size:
+        i, j = off[0]
+        raise DataError(f"{path}: line {_record_lines(path)[i]}: {names[j]} {labels[i, j]} {valid}")
+    ends = [(i, name) for name, kind in declared if kind is str and "\0" in "".join(columns[name])
+            for i, value in enumerate(columns[name]) if value.endswith("\0")]
+    if ends:
+        i, name = min(ends, key=lambda end: end[0])
+        raise DataError(f"{path}: line {_record_lines(path)[i]}: {name} ends in a NUL character")
+    return key, columns, columns["case_id"].tolist(), floats[0] if floats else np.empty((len(text), 0))
+
+
 def _write_manifest(
     path: str | os.PathLike,
     args,
@@ -384,17 +433,18 @@ def _build_config(cls, values: dict, args):
     return _construct(cls, given)
 
 
-# --- dataset CSV schemas ------------------------------------------------------------
+# --- CSV kinds -------------------------------------------------------------------------
+#
+# Each kind of CSV is declared once, as its (name, type) fields in file order;
+# its header, the groups ``_read_table`` reads and the checks follow from that.
 
 
-def _dataset_header(task: Task, dim: int) -> list[str]:
+def _dataset_fields(task: Task, dim: int) -> list[tuple[str, object]]:
     if task is Task.T2:
-        return ["case_id", "patient_id", "visit_id", "volume_id", "bscan_index", "label"] + [
-            f"f{i}" for i in range(dim)
-        ]
-    return ["case_id", "patient_id", "label"] + [f"a{i}" for i in range(dim)] + [
-        f"b{i}" for i in range(dim)
-    ]
+        ids = [("case_id", str), ("patient_id", str), ("visit_id", str), ("volume_id", str)]
+        return ids + [("bscan_index", int), ("label", _Label)] + [(f"f{i}", float) for i in range(dim)]
+    pairs = [(f"{half}{i}", float) for half in "ab" for i in range(dim)]  # the earlier visit's, then the later's
+    return [("case_id", str), ("patient_id", str), ("label", _Label)] + pairs
 
 
 def _case_ids(data: Dataset) -> list[str]:
@@ -410,70 +460,56 @@ def write_dataset_csv(path: str | os.PathLike, data: Dataset) -> None:
     ids.append(data.labels.tolist())
     feats = data.x if data.x_b is None else np.hstack(data.inputs)  # a pair row's halves side by side
     # A feature is written as its repr, the shortest text that reads back exactly.
-    _write_csv(path, _dataset_header(data.task, data.x.shape[1]), ids, feats)
+    _write_csv(path, [name for name, _ in _dataset_fields(data.task, data.x.shape[1])], ids, feats)
     _write_twin(path, ids, feats)
 
 
-def _truth_header(task: Task) -> list[str]:
-    return [name for name in _dataset_header(task, 0) if name != "visit_id"]
+def _truth_fields(task: Task) -> list[tuple[str, object]]:
+    scan = [("volume_id", str), ("bscan_index", str)] if task is Task.T2 else []
+    return [("case_id", str), ("patient_id", str), *scan, ("label", _Label)]
 
 
 def write_truth_csv(path: str | os.PathLike, data: Dataset) -> None:
     ids = [data.volume_id.tolist(), data.bscan_index.tolist()] if data.task is Task.T2 else []
-    _write_csv(path, _truth_header(data.task), [_case_ids(data), data.patient_id.tolist(), *ids, data.labels.tolist()])
+    header = [name for name, _ in _truth_fields(data.task)]
+    _write_csv(path, header, [_case_ids(data), data.patient_id.tolist(), *ids, data.labels.tolist()])
 
 
 def read_dataset_csv(path: str | os.PathLike) -> tuple[Task, Dataset, list[str]]:
     """Read a dataset CSV, detecting the task from its header.
 
     Returns the task, the dataset, and the per-row case ids in file order.
-    The CSV's twin, or else one ``np.loadtxt`` pass, gives the id columns as
-    text and the features as one float64 matrix; a pair row's halves become
-    the views ``x`` and ``x_b``. The id columns then go through ``int`` and
-    the ``Dataset`` checks.
+    ``_read_csv`` gives the id columns as text, the B-scan index and label as
+    int64 and the features as one float64 matrix; a pair row's halves become
+    the views ``x`` and ``x_b``. The columns then go through the ``Dataset``
+    checks.
     """
 
-    def layout(header: list[str]) -> tuple:
-        if header[:6] == _dataset_header(Task.T2, 0):
-            task = Task.T2
-        elif header[:3] == _dataset_header(Task.T1, 0):
-            task = Task.T1
-        else:
-            raise DataError(f"{path}: unrecognized dataset header")
-        n_ids = len(_dataset_header(task, 0))
-        dim = (len(header) - n_ids) // (2 if task is Task.T1 else 1)
-        if header != _dataset_header(task, dim):
-            raise DataError(f"{path}: malformed {task.value} dataset header")
-        return (task, dim), [("ids", object, n_ids), ("x", np.float64, len(header) - n_ids)]
+    def kinds(header: list[str]) -> Iterator[tuple]:
+        for task in Task:
+            dim = (len(header) - len(_dataset_fields(task, 0))) // (2 if task is Task.T1 else 1)
+            yield (task, dim), _dataset_fields(task, dim), task.n_classes, f"is not valid for task {task.value}"
 
-    (task, dim), table = _read_table(path, layout)
-    ids, feats = table["ids"], np.ascontiguousarray(table["x"])
+    (task, dim), columns, case_ids, feats = _read_csv(path, "dataset header", kinds)
+    scan = {name: columns[name] for name in ("visit_id", "volume_id", "bscan_index")} if task is Task.T2 else {}
+    x_b = feats[:, dim:] if task is Task.T1 else None
     try:
-        # The label is the last id column of either layout.
-        columns = {"patient_id": ids[:, 1], "labels": list(map(int, ids[:, -1]))}
-        if task is Task.T2:
-            columns.update(visit_id=ids[:, 2], volume_id=ids[:, 3], bscan_index=list(map(int, ids[:, 4])))
-        data = Dataset(x=feats[:, :dim], x_b=feats[:, dim:] if task is Task.T1 else None, **columns)
+        data = Dataset(feats[:, :dim], columns["label"], columns["patient_id"], x_b, **scan)
     except InvalidInputError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    except (ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: malformed dataset row: {exc}") from exc
-    case_ids = ids[:, 0].tolist()
     _check_unique(path, case_ids)
     return task, data, case_ids
 
 
-# --- prediction CSV schema -----------------------------------------------------------
+def _pred_fields(n_classes: int, with_final: bool) -> list[tuple[str, object]]:
+    ids = [("case_id", str), ("patient_id", str), ("volume_id", str), ("bscan_index", str), ("true_label", _Label)]
+    probs = [(f"p_{ClassLabel(c).name.lower()}", float) for c in range(n_classes)]
+    final = [("final_label", _Label), ("postprocessed", int)] if with_final else []
+    return ids + probs + [("pred_label", _Label)] + final
 
 
-# The id columns not listed here hold text.
-_PRED_DTYPES = {
-    "true_label": np.int64,
-    "probs": np.float64,
-    "pred_label": np.int64,
-    "final_label": np.int64,
-    "postprocessed": np.int64,
-}
+# The dtype of each prediction column; the id columns not listed here hold text.
+_PRED_DTYPES = {"probs": np.float64, **{name: np.int64 for name, kind in _pred_fields(0, True) if kind is not str}}
 
 
 @dataclass(frozen=True, eq=False)
@@ -509,15 +545,6 @@ class Predictions:
 _ROUNDED_PROB_TOL = 3e-9
 
 
-def _pred_header(n_classes: int, with_final: bool) -> list[str]:
-    header = ["case_id", "patient_id", "volume_id", "bscan_index", "true_label"]
-    header += [f"p_{ClassLabel(c).name.lower()}" for c in range(n_classes)]
-    header.append("pred_label")
-    if with_final:
-        header += ["final_label", "postprocessed"]
-    return header
-
-
 def write_predictions_csv(path: str | os.PathLike, table: Predictions) -> None:
     n_rows, n_classes = table.probs.shape
     if not n_rows:
@@ -532,34 +559,22 @@ def write_predictions_csv(path: str | os.PathLike, table: Predictions) -> None:
     with_final = table.final_label is not None
     if with_final:
         columns += [table.final_label.tolist(), table.postprocessed.tolist()]
-    _write_csv(path, _pred_header(n_classes, with_final), columns)
+    _write_csv(path, [name for name, _ in _pred_fields(n_classes, with_final)], columns)
 
 
 def read_predictions_csv(path: str | os.PathLike) -> Predictions:
     """Read a prediction CSV into a table that holds the values as written, so
-    writing it back gives the same bytes. Every probability row must pass the
-    simplex gate within ``_ROUNDED_PROB_TOL``, every label column must name a
-    class of the file's width, and every case_id must be unique."""
+    writing it back gives the same bytes. Every label column must name a
+    class of the file's width, every probability row must pass the simplex
+    gate within ``_ROUNDED_PROB_TOL``, and every case_id must be unique."""
 
-    def layout(header: list[str]) -> tuple:
-        layouts = [(c, f) for c in (4, 3) for f in (True, False) if header == _pred_header(c, f)]
-        if not layouts:
-            raise DataError(f"{path}: unrecognized prediction header")
-        # Labels stay text here, so that a label beyond int64 fails below with int's message.
-        n_classes, n_labels = layouts[0][0], len(header) - 5 - layouts[0][0]
-        return layouts[0], [("ids", object, 5), ("probs", np.float64, n_classes), ("labels", object, n_labels)]
+    def kinds(header: list[str]) -> Iterator[tuple]:
+        for n, with_final in ((4, True), (4, False), (3, True), (3, False)):
+            yield (n, with_final), _pred_fields(n, with_final), n, f"outside [0, {n})"
 
-    (n_classes, with_final), table = _read_table(path, layout)
-    if not len(table["ids"]):
+    _, columns, case_ids, probs = _read_csv(path, "prediction header", kinds)
+    if not case_ids:
         raise DataError(f"{path}: holds no prediction rows")
-    header = _pred_header(n_classes, with_final)
-    ids, probs = table["ids"], np.ascontiguousarray(table["probs"])
-    # true_label, pred_label[, final_label, postprocessed]: all but the flag are labels.
-    int_columns = [4, *range(5 + n_classes, len(header))]
-    try:
-        ints = np.array(np.hstack([ids[:, 4:], table["labels"]]), dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise DataError(f"{path}: malformed prediction row: {exc}") from exc
     try:
         as_prob_rows(probs, tol=_ROUNDED_PROB_TOL)
     except InvalidInputError:
@@ -570,39 +585,19 @@ def read_predictions_csv(path: str | os.PathLike) -> Predictions:
                 as_prob_rows(probs[i : i + 1], tol=_ROUNDED_PROB_TOL)
             except InvalidInputError as exc:
                 raise DataError(f"{path}: line {_record_lines(path)[i]}: {exc}") from exc
-    labels = ints[:, :3]
-    off = np.argwhere((labels < 0) | (labels >= n_classes))
-    if off.size:
-        i, j = off[0]
-        line = _record_lines(path)[i]
-        raise DataError(f"{path}: line {line}: {header[int_columns[j]]} {labels[i, j]} outside [0, {n_classes})")
-    case_ids = ids[:, 0].tolist()
     _check_unique(path, case_ids)
     return Predictions(
-        case_ids, ids[:, 1], ids[:, 2], ids[:, 3], true_label=ints[:, 0], probs=probs, pred_label=ints[:, 1],
-        final_label=ints[:, 2] if with_final else None, postprocessed=ints[:, 3] if with_final else None,
+        case_ids, columns["patient_id"], columns["volume_id"], columns["bscan_index"], columns["true_label"], probs,
+        columns["pred_label"], columns.get("final_label"), columns.get("postprocessed"),
     )
 
 
 def read_truth_csv(path: str | os.PathLike, task: Task) -> tuple[list[str], np.ndarray]:
     """The case ids and the int64 labels of a truth CSV, in file order."""
-
-    def layout(header: list[str]) -> tuple:
-        if header != _truth_header(task):
-            raise DataError(f"{path}: unrecognized truth header for task {task.value}")
-        return None, [("ids", object, len(header))]
-
-    ids = _read_table(path, layout)[1]["ids"]
-    try:
-        labels = [int(label) for label in ids[:, -1]]
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed truth row: {exc}") from exc
-    for i, label in enumerate(labels):
-        if not 0 <= label < task.n_classes:
-            raise DataError(f"{path}: line {_record_lines(path)[i]}: label {label} is not valid for task {task.value}")
-    case_ids = ids[:, 0].tolist()
+    kind = (None, _truth_fields(task), task.n_classes, f"is not valid for task {task.value}")
+    _, columns, case_ids, _ = _read_csv(path, f"truth header for task {task.value}", lambda header: [kind])
     _check_unique(path, case_ids)
-    return case_ids, np.array(labels, dtype=np.int64)
+    return case_ids, columns["label"]
 
 
 def _check_unique(path: str | os.PathLike, case_ids: Sequence[str]) -> None:

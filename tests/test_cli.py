@@ -745,6 +745,24 @@ class TestBadDataset:
 
         self.check(workdir, tmp_path, capsys, "predict", relabel_volume, "label 3 is not valid for task t2")
 
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_label_outside_task_names_its_line_exit_2(self, workdir, tmp_path, capsys, command):
+        def relabel_volume(lines):
+            for line in (1, 2, 3):
+                set_field(lines, line, 5, "3")
+
+        message = f"{tmp_path / 'bad.csv'}: line 2: label 3 is not valid for task t2"
+        self.check(workdir, tmp_path, capsys, command, relabel_volume, message)
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_id_ending_in_nul_exit_2(self, workdir, tmp_path, capsys, command):
+        # As text arrays drop a trailing NUL, the patient id of line 3 would read as the one of line 2.
+        def nul_after_patient(lines):
+            set_field(lines, 2, 1, lines[1].split(",")[1] + "\0")
+
+        message = f"{tmp_path / 'bad.csv'}: line 3: patient_id ends in a NUL character"
+        self.check(workdir, tmp_path, capsys, command, nul_after_patient, message)
+
 
 def test_written_files_are_read_without_the_csv_pass(workdir, monkeypatch):
     """The files gen and predict write hold no blank line, no quote and no
@@ -1214,6 +1232,36 @@ class TestBadPredictionAndTruthFiles:
         assert self.run(workdir, command, bad) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: line 6: probabilities sum to ") and err.count("\n") == 1
+
+    def test_truth_label_beyond_int64_exit_2(self, workdir, tmp_path, capsys):
+        def set_label(fields):
+            fields[-1] = "9" * 20
+
+        pred = tmp_path / "preds.csv"
+        pred.write_bytes((workdir / "preds.csv").read_bytes())
+        truth = edited_copy(workdir / "data" / "truth.csv", tmp_path / "truth.csv", 2, set_label)
+        message = "malformed truth row: Python int too large to convert to C long"
+        self.check(capsys, self.run(workdir, "eval", pred, truth), truth, message)
+
+    @pytest.mark.parametrize("command", ["ensemble", "eval"])
+    def test_case_id_ending_in_nul_exit_2(self, workdir, tmp_path, capsys, command):
+        # As text arrays drop a trailing NUL, line 3 would take the case_id of line 2 and its scores.
+        first = (workdir / "preds.csv").read_text().splitlines()[1].split(",")[0]
+
+        def nul_after_first_case_id(fields):
+            fields[0] = first + "\0"
+
+        bad = edited_copy(workdir / "preds.csv", tmp_path / "bad.csv", 2, nul_after_first_case_id)
+        self.check(capsys, self.run(workdir, command, bad), bad, "line 3: case_id ends in a NUL character")
+
+    def test_truth_case_id_ending_in_nul_exit_2(self, workdir, tmp_path, capsys):
+        def nul_after_case_id(fields):
+            fields[0] += "\0"
+
+        pred = tmp_path / "preds.csv"
+        pred.write_bytes((workdir / "preds.csv").read_bytes())
+        truth = edited_copy(workdir / "data" / "truth.csv", tmp_path / "truth.csv", 2, nul_after_case_id)
+        self.check(capsys, self.run(workdir, "eval", pred, truth), truth, "line 3: case_id ends in a NUL character")
 
 
 class TestGradcheck:
