@@ -15,10 +15,11 @@ failure. (Bad command lines exit 2 via argparse.)
 
 Configuration files are flat ``key=value`` lines; ``#`` starts a comment and
 blank lines are skipped. Unknown or repeated keys, and numbers that are not
-finite, are rejected. Every command writes a run manifest (JSON) next to its
-outputs; reruns with identical inputs and seed produce byte-identical
-outputs, manifests excepted for their timing field. ``train`` fits its folds
-one after another.
+finite, are rejected. ``main`` writes the run manifest (JSON) of every
+command but ``gradcheck`` next to its outputs, and a command creates the
+directory of each file it writes. Reruns with identical inputs and seed give
+byte-identical outputs, manifests excepted for their timing field. ``train``
+fits its folds one after another.
 
 A dataset CSV becomes a ``core.Dataset``; a prediction CSV becomes a
 ``Predictions`` table of columns. ``predict`` builds that table from the
@@ -57,7 +58,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -130,8 +131,9 @@ def _record_lines(path: str | os.PathLike) -> list[int]:
 
     The ``csv`` module defines a record. Raises DataError on text that is not
     UTF-8, and names the first record it rejects or whose field count is not
-    the header's: a quote not closed when a quoted field runs on to the end
-    of the file, or over lines into the field limit."""
+    the header's: a field over the limit when one of its lines is, or else a
+    quote not closed when a quoted field runs on to the end of the file, or
+    over lines into the field limit."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -149,7 +151,11 @@ def _record_lines(path: str | os.PathLike) -> list[int]:
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:
-            if reader.line_num == starts[-1]:
+            # csv does not say whether the field it stopped in is quoted; a line of the record over the limit
+            # holds a field over it, else a quoted field ran on over lines.
+            fh.seek(0)
+            record = islice(fh, starts[-1] - 1, reader.line_num)
+            if reader.line_num == starts[-1] or any(len(line) > csv.field_size_limit() for line in record):
                 raise DataError(f"{path}: line {starts[-1]}: {exc}") from None
     raise DataError(f"{path}: line {starts[-1]}: quote not closed (read to line {reader.line_num})")
 
@@ -289,28 +295,6 @@ def _read_csv(path: str | os.PathLike, what: str, kinds: Callable[[list[str]], I
         i, name = min(ends, key=lambda end: end[0])
         raise DataError(f"{path}: line {_record_lines(path)[i]}: {name} ends in a NUL character")
     return key, columns, columns["case_id"].tolist(), floats[0] if floats else np.empty((len(text), 0))
-
-
-def _write_manifest(
-    path: str | os.PathLike,
-    args,
-    started: float,
-    inputs: Sequence[str],
-    outputs: Sequence[str],
-    config_text: str = "",
-    seed: int | None = None,
-) -> None:
-    payload = {
-        "command": args.command,
-        "argv": list(sys.argv[1:] if args.argv is None else args.argv),
-        "config": config_text,
-        "seed": seed,
-        "inputs": list(inputs),
-        "outputs": list(outputs),
-        "version": __version__,
-        "duration_seconds": round(time.monotonic() - started, 6),
-    }
-    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # --- key=value configuration -------------------------------------------------------
@@ -641,13 +625,11 @@ def _write_report_csv(path: str | os.PathLike, report: MetricReport) -> None:
 # --- commands -------------------------------------------------------------------------
 
 
-def cmd_gen(args) -> int:
-    started = time.monotonic()
+def cmd_gen(args) -> tuple[Path, dict]:
     values, config_text = _load_config(args.config, GEN_SCHEMA)
     cfg = _build_config(GenConfig, values, args)
     data = gen_t2_volumes(cfg) if cfg.task is Task.T2 else gen_t1_pairs(cfg)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = out_dir / "dataset.csv"
     truth_path = out_dir / "truth.csv"
     write_dataset_csv(dataset_path, data)
@@ -657,8 +639,7 @@ def cmd_gen(args) -> int:
     print(f"wrote {len(data)} {cfg.task.value} records to {dataset_path} ({summary})")
     inputs = [args.config] if args.config else []
     outputs = [str(dataset_path), f"{dataset_path}.npy", str(truth_path)]
-    _write_manifest(out_dir / "manifest.json", args, started, inputs, outputs, config_text, cfg.seed)
-    return 0
+    return out_dir / "manifest.json", {"inputs": inputs, "outputs": outputs, "config": config_text, "seed": cfg.seed}
 
 
 def _fold_val_patients(patients: list[str], folds: int, val_ratio: float, seed: int) -> list[set[str]]:
@@ -674,8 +655,7 @@ def _fold_val_patients(patients: list[str], folds: int, val_ratio: float, seed: 
     return [set(order[:n_val])]
 
 
-def cmd_train(args) -> int:
-    started = time.monotonic()
+def cmd_train(args) -> tuple[str, dict]:
     values, config_text = _load_config(args.config, TRAIN_SCHEMA)
     cfg = _build_config(TrainConfig, values, args)
     data_task, data, _ = read_dataset_csv(args.data)
@@ -689,7 +669,6 @@ def cmd_train(args) -> int:
     val_sets = _fold_val_patients(patients, cfg.folds, cfg.val_ratio, cfg.seed)
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     if len(val_sets) == 1:
         ckpt_paths = [out]
     else:
@@ -709,12 +688,10 @@ def cmd_train(args) -> int:
         )
         outputs += [str(ckpt_path), history_path]
     inputs = [p for p in (args.config, args.data) if p]
-    _write_manifest(f"{out}.manifest.json", args, started, inputs, outputs, config_text, cfg.seed)
-    return 0
+    return f"{out}.manifest.json", {"inputs": inputs, "outputs": outputs, "config": config_text, "seed": cfg.seed}
 
 
-def cmd_predict(args) -> int:
-    started = time.monotonic()
+def cmd_predict(args) -> tuple[str, dict]:
     params = load_checkpoint(args.ckpt)
     task, data, case_ids = read_dataset_csv(args.data)
     if not len(data):
@@ -730,12 +707,10 @@ def cmd_predict(args) -> int:
     )
     write_predictions_csv(args.out, table)
     print(f"wrote {len(data)} predictions to {args.out}")
-    _write_manifest(f"{args.out}.manifest.json", args, started, [args.ckpt, args.data], [str(args.out)])
-    return 0
+    return f"{args.out}.manifest.json", {"inputs": [args.ckpt, args.data], "outputs": [str(args.out)]}
 
 
-def cmd_ensemble(args) -> int:
-    started = time.monotonic()
+def cmd_ensemble(args) -> tuple[str, dict]:
     tables = [read_predictions_csv(p) for p in args.preds]
     widths = {table.probs.shape[1] for table in tables}
     if len(widths) != 1:
@@ -769,12 +744,10 @@ def cmd_ensemble(args) -> int:
         + (", volume consistency applied" if args.postprocess else "")
         + f"; wrote {args.out}"
     )
-    _write_manifest(f"{args.out}.manifest.json", args, started, args.preds, [str(args.out)])
-    return 0
+    return f"{args.out}.manifest.json", {"inputs": args.preds, "outputs": [str(args.out)]}
 
 
-def cmd_eval(args) -> int:
-    started = time.monotonic()
+def cmd_eval(args) -> tuple[str, dict]:
     task = Task(args.task)
     pred = read_predictions_csv(args.pred)
     truth_ids, truth_labels = read_truth_csv(args.truth, task)
@@ -793,8 +766,7 @@ def cmd_eval(args) -> int:
         print(f"flags               {';'.join(report.flags)}")
     out = args.out or f"{args.pred}.report.csv"
     _write_report_csv(out, report)
-    _write_manifest(f"{out}.manifest.json", args, started, [args.pred, args.truth], [str(out)])
-    return 0
+    return f"{out}.manifest.json", {"inputs": [args.pred, args.truth], "outputs": [str(out)]}
 
 
 def cmd_gradcheck(args) -> int:
@@ -929,11 +901,23 @@ _EXIT_CODES = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.argv = list(argv) if argv is not None else None
+    """Run one command and return its exit code. A command but ``gradcheck``
+    returns its manifest's path and the fields it knows (inputs, outputs, and
+    config and seed when it has them); ``main`` adds the rest and writes it."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return _COMMANDS[args.command](args)
+        result = _COMMANDS[args.command](args)
+        if isinstance(result, int):
+            return result
+        path, known = result
+        manifest = {
+            "command": args.command, "argv": argv, "config": "", "seed": None, **known, "version": __version__,
+            "duration_seconds": round(time.monotonic() - started, 6),
+        }
+        atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        return 0
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

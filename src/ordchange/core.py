@@ -250,8 +250,10 @@ class Dataset:
 def atomic_write(path: str | os.PathLike, data: str | bytes | Callable[[BinaryIO], None]) -> None:
     """Write bytes, text as UTF-8, or whatever ``data(fh)`` writes to the open
     binary file, to ``path`` through a temporary file and a rename, so ``path``
-    holds either its old content or all of the new. The temporary file is
-    removed when either step fails."""
+    holds either its old content or all of the new. Missing directories on
+    the way to ``path`` are created first. The temporary file is removed when
+    either step fails."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:

@@ -113,9 +113,6 @@ def specificity(cm: np.ndarray) -> float:
             _flag(f"specificity:skipped_class:{k}")
             continue
         per_class.append(tn / (tn + fp))
-    if not per_class:
-        _flag("specificity:degenerate")
-        return 0.0
     return float(np.mean(per_class))
 
 

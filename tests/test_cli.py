@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ordchange
 import ordchange.cli as cli
 from checkpoint_bytes import zero_checkpoint
 import ordchange.model as model_mod
@@ -444,6 +445,43 @@ class TestTrain:
         assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.fixture(scope="module")
+def t1_data(tmp_path_factory) -> Path:
+    """A t1 dataset of the 8 patients of GEN_CFG."""
+    root = tmp_path_factory.mktemp("t1")
+    (root / "gen.cfg").write_text(GEN_CFG)
+    assert main(["gen", "--config", str(root / "gen.cfg"), "--task", "t1", "--out", str(root / "data")]) == 0
+    return root / "data" / "dataset.csv"
+
+
+class TestTrainRejectsItsData:
+    """A config that does not fit the dataset it trains on ends train with
+    one line, and no checkpoint is written."""
+
+    @pytest.mark.parametrize(
+        "task, settings, message, code",
+        [
+            ("t1", "task=t2", "dataset {data} holds t1 records but config says t2", 3),
+            ("t1", "task=t1\nloss=focal\nhead_dims=8,4",
+             "head input 8 must be 16 for pair rows with encoder output 8", 3),
+            ("t2", "folds=9", "cannot make 9 folds from 8 patients", 2),
+            ("t2", "val_ratio=0.99", "val_ratio 0.99 leaves no training patients out of 8", 2),
+        ],
+        ids=["task", "head_input", "folds", "val_ratio"],
+    )
+    def test_exit_with_one_line(self, workdir, t1_data, tmp_path, capsys, task, settings, message, code):
+        data = t1_data if task == "t1" else workdir / "data" / "dataset.csv"
+        keys = {line.split("=")[0] for line in settings.splitlines()}
+        kept = [line for line in TRAIN_CFG.splitlines() if line.split("=")[0] not in keys]
+        (tmp_path / "train.cfg").write_text("\n".join(kept + [settings]) + "\n")
+        capsys.readouterr()
+        argv = ["train", "--config", str(tmp_path / "train.cfg"), "--data", str(data)]
+        assert main([*argv, "--out", str(tmp_path / "m.ckpt")]) == code
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(data=data)}\n"
+        assert not list(tmp_path.glob("m.*"))
+
+
 class TestNonFiniteConfig:
     """A config number that is NaN or infinite ends gen and train with exit 3
     and one line naming the key, before any work starts."""
@@ -676,6 +714,21 @@ class TestBadDataset:
     def test_oversized_field_exit_2(self, workdir, tmp_path, capsys, command):
         message = f"{tmp_path / 'bad.csv'}: line 2: field larger than field limit"
         self.check(workdir, tmp_path, capsys, command, lambda lines: set_field(lines, 1, 0, "x" * 200_000), message)
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_oversized_header_field_exit_2(self, workdir, tmp_path, capsys, command):
+        message = f"{tmp_path / 'bad.csv'}: line 1: field larger than field limit (131072)"
+        self.check(workdir, tmp_path, capsys, command, lambda lines: set_field(lines, 0, 1, "x" * 200_000), message)
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_oversized_field_after_an_id_on_two_lines_exit_2(self, workdir, tmp_path, capsys, command):
+        # Every quote is closed: the record of line 2 goes on to line 3, which is over the field limit.
+        def long_field_on_the_second_line(lines):
+            set_field(lines, 1, 0, '"a\nb"')
+            set_field(lines, 1, 1, "x" * 200_000)
+
+        message = f"{tmp_path / 'bad.csv'}: line 2: field larger than field limit (131072)"
+        self.check(workdir, tmp_path, capsys, command, long_field_on_the_second_line, message)
 
     @pytest.mark.parametrize("command", ["train", "predict"])
     def test_blank_line_exit_2(self, workdir, tmp_path, capsys, command):
@@ -1282,3 +1335,57 @@ class TestGradcheck:
 
     def test_zero_trials_exit_3(self):
         assert main(["gradcheck", "--trials", "0"]) == 3
+
+
+class TestRunner:
+    """main runs every command, writes each manifest and makes each output
+    directory."""
+
+    def test_every_command_writes_its_manifest(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "gen.cfg").write_text(GEN_CFG)
+        (tmp_path / "train.cfg").write_text(TRAIN_CFG)
+        cfg = {name: str(tmp_path / f"{name}.cfg") for name in ("gen", "train")}
+        data, truth = str(tmp_path / "d" / "dataset.csv"), str(tmp_path / "d" / "truth.csv")
+        ckpts = [str(tmp_path / f"m.fold{i}.ckpt") for i in range(2)]
+        preds = [str(tmp_path / f"p{i}.csv") for i in range(2)]
+        combined = str(tmp_path / "e.csv")
+        # (argv, manifest path, config, seed, inputs, outputs) of each command.
+        runs = [
+            (["gen", "--config", cfg["gen"], "--out", str(tmp_path / "d")], str(tmp_path / "d" / "manifest.json"),
+             GEN_CFG, 11, [cfg["gen"]], [data, f"{data}.npy", truth]),
+            (["train", "--config", cfg["train"], "--data", data, "--folds", "2", "--out", str(tmp_path / "m.ckpt")],
+             str(tmp_path / "m.ckpt.manifest.json"), TRAIN_CFG, 1, [cfg["train"], data],
+             [ckpts[0], f"{ckpts[0]}.history.csv", ckpts[1], f"{ckpts[1]}.history.csv"]),
+            *((["predict", "--ckpt", ckpt, "--data", data, "--out", pred], f"{pred}.manifest.json", "", None,
+               [ckpt, data], [pred]) for ckpt, pred in zip(ckpts, preds)),
+            (["ensemble", *preds, "--mode", "unanimity", "--postprocess", "--out", combined],
+             f"{combined}.manifest.json", "", None, preds, [combined]),
+            (["eval", "--pred", combined, "--truth", truth, "--task", "t2"], f"{combined}.report.csv.manifest.json",
+             "", None, [combined, truth], [f"{combined}.report.csv"]),
+        ]
+        for argv, path, config, seed, inputs, outputs in runs:
+            assert main(argv) == 0
+            manifest = json.loads(Path(path).read_text())
+            assert manifest.pop("duration_seconds") >= 0
+            assert manifest == {
+                "argv": argv, "command": argv[0], "config": config, "seed": seed, "inputs": inputs,
+                "outputs": outputs, "version": ordchange.__version__,
+            }
+            assert all(Path(out).is_file() for out in outputs)
+        assert capsys.readouterr().err == ""
+        monkeypatch.chdir(tmp_path / "d")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["gradcheck", "--trials", "1", "--losses", "ce"]) == 0
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["predict", "ensemble", "eval"])
+    def test_output_into_a_missing_directory(self, workdir, tmp_path, command):
+        out = tmp_path / "new" / "dir" / "out.csv"
+        data, truth, preds = (str(workdir / name) for name in ("data/dataset.csv", "data/truth.csv", "preds.csv"))
+        argv = {
+            "predict": ["predict", "--ckpt", str(workdir / "model.ckpt"), "--data", data],
+            "ensemble": ["ensemble", preds],
+            "eval": ["eval", "--pred", preds, "--truth", truth, "--task", "t2"],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.is_file() and Path(f"{out}.manifest.json").is_file()
