@@ -15,26 +15,28 @@ failure. (Bad command lines exit 2 via argparse.)
 
 Configuration files are flat ``key=value`` lines; ``#`` starts a comment and
 blank lines are skipped. Unknown or repeated keys, and numbers that are not
-finite, are rejected. ``main`` writes the run manifest (JSON) of every
-command but ``gradcheck`` next to its outputs, and a command creates the
-directory of each file it writes. Reruns with identical inputs and seed give
-byte-identical outputs, manifests excepted for their timing field. ``train``
-fits its folds one after another.
+finite, are rejected. Without ``head_dims``, the head maps each branch's
+encoder output to the task's classes. ``main`` writes the run manifest (JSON)
+of every command but ``gradcheck`` next to its outputs, and a command creates
+the directory of each file it writes. Reruns with identical inputs and seed
+give byte-identical outputs, manifests excepted for their timing field.
+``train`` fits its folds one after another.
 
 A dataset CSV becomes a ``core.Dataset``; a prediction CSV becomes a
-``Predictions`` table of columns. ``predict`` builds that table from the
-dataset's columns and the model's (N, C) probabilities, ``ensemble`` votes
-on one (M, N, C) stack of its input tables' ``probs`` and writes the first
-table with its label columns replaced, and ``eval`` scores one label column.
-``_row_order`` matches one file's rows to another file's keys for both.
-Each kind of CSV is one declaration of its typed fields. ``_read_csv``
-reads every kind in one ``_read_table`` pass, parses its ints at once and
-names the line of a label outside the file's classes or of a text field
-that ends in NUL, which numpy's text arrays would drop. ``_write_csv``
-writes every CSV from its columns, with no ``csv.writer``: it quotes each
-text column once and formats each row of a float matrix by ``repr`` as it
-writes that line into the temporary file that ``core.atomic_write``
-renames. The bytes are ``csv.writer``'s.
+``Predictions`` table of columns. ``predict`` checks that the model gives the
+task's classes and builds that table from the dataset's columns and the (N, C)
+probabilities, ``ensemble`` votes on one (M, N, C) stack of its input tables'
+``probs`` and writes the first table with its label columns replaced, and
+``eval`` scores one label column. ``_row_order`` matches one file's rows to
+another file's keys for both. Each kind of CSV is one declaration of its typed
+fields, from which its writer and reader take its header and column order.
+``_read_csv`` reads every kind in one ``_read_table`` pass, parses its ints at
+once and names the line of a label outside the file's classes or of a text
+field that ends in NUL, which numpy's text arrays would drop. ``_write_csv``
+writes every CSV from its columns, with no ``csv.writer``: it quotes each text
+column once and formats each row of a float matrix by ``repr`` as it writes
+that line into the temporary file that ``core.atomic_write`` renames. The bytes
+are ``csv.writer``'s.
 
 ``write_dataset_csv`` also writes a binary twin of the dataset CSV,
 ``<csv>.npy``, keyed by the CSV's length and CRC-32. ``read_dataset_csv``
@@ -64,7 +66,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, core
 from .core import ClassLabel, Dataset, Task, _column, as_prob_rows, atomic_write, confusion_from_predictions
 from .datagen import GenConfig, gen_t1_pairs, gen_t2_volumes
 from .ensemble import (
@@ -412,8 +414,9 @@ def _build_config(cls, values: dict, args):
     given = {**values, **{key: value for key, value in overrides.items() if value is not None}}
     given = {_FIELD_OF_KEY.get(key, key): value for key, value in given.items()}
     task = given["task"] = Task(given.get("task", cls.task))  # --task gives the text of a Task
-    if cls is TrainConfig:  # the head's output width follows the task
-        given.setdefault("head_dims", TrainConfig.head_dims[:-1] + (task.n_classes,))
+    if cls is TrainConfig:  # the default head reads each branch's encoder output
+        encoder = given.get("encoder_dims", TrainConfig.encoder_dims)
+        given.setdefault("head_dims", ((2 if task is Task.T1 else 1) * encoder[-1], task.n_classes))
     return _construct(cls, given)
 
 
@@ -437,14 +440,18 @@ def _case_ids(data: Dataset) -> list[str]:
     return [f"pair{i:06d}" for i in range(len(data))]
 
 
+def _columns(data: Dataset) -> dict[str, list]:
+    """A dataset's text and int columns as lists, by their CSV field names."""
+    scan = {name: getattr(data, name).tolist() for name in core._SCAN_COLUMNS} if data.task is Task.T2 else {}
+    return {"case_id": _case_ids(data), "patient_id": data.patient_id.tolist(), **scan, "label": data.labels.tolist()}
+
+
 def write_dataset_csv(path: str | os.PathLike, data: Dataset) -> None:
-    ids = [_case_ids(data), data.patient_id.tolist()]
-    if data.task is Task.T2:
-        ids += [data.visit_id.tolist(), data.volume_id.tolist(), data.bscan_index.tolist()]
-    ids.append(data.labels.tolist())
+    declared, columns = _dataset_fields(data.task, data.x.shape[1]), _columns(data)
+    ids = [columns[name] for name, kind in declared if kind is not float]
     feats = data.x if data.x_b is None else np.hstack(data.inputs)  # a pair row's halves side by side
     # A feature is written as its repr, the shortest text that reads back exactly.
-    _write_csv(path, [name for name, _ in _dataset_fields(data.task, data.x.shape[1])], ids, feats)
+    _write_csv(path, [name for name, _ in declared], ids, feats)
     _write_twin(path, ids, feats)
 
 
@@ -454,9 +461,8 @@ def _truth_fields(task: Task) -> list[tuple[str, object]]:
 
 
 def write_truth_csv(path: str | os.PathLike, data: Dataset) -> None:
-    ids = [data.volume_id.tolist(), data.bscan_index.tolist()] if data.task is Task.T2 else []
-    header = [name for name, _ in _truth_fields(data.task)]
-    _write_csv(path, header, [_case_ids(data), data.patient_id.tolist(), *ids, data.labels.tolist()])
+    names, columns = [name for name, _ in _truth_fields(data.task)], _columns(data)
+    _write_csv(path, names, [columns[name] for name in names])
 
 
 def read_dataset_csv(path: str | os.PathLike) -> tuple[Task, Dataset, list[str]]:
@@ -475,7 +481,7 @@ def read_dataset_csv(path: str | os.PathLike) -> tuple[Task, Dataset, list[str]]
             yield (task, dim), _dataset_fields(task, dim), task.n_classes, f"is not valid for task {task.value}"
 
     (task, dim), columns, case_ids, feats = _read_csv(path, "dataset header", kinds)
-    scan = {name: columns[name] for name in ("visit_id", "volume_id", "bscan_index")} if task is Task.T2 else {}
+    scan = {name: columns[name] for name in core._SCAN_COLUMNS} if task is Task.T2 else {}
     x_b = feats[:, dim:] if task is Task.T1 else None
     try:
         data = Dataset(feats[:, :dim], columns["label"], columns["patient_id"], x_b, **scan)
@@ -530,27 +536,19 @@ _ROUNDED_PROB_TOL = 3e-9
 
 
 def write_predictions_csv(path: str | os.PathLike, table: Predictions) -> None:
-    n_rows, n_classes = table.probs.shape
-    if not n_rows:
-        raise InvalidInputError("refusing to write an empty prediction CSV")
-    if n_classes not in {task.n_classes for task in Task}:
-        raise ConfigError(f"cannot serialize {n_classes}-class probabilities")
-    # One formatting pass over the row-major matrix; text[j::C] is class j's column.
-    text = ["%.9f" % v for v in table.probs.ravel().tolist()]
-    columns = [table.case_id, table.patient_id, table.volume_id, table.bscan_index, table.true_label]
-    columns = [c.tolist() for c in columns] + [text[j::n_classes] for j in range(n_classes)]
-    columns.append(table.pred_label.tolist())
-    with_final = table.final_label is not None
-    if with_final:
-        columns += [table.final_label.tolist(), table.postprocessed.tolist()]
-    _write_csv(path, [name for name, _ in _pred_fields(n_classes, with_final)], columns)
+    probs = (["%.9f" % v for v in column] for column in table.probs.T.tolist())
+    declared = _pred_fields(table.probs.shape[1], table.final_label is not None)
+    columns = [next(probs) if kind is float else getattr(table, name).tolist() for name, kind in declared]
+    _write_csv(path, [name for name, _ in declared], columns)
 
 
 def read_predictions_csv(path: str | os.PathLike) -> Predictions:
-    """Read a prediction CSV into a table that holds the values as written, so
-    writing it back gives the same bytes. Every label column must name a
-    class of the file's width, every probability row must pass the simplex
-    gate within ``_ROUNDED_PROB_TOL``, and every case_id must be unique."""
+    """Read a prediction CSV into a table that holds the values as read. A
+    file that ``write_predictions_csv`` wrote (ints in canonical form,
+    probabilities with 9 decimals) gives the same bytes when written back.
+    Every label must name a class of the file's width, every probability row
+    pass the simplex gate within ``_ROUNDED_PROB_TOL``, and every case_id be
+    unique."""
 
     def kinds(header: list[str]) -> Iterator[tuple]:
         for n, with_final in ((4, True), (4, False), (3, True), (3, False)):
@@ -570,10 +568,7 @@ def read_predictions_csv(path: str | os.PathLike) -> Predictions:
             except InvalidInputError as exc:
                 raise DataError(f"{path}: line {_record_lines(path)[i]}: {exc}") from exc
     _check_unique(path, case_ids)
-    return Predictions(
-        case_ids, columns["patient_id"], columns["volume_id"], columns["bscan_index"], columns["true_label"], probs,
-        columns["pred_label"], columns.get("final_label"), columns.get("postprocessed"),
-    )
+    return Predictions(**columns, probs=probs)
 
 
 def read_truth_csv(path: str | os.PathLike, task: Task) -> tuple[list[str], np.ndarray]:
@@ -697,6 +692,9 @@ def cmd_predict(args) -> tuple[str, dict]:
     if not len(data):
         raise DataError(f"{args.data}: dataset holds no records")
     probs = predict(params, data)
+    if probs.shape[1] != task.n_classes:
+        raise ConfigError(f"the model gives {probs.shape[1]} classes, task {task.value} takes {task.n_classes} "
+                          f"(checkpoint {args.ckpt})")
     if task is Task.T2:
         volumes, indices = data.volume_id, data.bscan_index.astype(str)
     else:
@@ -780,38 +778,31 @@ def cmd_gradcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
     gammas = (0.0, 1.0, 2.0, 5.0)
     tolerance = 1e-5
-    lines = []
+    # Encoder dims and head dims, less the class count, of each checked network.
+    networks = {"plain": ((5, 7), (7,)), "siamese": ((4, 6), (12, 8))}
 
-    def one_cfg(trial: int) -> LossConfig:
-        return LossConfig(gamma=gammas[trial % len(gammas)])
-
-    for kind in kinds:
-        worst = 0.0
-        for trial in range(args.trials):
-            n_classes = 3 + (trial % 2)
+    def trial_error(kind: str, path: str, trial: int) -> float:
+        n_classes, cfg = 3 + trial % 2, LossConfig(gamma=gammas[trial % len(gammas)])
+        if path == "logits":
             # Scale 2: wider logits push near-zero probability coordinates into
             # the central-difference noise floor and fail spuriously.
             z = rng.normal(0.0, 2.0, size=n_classes)
-            y = np.eye(n_classes)[rng.integers(0, n_classes)]
+        else:
+            encoder, head = networks[path]
+            params = init_params(encoder, (*head, n_classes), seed=rng.integers(2**31))
+            inputs = [rng.normal(size=encoder[0]) for _ in range(params.n_branches)]
+        y = np.eye(n_classes)[rng.integers(0, n_classes)]
+        if path == "logits":
             if trial % 3 == 2:  # exercise soft targets as well as one-hot
                 y = rng.dirichlet(np.ones(n_classes))
-            worst = max(worst, finite_difference_check(kind, z, y, one_cfg(trial), h=args.h))
-        lines.append((kind, "logits", args.trials, worst))
+            return finite_difference_check(kind, z, y, cfg, h=args.h)
+        return finite_difference_check_params(params, inputs, y, kind, cfg, h=args.h)
 
     model_trials = max(1, args.trials // 5)
-    # Encoder dims and head dims, less the class count, of each checked network.
-    networks = {"plain": ((5, 7), (7,)), "siamese": ((4, 6), (12, 8))}
-    for kind in kinds:
-        for topology, (encoder, head) in networks.items():
-            worst = 0.0
-            for trial in range(model_trials):
-                n_classes = 3 + (trial % 2)
-                params = init_params(encoder, (*head, n_classes), seed=rng.integers(2**31))
-                inputs = [rng.normal(size=encoder[0]) for _ in range(params.n_branches)]
-                y = np.eye(n_classes)[rng.integers(0, n_classes)]
-                err = finite_difference_check_params(params, inputs, y, kind, one_cfg(trial), h=args.h)
-                worst = max(worst, err)
-            lines.append((kind, topology, model_trials, worst))
+    runs = [(kind, "logits", args.trials) for kind in kinds]
+    runs += [(kind, path, model_trials) for kind in kinds for path in networks]
+    lines = [(kind, path, trials, max(0.0, *(trial_error(kind, path, t) for t in range(trials))))
+             for kind, path, trials in runs]
 
     worst_overall = max(line[3] for line in lines)
     print(f"{'loss':<10} {'path':<9} {'trials':>6} {'max_rel_err':>12}  status")

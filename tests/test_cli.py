@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import struct
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 import ordchange
 import ordchange.cli as cli
-from checkpoint_bytes import zero_checkpoint
+from checkpoint_bytes import seal, zero_checkpoint
 import ordchange.model as model_mod
 from ordchange.cli import (
     GEN_SCHEMA,
@@ -25,7 +26,7 @@ from ordchange.core import Task
 from ordchange.datagen import GenConfig
 from ordchange.errors import ConfigError
 from ordchange.losses import LossConfig
-from ordchange.model import OptimizerConfig, TrainConfig, init_params, save_checkpoint
+from ordchange.model import CHECKPOINT_MAGIC, OptimizerConfig, TrainConfig, init_params, save_checkpoint
 
 GEN_CFG = """\
 # tiny but non-trivial dataset
@@ -420,6 +421,21 @@ class TestTrain:
         assert f"epoch {epoch} a learning rate of " in err
         assert steps == [] and not list(tmp_path.glob("m.*"))
 
+    @pytest.mark.parametrize(
+        "task, feature_dim, train_cfg, head",
+        [("t1", 16, "epochs=2\nloss=focal\n", (64, 4)), ("t2", 64, "encoder_dims=64,16\nepochs=2\n", (16, 3))],
+        ids=["t1_default_encoder", "t2_set_encoder"],
+    )
+    def test_default_head_reads_the_encoder_output(self, tmp_path, capsys, task, feature_dim, train_cfg, head):
+        (tmp_path / "gen.cfg").write_text(f"task={task}\nn_patients=6\nfeature_dim={feature_dim}\nseed=0\n")
+        (tmp_path / "train.cfg").write_text(train_cfg)
+        assert main(["gen", "--config", str(tmp_path / "gen.cfg"), "--out", str(tmp_path / "d")]) == 0
+        argv = ["train", "--config", str(tmp_path / "train.cfg"), "--data", str(tmp_path / "d" / "dataset.csv")]
+        assert main([*argv, "--task", task, "--out", str(tmp_path / "m.ckpt")]) == 0
+        params = model_mod.load_checkpoint(tmp_path / "m.ckpt")
+        assert [w.shape[::-1] for w, _ in params.head_layers] == [head]
+        assert capsys.readouterr().err == ""
+
     def test_task_mismatch_exit_3(self, workdir, tmp_path):
         rc = main(
             [
@@ -466,8 +482,11 @@ class TestTrainRejectsItsData:
              "head input 8 must be 16 for pair rows with encoder output 8", 3),
             ("t2", "folds=9", "cannot make 9 folds from 8 patients", 2),
             ("t2", "val_ratio=0.99", "val_ratio 0.99 leaves no training patients out of 8", 2),
+            ("t2", "beta1=1.5", "adam betas must lie in [0, 1)", 3),
+            ("t2", "weight_decay=-1", "weight_decay must be >= 0, got -1.0", 3),
+            ("t2", "optimizer=sgd\nlr=1e300\nweight_decay=1e10", "the optimizer step produced non-finite parameters", 4),
         ],
-        ids=["task", "head_input", "folds", "val_ratio"],
+        ids=["task", "head_input", "folds", "val_ratio", "beta1", "weight_decay", "non_finite_step"],
     )
     def test_exit_with_one_line(self, workdir, t1_data, tmp_path, capsys, task, settings, message, code):
         data = t1_data if task == "t1" else workdir / "data" / "dataset.csv"
@@ -479,6 +498,16 @@ class TestTrainRejectsItsData:
         assert main([*argv, "--out", str(tmp_path / "m.ckpt")]) == code
         err = capsys.readouterr().err
         assert err == f"error: {message.format(data=data)}\n"
+        assert not list(tmp_path.glob("m.*"))
+
+    def test_undersampling_a_single_class_exit_2(self, tmp_path, capsys):
+        (tmp_path / "gen.cfg").write_text(GEN_CFG.replace("class_ratios=0.25,0.5,0.25", "class_ratios=0,1,0"))
+        (tmp_path / "train.cfg").write_text(TRAIN_CFG + "undersample_majority=1.0\n")
+        assert main(["gen", "--config", str(tmp_path / "gen.cfg"), "--out", str(tmp_path / "d")]) == 0
+        capsys.readouterr()
+        argv = ["train", "--config", str(tmp_path / "train.cfg"), "--data", str(tmp_path / "d" / "dataset.csv")]
+        assert main([*argv, "--out", str(tmp_path / "m.ckpt")]) == 2
+        assert capsys.readouterr().err == "error: undersampling needs at least one non-majority class with samples\n"
         assert not list(tmp_path.glob("m.*"))
 
 
@@ -528,6 +557,13 @@ def test_config_not_utf8_exit_3(workdir, tmp_path, capsys, command):
     assert main(argv) == 3
     assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text (invalid start byte)\n"
     assert not (tmp_path / "d").exists() and not (tmp_path / "m.ckpt").exists()
+
+
+def with_dropout(blob: bytes, rate: float) -> bytes:
+    """A sealed checkpoint ``blob`` with its dropout rate, the f64 after the
+    magic and the version, set to ``rate`` and sealed again."""
+    at = len(CHECKPOINT_MAGIC) + 4
+    return seal(blob[:at] + struct.pack("<d", rate) + blob[at + 8 : -4])
 
 
 class TestPredict:
@@ -590,8 +626,15 @@ class TestPredict:
             ((5, 8), (16, 4), None, "the model takes 2 input(s) per row, got 1"),
             ((5, 8), (8, 3), "task=t1\nn_patients=6\nfeature_dim=5\nseed=0\n", "the model takes 1 input(s) per row, got 2"),
             ((64, 8), (8, 3), "task=t2\nn_patients=4\nfeature_dim=32\nseed=0\n", "x must have width 64, got shape"),
+            ((5, 8), (8, 4), None, "the model gives 4 classes, task t2 takes 3 (checkpoint "),
+            ((5, 8), (8, 5), None, "the model gives 5 classes, task t2 takes 3 (checkpoint "),
+            ((5, 8), (16, 3), "task=t1\nn_patients=6\nfeature_dim=5\nseed=0\n",
+             "the model gives 3 classes, task t1 takes 4 (checkpoint "),
         ],
-        ids=["t1_model_on_t2_data", "t2_model_on_t1_pairs", "64_wide_model_on_32_features"],
+        ids=[
+            "t1_model_on_t2_data", "t2_model_on_t1_pairs", "64_wide_model_on_32_features", "4_classes_on_t2_data",
+            "5_classes_on_t2_data", "3_classes_on_t1_pairs",
+        ],
     )
     def test_checkpoint_that_does_not_fit_the_data_exit_3(
         self, workdir, tmp_path, capsys, encoder, head, gen_cfg, message
@@ -607,6 +650,24 @@ class TestPredict:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not list(tmp_path.glob("p.csv*"))
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (zero_checkpoint([(8, 5)], [(3, 8), (3, 6)]), "head layer 1 input 6 breaks the chain"),
+            (zero_checkpoint([(4, 5), (8, 7)], [(3, 8)]), "encoder layer 1 input 7 breaks the chain"),
+            (zero_checkpoint([(8, 5)], []), "model needs at least one head layer"),
+            (with_dropout(zero_checkpoint([(8, 5)], [(3, 8)]), 1.0), "dropout_rate must lie in [0, 1), got 1.0"),
+        ],
+        ids=["head_chain", "encoder_chain", "no_head_layer", "dropout_one"],
+    )
+    def test_checkpoint_with_inconsistent_parameters_exit_5(self, workdir, tmp_path, capsys, blob, message):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(blob)
+        argv = ["predict", "--ckpt", str(ckpt), "--data", str(workdir / "data" / "dataset.csv")]
+        assert main([*argv, "--out", str(tmp_path / "p.csv")]) == 5
+        assert capsys.readouterr().err == f"error: checkpoint {ckpt} holds inconsistent parameters: {message}\n"
         assert not list(tmp_path.glob("p.csv*"))
 
     def test_overflowing_logits_print_one_error_line_exit_3(self, workdir, tmp_path, capsys):

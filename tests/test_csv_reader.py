@@ -103,7 +103,8 @@ def is_float(text: str) -> bool:
 @example(text='id,name,x0,x1\n"a\n\nb",c,1.0,2.0\nd,e,abc,1.0\n')  # and the number after it is named by its line
 @example(text='id,name,x0,x1\n"a\nb",c,1.0,2.0\nd,e,1.0\n')  # the short row after a record on two lines
 @example(text='id,name,x0,x1\n"a\nb",c,1.0\n')  # a short last row on two lines, its quote closed
-@example(text='id,name,x0,x1\na ," b,x",1.0,2.0\n')  # csv splits ' "b' and 'x"'
+@example(text='id,name,x0,x1\na ," b,x",1.0,2.0\n')  # the quote opens the field: one field ' b,x'
+@example(text='id,name,x0,x1\na, "b,x",1.0,2.0\n')  # a space before the quote: csv splits ' "b' and 'x"'
 @example(text='id,name,x0,x1\n, ",",0.0,0.0\n')  # the second quote opens a field that the file ends in
 def test_read_table_reads_the_records_csv_reads(text):
     with tempfile.TemporaryDirectory() as tmp:
