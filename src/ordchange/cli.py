@@ -769,6 +769,8 @@ def cmd_eval(args) -> tuple[str, dict]:
 
 def cmd_gradcheck(args) -> int:
     kinds = [k.strip() for k in args.losses.split(",") if k.strip()]
+    if not kinds:
+        raise ConfigError(f"--losses names no loss kind, got {args.losses!r}")
     for kind in kinds:
         check_loss_kind(kind)
     if args.trials < 1:
@@ -801,15 +803,16 @@ def cmd_gradcheck(args) -> int:
     model_trials = max(1, args.trials // 5)
     runs = [(kind, "logits", args.trials) for kind in kinds]
     runs += [(kind, path, model_trials) for kind in kinds for path in networks]
-    lines = [(kind, path, trials, max(0.0, *(trial_error(kind, path, t) for t in range(trials))))
+    # np.max, unlike max, returns NaN when any error is NaN, and NaN fails every "< tolerance".
+    lines = [(kind, path, trials, float(np.max([trial_error(kind, path, t) for t in range(trials)])))
              for kind, path, trials in runs]
 
-    worst_overall = max(line[3] for line in lines)
+    worst_overall = float(np.max([line[3] for line in lines]))
     print(f"{'loss':<10} {'path':<9} {'trials':>6} {'max_rel_err':>12}  status")
     for kind, topology, trials, worst in lines:
         status = "ok" if worst < tolerance else "FAIL"
         print(f"{kind:<10} {topology:<9} {trials:>6} {worst:>12.3e}  {status}")
-    if worst_overall >= tolerance:
+    if not worst_overall < tolerance:
         print(f"gradient check FAILED: worst relative error {worst_overall:.3e} >= {tolerance}")
         return 7
     print(f"gradient check passed: worst relative error {worst_overall:.3e} < {tolerance}")

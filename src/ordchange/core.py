@@ -3,9 +3,10 @@ matrices, the columnar ``Dataset`` carried through generation, training
 and prediction, and the atomic file write behind every output.
 
 Probability and logit vectors are plain float64 numpy arrays. The functions
-``as_prob_rows`` (a matrix of probability rows), ``as_prob_vector`` (one
-row, through the same gate) and ``as_logits`` are the validation gates;
-everything downstream assumes its inputs went through one of them.
+``as_prob_rows`` (a matrix of probability rows) and ``as_prob_vector`` (one
+row, through the same gate) are the probability gates, and ``softmax`` is
+the logit gate; everything downstream assumes its inputs went through one
+of them.
 """
 
 from __future__ import annotations
@@ -54,16 +55,6 @@ class Task(Enum):
         return 4 if self is Task.T1 else 3
 
 
-def as_logits(z: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Validate a logit vector: 1-D, length >= 2, all entries finite."""
-    arr = np.asarray(z, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] < 2:
-        raise InvalidInputError(f"logits must be a 1-D vector of length >= 2, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("logits contain non-finite entries")
-    return arr
-
-
 def as_prob_rows(p: Sequence[Sequence[float]] | np.ndarray, *, tol: float = PROB_TOL) -> np.ndarray:
     """Validate an (N, C >= 2) matrix whose every row is a probability vector:
     entries in [0, 1] and each row summing to 1, both within tol."""
@@ -97,16 +88,14 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
     The running maximum is subtracted before exponentiation, so inputs with
     magnitudes up to about 1e4 neither overflow nor produce NaN. Rows of the
-    output are valid probability vectors.
+    output are valid probability vectors. A vector or each matrix row must
+    hold at least 2 finite logits.
     """
     arr = np.asarray(z, dtype=np.float64)
-    if arr.ndim == 1:
-        as_logits(arr)
-    elif arr.ndim == 2:
-        if arr.shape[1] < 2 or not np.isfinite(arr).all():
-            raise InvalidInputError("logit rows must have length >= 2 and be finite")
-    else:
+    if arr.ndim not in (1, 2):
         raise InvalidInputError(f"softmax expects a vector or matrix, got shape {arr.shape}")
+    if arr.shape[-1] < 2 or not np.isfinite(arr).all():
+        raise InvalidInputError("logit rows must have length >= 2 and be finite")
     exp = arr - arr.max(axis=-1, keepdims=True)
     np.exp(exp, out=exp)
     exp /= exp.sum(axis=-1, keepdims=True)

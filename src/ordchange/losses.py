@@ -16,7 +16,8 @@ vector against a target. Internally each term has one function that
 evaluates a whole batch and returns its per-row values together with their
 gradient with respect to the probabilities, so a training step computes the
 shared logs, powers and cumulative sums once. ``batch_loss_gradient`` chains
-that path through softmax, and ``loss_gradient`` is its one-row case.
+that path through softmax and is the one gradient entry point: training
+calls it on every batch, and the gradient checks on a one-row batch.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Task, as_logits, as_prob_vector, softmax
+from .core import Task, as_prob_vector, softmax
 from .errors import ConfigError, InvalidInputError
 
 LOSS_KINDS: tuple[str, ...] = ("ce", "focal", "emd", "combined")
@@ -159,32 +160,18 @@ def _terms(kind: str, P: np.ndarray, Y: np.ndarray, cfg: LossConfig) -> tuple[np
     return focal, focal_grad
 
 
-def loss_gradient(
-    loss_kind: str, z: np.ndarray, y: np.ndarray, cfg: LossConfig | None = None
-) -> tuple[float, np.ndarray]:
-    """The loss at softmax(z) against target y and its gradient with respect to
-    the logit vector z: the one-row case of ``batch_loss_gradient``."""
-    zv = as_logits(z)
-    t = as_prob_vector(y)
-    if zv.shape != t.shape:
-        raise InvalidInputError(f"logit and target lengths differ: {zv.shape[0]} vs {t.shape[0]}")
-    value, grad = batch_loss_gradient(loss_kind, zv[None, :], t[None, :], cfg)
-    return value, grad[0]
-
-
 def batch_loss_gradient(
     loss_kind: str, logits: np.ndarray, targets: np.ndarray, cfg: LossConfig | None = None
 ) -> tuple[float, np.ndarray]:
-    """Mean loss over rows and its gradient with respect to every logit row.
-
-    Same math as ``loss_gradient`` applied to an (N, C) batch; the returned
-    gradient already carries the 1/N factor of the mean.
+    """Mean loss at softmax(logits) against the target rows over an (N >= 1, C)
+    batch, and its gradient with respect to every logit row; the gradient
+    already carries the 1/N factor of the mean.
     """
     cfg = cfg or LossConfig()
     Z = np.asarray(logits, dtype=np.float64)
     Y = np.asarray(targets, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape != Y.shape:
-        raise InvalidInputError(f"expected matching (N, C) arrays, got {Z.shape} and {Y.shape}")
+    if Z.ndim != 2 or Z.shape != Y.shape or not Z.shape[0]:
+        raise InvalidInputError(f"expected matching (N >= 1, C) arrays, got {Z.shape} and {Y.shape}")
     P = softmax(Z)
     values, grad_p = _terms(loss_kind, P, Y, cfg)
     # Softmax Jacobian applied rowwise: dL/dz = p * (g - <g, p>). Entries of
@@ -202,21 +189,21 @@ def central_difference_error(
 
     Each entry of ``vector`` in turn is moved by +h and -h in place, and
     restored. Returns the max over entries of |numeric - analytic| /
-    max(|analytic|, 1e-8). ``h`` must lie in [1e-7, 1e-3].
+    max(|analytic|, 1e-8), which is NaN when any entry's error is, so a NaN
+    gradient fails every ``< tolerance`` test. ``h`` must lie in [1e-7, 1e-3].
     """
     if not (1e-7 <= h <= 1e-3):
         raise InvalidInputError(f"step size h must lie in [1e-7, 1e-3], got {h}")
-    worst = 0.0
-    for i, ana in enumerate(analytic):
+    numeric = np.empty(len(analytic))
+    for i in range(len(analytic)):
         orig = vector[i]
         vector[i] = orig + h
         up = loss_at(vector)
         vector[i] = orig - h
         down = loss_at(vector)
         vector[i] = orig
-        numeric = (up - down) / (2.0 * h)
-        worst = max(worst, abs(numeric - ana) / max(abs(ana), _REL_FLOOR))
-    return worst
+        numeric[i] = (up - down) / (2.0 * h)
+    return float(np.max(np.abs(numeric - analytic) / np.maximum(np.abs(analytic), _REL_FLOOR), initial=0.0))
 
 
 def finite_difference_check(
@@ -226,8 +213,10 @@ def finite_difference_check(
     cfg: LossConfig | None = None,
     h: float = 1e-5,
 ) -> float:
-    """Compare the analytic logit gradient against central differences and
-    return ``central_difference_error`` over the logits."""
-    zv = as_logits(z).copy()
-    _, grad = loss_gradient(loss_kind, zv, y, cfg)
-    return central_difference_error(lambda v: loss_value(loss_kind, softmax(v), y, cfg), zv, grad, h)
+    """Compare the logit gradient that ``batch_loss_gradient`` gives the
+    one-row batch ``z`` against central differences and return
+    ``central_difference_error`` over the logits."""
+    zv = np.array(z, dtype=np.float64)
+    t = as_prob_vector(y)
+    _, grad = batch_loss_gradient(loss_kind, zv[None], t[None], cfg)
+    return central_difference_error(lambda v: loss_value(loss_kind, softmax(v), t, cfg), zv, grad[0], h)

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, Task, atomic_write, confusion_from_predictions, softmax
+from .core import Dataset, Task, as_prob_vector, atomic_write, confusion_from_predictions, softmax
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -57,7 +57,6 @@ from .losses import (
     _focal_terms,
     batch_loss_gradient,
     central_difference_error,
-    loss_gradient,
     validate_loss_for_task,
 )
 from .metrics import MetricReport, compute_report
@@ -336,17 +335,19 @@ def finite_difference_check_params(
     """Compare analytic parameter gradients against central differences.
 
     ``inputs`` holds one feature vector per branch: ``(x,)`` for the plain
-    model, ``(x_a, x_b)`` for the siamese one; each becomes a one-row batch.
-    Dropout stays off, so the loss is a deterministic function of the
-    parameters. Returns ``central_difference_error`` over every weight and
-    bias entry.
+    model, ``(x_a, x_b)`` for the siamese one; each becomes a one-row batch,
+    and ``batch_loss_gradient`` gives the loss and logit gradient as in
+    training. Dropout stays off, so the loss is a deterministic function of
+    the parameters. Returns ``central_difference_error`` over every weight
+    and bias entry.
     """
     batch = [np.asarray(x, dtype=np.float64)[None, :] for x in inputs]
+    targets = as_prob_vector(target)[None]
     logits, cache = forward(params, batch)
-    analytic = backward(cache, loss_gradient(loss_kind, logits[0], target, cfg)[1][None, :])
+    analytic = backward(cache, batch_loss_gradient(loss_kind, logits, targets, cfg)[1])
     bumped = ModelParams(params.encoder_layers, params.head_layers, params.dropout_rate)
     return central_difference_error(
-        lambda _: loss_gradient(loss_kind, forward(bumped, batch)[0][0], target, cfg)[0], bumped.vector, analytic, h
+        lambda _: batch_loss_gradient(loss_kind, forward(bumped, batch)[0], targets, cfg)[0], bumped.vector, analytic, h
     )
 
 

@@ -1378,21 +1378,43 @@ class TestBadPredictionAndTruthFiles:
         self.check(capsys, self.run(workdir, "eval", pred, truth), truth, "line 3: case_id ends in a NUL character")
 
 
+# The exact stdout of `gradcheck --trials 6 --seed 3`, every digit of every error pinned.
+GRADCHECK_T6_S3 = """\
+loss       path      trials  max_rel_err  status
+ce         logits         6    1.452e-07  ok
+focal      logits         6    3.288e-08  ok
+emd        logits         6    1.037e-08  ok
+combined   logits         6    1.002e-08  ok
+ce         plain          1    1.061e-08  ok
+ce         siamese        1    1.301e-09  ok
+focal      plain          1    1.705e-09  ok
+focal      siamese        1    3.124e-09  ok
+emd        plain          1    1.690e-09  ok
+emd        siamese        1    2.861e-09  ok
+combined   plain          1    3.025e-08  ok
+combined   siamese        1    1.954e-09  ok
+gradient check passed: worst relative error 1.452e-07 < 1e-05
+"""
+
+
 class TestGradcheck:
     def test_passes_with_default_losses(self, capsys):
         assert main(["gradcheck", "--trials", "6", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "gradient check passed" in out
-        for kind in ("ce", "focal", "emd", "combined"):
-            assert kind in out
+        assert capsys.readouterr().out == GRADCHECK_T6_S3
 
     def test_detects_broken_gradients(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "finite_difference_check", lambda *a, **k: 1.0)
-        assert main(["gradcheck", "--trials", "5", "--losses", "ce"]) == 7
-        assert "gradient check FAILED" in capsys.readouterr().out
+        for error in (1.0, np.nan):
+            monkeypatch.setattr(cli, "finite_difference_check", lambda *a, error=error, **k: error)
+            assert main(["gradcheck", "--trials", "5", "--losses", "ce"]) == 7
+            out = capsys.readouterr().out
+            assert f"ce         logits         5 {error:>12.3e}  FAIL\n" in out
+            assert "gradient check FAILED" in out
 
-    def test_unknown_loss_exit_3(self):
-        assert main(["gradcheck", "--losses", "hinge"]) == 3
+    def test_unknown_loss_exit_3(self, capsys):
+        for losses in ("hinge", ","):
+            assert main(["gradcheck", "--losses", losses]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_zero_trials_exit_3(self):
         assert main(["gradcheck", "--trials", "0"]) == 3

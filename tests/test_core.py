@@ -10,7 +10,6 @@ from ordchange.core import (
     ClassLabel,
     Dataset,
     Task,
-    as_logits,
     atomic_write,
     as_prob_vector,
     confusion_from_predictions,
@@ -36,14 +35,16 @@ class TestLabels:
 
 
 class TestVectors:
-    def test_as_logits_accepts_plain_list(self):
-        out = as_logits([1.0, -2.0, 0.5])
+    def test_softmax_accepts_plain_list(self):
+        out = softmax([1.0, -2.0, 0.5])
         assert out.dtype == np.float64 and out.shape == (3,)
 
-    @pytest.mark.parametrize("bad", [[1.0], 3.0, [[1.0, 2.0]], [1.0, np.nan], [1.0, np.inf]])
-    def test_as_logits_rejects(self, bad):
+    @pytest.mark.parametrize(
+        "bad", [[1.0], 3.0, [1.0, np.nan], [1.0, np.inf]], ids=["one_entry", "scalar", "nan", "inf"]
+    )
+    def test_softmax_rejects_vector(self, bad):
         with pytest.raises(InvalidInputError):
-            as_logits(bad)
+            softmax(bad)
 
     def test_as_prob_vector_accepts_within_tolerance(self):
         as_prob_vector([0.5, 0.5 + 5e-10])

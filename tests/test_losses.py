@@ -10,8 +10,8 @@ from ordchange.losses import (
     LOSS_KINDS,
     LossConfig,
     batch_loss_gradient,
+    central_difference_error,
     finite_difference_check,
-    loss_gradient,
     loss_value,
     validate_loss_for_task,
 )
@@ -101,8 +101,8 @@ class TestIdentitiesAndProperties:
     def test_gradient_rows_sum_to_zero(self, z, k, kind):
         y = np.zeros_like(z)
         y[k % z.shape[0]] = 1.0
-        _, grad = loss_gradient(kind, z, y)
-        assert abs(grad.sum()) < 1e-9
+        _, grad = batch_loss_gradient(kind, z[None], y[None])
+        assert abs(grad[0].sum()) < 1e-9
 
     @given(
         arrays(np.float64, st.integers(2, 5), elements=st.floats(-10, 10)),
@@ -113,17 +113,17 @@ class TestIdentitiesAndProperties:
         # case is covered separately below.
         y = np.zeros_like(z)
         y[k % z.shape[0]] = 1.0
-        _, grad = loss_gradient("ce", z, y)
-        np.testing.assert_allclose(grad, softmax(z) - y, atol=1e-12)
+        _, grad = batch_loss_gradient("ce", z[None], y[None])
+        np.testing.assert_allclose(grad[0], softmax(z) - y, atol=1e-12)
 
     def test_ce_gradient_vanishes_on_clamp_plateau(self):
         # Once the target probability saturates below epsilon the forward value
         # is the constant -log(eps), so the true slope (and the gradient) is 0.
         z = np.array([-30.0, 30.0])
         y = np.array([1.0, 0.0])
-        value, grad = loss_gradient("ce", z, y)
+        value, grad = batch_loss_gradient("ce", z[None], y[None])
         assert value == pytest.approx(-np.log(1e-12))
-        np.testing.assert_array_equal(grad, np.zeros(2))
+        np.testing.assert_array_equal(grad[0], np.zeros(2))
         assert finite_difference_check("ce", z, y) < 1e-5
 
     def test_clamp_keeps_zero_probability_finite(self):
@@ -137,15 +137,15 @@ class TestIdentitiesAndProperties:
         # branch must return the true limit, zero.
         z = np.array([40.0, 0.0, 0.0])
         y = np.array([1.0, 0.0, 0.0])
-        _, grad = loss_gradient("focal", z, y, LossConfig(gamma=0.5))
-        assert np.all(np.isfinite(grad))
+        _, grad = batch_loss_gradient("focal", z[None], y[None], LossConfig(gamma=0.5))
+        assert np.all(np.isfinite(grad[0]))
 
     def test_emd_gradient_zero_at_minimum(self):
         z = np.array([0.0, 0.0, 0.0])
         y = softmax(z)
-        value, grad = loss_gradient("emd", z, y)
+        value, grad = batch_loss_gradient("emd", z[None], y[None])
         assert value == 0.0
-        np.testing.assert_array_equal(grad, np.zeros(3))
+        np.testing.assert_array_equal(grad[0], np.zeros(3))
 
 
 class TestOrdinality:
@@ -207,6 +207,11 @@ class TestGradientChecks:
         with pytest.raises(InvalidInputError):
             finite_difference_check("ce", z, y, h=1e-2)
 
+    def test_nan_gradient_is_the_worst_error(self):
+        # max(0.0, nan) is 0.0; a NaN analytic entry must not read as agreement.
+        err = central_difference_error(lambda v: float(v.sum()), np.zeros(3), np.array([np.nan, 1.0, 1.0]), 1e-5)
+        assert np.isnan(err)
+
 
 class TestBatchApi:
     def test_batch_matches_per_sample_mean(self):
@@ -215,13 +220,17 @@ class TestBatchApi:
         Y = np.eye(4)[rng.integers(0, 4, size=6)]
         for kind in LOSS_KINDS:
             value, grad = batch_loss_gradient(kind, Z, Y)
-            values, grads = zip(*(loss_gradient(kind, z, y) for z, y in zip(Z, Y)))
+            values, grads = zip(*(batch_loss_gradient(kind, z[None], y[None]) for z, y in zip(Z, Y)))
             assert value == pytest.approx(np.mean(values), abs=1e-12)
-            np.testing.assert_allclose(grad, np.stack(grads) / 6.0, atol=1e-12)
+            np.testing.assert_allclose(grad, np.concatenate(grads) / 6.0, atol=1e-12)
 
     def test_batch_rejects_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             batch_loss_gradient("ce", np.zeros((2, 3)), np.zeros((3, 3)))
+
+    def test_batch_rejects_empty_batch(self):
+        with pytest.raises(InvalidInputError):
+            batch_loss_gradient("ce", np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 class TestConfigValidation:
@@ -253,7 +262,7 @@ class TestConfigValidation:
 
     def test_loss_gradient_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):
-            loss_gradient("hinge", np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+            batch_loss_gradient("hinge", np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -16,7 +16,7 @@ from ordchange.errors import (
     InvalidStateError,
     NumericError,
 )
-from ordchange.losses import LossConfig, loss_gradient
+from ordchange.losses import LossConfig, batch_loss_gradient
 from ordchange.metrics import micro_f1
 from ordchange.model import (
     CHECKPOINT_MAGIC,
@@ -230,10 +230,10 @@ class TestBackward:
         batch_logits, cache = forward(params, (x[None, :],))
         logits = batch_logits[0]
         cfg = LossConfig(alpha=1.0, gamma=0.0, emd_weight=0.0)
-        g_combined = loss_gradient("combined", logits, y, cfg)[1]
-        np.testing.assert_allclose(g_combined, softmax(logits) - y, atol=1e-12)
-        grads = backward(cache, g_combined[None, :])
-        grads_ce = backward(cache, loss_gradient("ce", logits, y)[1][None, :])
+        g_combined = batch_loss_gradient("combined", logits[None], y[None], cfg)[1]
+        np.testing.assert_allclose(g_combined[0], softmax(logits) - y, atol=1e-12)
+        grads = backward(cache, g_combined)
+        grads_ce = backward(cache, batch_loss_gradient("ce", logits[None], y[None])[1])
         head = params.head_offset
         np.testing.assert_allclose(grads[head:], grads_ce[head:], atol=1e-12)
 
@@ -270,7 +270,7 @@ class TestBackward:
         xb = np.array([-1.0, 0.3, 0.8])
         y = np.array([1.0, 0.0, 0.0])
         logits, cache = forward(params, (xa[None, :], xb[None, :]))
-        g = loss_gradient("ce", logits[0], y)[1]
+        g = batch_loss_gradient("ce", logits[0][None], y[None])[1][0]
         grads = backward(cache, g[None, :])
         # Recompute each branch alone by zeroing the other half of the head
         # input gradient; their encoder contributions must sum to the total.
