@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -668,6 +669,10 @@ def cmd_train(args) -> tuple[str, dict]:
         ckpt_paths = [out]
     else:
         ckpt_paths = [out.with_name(f"{out.stem}.fold{i}{out.suffix}") for i in range(len(val_sets))]
+    os.makedirs(out.parent, exist_ok=True)  # as atomic_write would, but before any fold trains
+    for ckpt_path in ckpt_paths:
+        if ckpt_path.is_dir():
+            raise IsADirectoryError(f"checkpoint path {ckpt_path} is a directory")
 
     outputs: list[str] = []
     for i, (val_patients, ckpt_path) in enumerate(zip(val_sets, ckpt_paths)):
@@ -919,6 +924,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+# Every object made so far lives until exit: keep the collector from walking them in each
+# later collection, the ones at interpreter shutdown included.
+gc.freeze()
 
 
 if __name__ == "__main__":

@@ -436,6 +436,25 @@ class TestTrain:
         assert [w.shape[::-1] for w, _ in params.head_layers] == [head]
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize(
+        "folds, out, blocker",
+        [("0", "m.ckpt", "m.ckpt"), ("2", "m.ckpt", "m.fold1.ckpt"), ("2", "f/m.ckpt", "f")],
+        ids=["out_is_a_directory", "fold_is_a_directory", "parent_is_a_file"],
+    )
+    def test_unwritable_out_exit_2_before_training(self, workdir, tmp_path, capsys, monkeypatch, folds, out, blocker):
+        if blocker == "f":
+            (tmp_path / blocker).write_text("")
+        else:
+            (tmp_path / blocker).mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        runs = []
+        monkeypatch.setattr(cli, "train", lambda *args: runs.append(args))
+        argv = ["train", "--config", str(workdir / "train.cfg"), "--data", str(workdir / "data" / "dataset.csv")]
+        assert main([*argv, "--folds", folds, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path / blocker) in err
+        assert runs == [] and sorted(tmp_path.rglob("*")) == before
+
     def test_task_mismatch_exit_3(self, workdir, tmp_path):
         rc = main(
             [
