@@ -17,9 +17,10 @@ Configuration files are flat ``key=value`` lines; ``#`` starts a comment and
 blank lines are skipped. Unknown or repeated keys, and numbers that are not
 finite, are rejected. Without ``head_dims``, the head maps each branch's
 encoder output to the task's classes. ``main`` writes the run manifest (JSON)
-of every command but ``gradcheck`` next to its outputs, and a command creates
-the directory of each file it writes. Reruns with identical inputs and seed
-give byte-identical outputs, manifests excepted for their timing field.
+of every command but ``gradcheck`` next to its outputs. Before a command reads
+its data, ``_check_outputs`` rejects an output path, manifest included, that is
+a directory, and creates the directory of each. Reruns with identical inputs
+and seed give byte-identical outputs, manifests excepted for their timing field.
 ``train`` fits its folds one after another.
 
 A dataset CSV becomes a ``core.Dataset``; a prediction CSV becomes a
@@ -621,21 +622,31 @@ def _write_report_csv(path: str | os.PathLike, report: MetricReport) -> None:
 # --- commands -------------------------------------------------------------------------
 
 
+def _check_outputs(paths: Sequence[str | os.PathLike]) -> None:
+    """Before a command reads its data: reject an output path that is a
+    directory, then make the directory of each, as ``atomic_write`` would."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output path {path} is a directory")
+    for path in paths:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+
+
 def cmd_gen(args) -> tuple[Path, dict]:
     values, config_text = _load_config(args.config, GEN_SCHEMA)
     cfg = _build_config(GenConfig, values, args)
-    data = gen_t2_volumes(cfg) if cfg.task is Task.T2 else gen_t1_pairs(cfg)
     out_dir = Path(args.out)
-    dataset_path = out_dir / "dataset.csv"
-    truth_path = out_dir / "truth.csv"
+    dataset_path, truth_path, manifest = out_dir / "dataset.csv", out_dir / "truth.csv", out_dir / "manifest.json"
+    outputs = [str(dataset_path), f"{dataset_path}.npy", str(truth_path)]
+    _check_outputs([*outputs, manifest])
+    data = gen_t2_volumes(cfg) if cfg.task is Task.T2 else gen_t1_pairs(cfg)
     write_dataset_csv(dataset_path, data)
     write_truth_csv(truth_path, data)
     counts = np.bincount(data.labels, minlength=cfg.task.n_classes)
     summary = ", ".join(f"{ClassLabel(c).name.lower()}={n}" for c, n in enumerate(counts.tolist()) if n)
     print(f"wrote {len(data)} {cfg.task.value} records to {dataset_path} ({summary})")
     inputs = [args.config] if args.config else []
-    outputs = [str(dataset_path), f"{dataset_path}.npy", str(truth_path)]
-    return out_dir / "manifest.json", {"inputs": inputs, "outputs": outputs, "config": config_text, "seed": cfg.seed}
+    return manifest, {"inputs": inputs, "outputs": outputs, "config": config_text, "seed": cfg.seed}
 
 
 def _fold_val_patients(patients: list[str], folds: int, val_ratio: float, seed: int) -> list[set[str]]:
@@ -654,6 +665,13 @@ def _fold_val_patients(patients: list[str], folds: int, val_ratio: float, seed: 
 def cmd_train(args) -> tuple[str, dict]:
     values, config_text = _load_config(args.config, TRAIN_SCHEMA)
     cfg = _build_config(TrainConfig, values, args)
+    out = Path(args.out)
+    if cfg.folds >= 2:
+        ckpt_paths = [out.with_name(f"{out.stem}.fold{i}{out.suffix}") for i in range(cfg.folds)]
+    else:
+        ckpt_paths = [out]
+    outputs = [str(path) for ckpt in ckpt_paths for path in (ckpt, f"{ckpt}.history.csv")]
+    _check_outputs([*outputs, f"{out}.manifest.json"])
     data_task, data, _ = read_dataset_csv(args.data)
     if data_task is not cfg.task:
         raise ConfigError(
@@ -664,34 +682,22 @@ def cmd_train(args) -> tuple[str, dict]:
         raise DataError("need at least two patients for a patient-disjoint split")
     val_sets = _fold_val_patients(patients, cfg.folds, cfg.val_ratio, cfg.seed)
 
-    out = Path(args.out)
-    if len(val_sets) == 1:
-        ckpt_paths = [out]
-    else:
-        ckpt_paths = [out.with_name(f"{out.stem}.fold{i}{out.suffix}") for i in range(len(val_sets))]
-    os.makedirs(out.parent, exist_ok=True)  # as atomic_write would, but before any fold trains
-    for ckpt_path in ckpt_paths:
-        if ckpt_path.is_dir():
-            raise IsADirectoryError(f"checkpoint path {ckpt_path} is a directory")
-
-    outputs: list[str] = []
     for i, (val_patients, ckpt_path) in enumerate(zip(val_sets, ckpt_paths)):
         in_val = np.isin(data.patient_id, list(val_patients))
         train_data, val_data = data.take(~in_val), data.take(in_val)
         params, history = train(train_data, val_data, replace(cfg, seed=cfg.seed + i))
         save_checkpoint(ckpt_path, params)
-        history_path = f"{ckpt_path}.history.csv"
-        _write_history_csv(history_path, history)
+        _write_history_csv(f"{ckpt_path}.history.csv", history)
         print(
             f"fold {i}: best val average {history.best_average:.6f} "
             f"at epoch {history.best_epoch} ({len(train_data)} train / {len(val_data)} val records)"
         )
-        outputs += [str(ckpt_path), history_path]
     inputs = [p for p in (args.config, args.data) if p]
     return f"{out}.manifest.json", {"inputs": inputs, "outputs": outputs, "config": config_text, "seed": cfg.seed}
 
 
 def cmd_predict(args) -> tuple[str, dict]:
+    _check_outputs([args.out, f"{args.out}.manifest.json"])
     params = load_checkpoint(args.ckpt)
     task, data, case_ids = read_dataset_csv(args.data)
     if not len(data):
@@ -714,6 +720,7 @@ def cmd_predict(args) -> tuple[str, dict]:
 
 
 def cmd_ensemble(args) -> tuple[str, dict]:
+    _check_outputs([args.out, f"{args.out}.manifest.json"])
     tables = [read_predictions_csv(p) for p in args.preds]
     widths = {table.probs.shape[1] for table in tables}
     if len(widths) != 1:
@@ -752,13 +759,15 @@ def cmd_ensemble(args) -> tuple[str, dict]:
 
 def cmd_eval(args) -> tuple[str, dict]:
     task = Task(args.task)
+    out = args.out or f"{args.pred}.report.csv"
+    _check_outputs([out, f"{out}.manifest.json"])
     pred = read_predictions_csv(args.pred)
-    truth_ids, truth_labels = read_truth_csv(args.truth, task)
-    order = _row_order(truth_ids, pred.case_id.tolist(), f"prediction file {args.pred} and truth file {args.truth}")
     if pred.probs.shape[1] != task.n_classes:
         raise ConfigError(
             f"predictions carry {pred.probs.shape[1]} classes, task {task.value} expects {task.n_classes}"
         )
+    truth_ids, truth_labels = read_truth_csv(args.truth, task)
+    order = _row_order(truth_ids, pred.case_id.tolist(), f"prediction file {args.pred} and truth file {args.truth}")
     labels = pred.pred_label if pred.final_label is None else pred.final_label
     cm = confusion_from_predictions(truth_labels[order], labels, task.n_classes)
     report = compute_report(cm, task)
@@ -767,7 +776,6 @@ def cmd_eval(args) -> tuple[str, dict]:
         print(f"{name:<19} {value:.6f}")
     if report.flags:
         print(f"flags               {';'.join(report.flags)}")
-    out = args.out or f"{args.pred}.report.csv"
     _write_report_csv(out, report)
     return f"{out}.manifest.json", {"inputs": [args.pred, args.truth], "outputs": [str(out)]}
 

@@ -15,7 +15,7 @@ import contextlib
 import os
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
-from typing import BinaryIO, Callable, Iterable, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -103,8 +103,8 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def confusion_from_predictions(
-    truth: Iterable[int | ClassLabel],
-    pred: Iterable[int | ClassLabel],
+    truth: Sequence[int | ClassLabel] | np.ndarray,
+    pred: Sequence[int | ClassLabel] | np.ndarray,
     n_classes: int,
 ) -> np.ndarray:
     """Build a confusion matrix with rows = true class, columns = predicted.
@@ -119,17 +119,15 @@ def confusion_from_predictions(
     """
     if n_classes < 2:
         raise InvalidInputError("confusion matrix needs at least 2 classes")
-    t = np.asarray([int(v) for v in truth], dtype=np.int64)
-    p = np.asarray([int(v) for v in pred], dtype=np.int64)
+    t = np.asarray(truth, dtype=np.int64)
+    p = np.asarray(pred, dtype=np.int64)
     if t.shape != p.shape:
         raise InvalidInputError(f"truth and prediction lengths differ: {t.shape[0]} vs {p.shape[0]}")
     if t.size and (t.min() < 0 or t.max() >= n_classes):
         raise InvalidInputError("truth labels outside [0, n_classes)")
     if p.size and (p.min() < 0 or p.max() >= n_classes):
         raise InvalidInputError("predicted labels outside [0, n_classes)")
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(cm, (t, p), 1)
-    return cm
+    return np.bincount(t * n_classes + p, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
 
 
 def _column(values, dtype) -> np.ndarray:

@@ -3,9 +3,10 @@
 Conventions shared by every function here:
 
   * matrices have rows = true class, columns = predicted class;
-  * degenerate denominators yield 0.0 plus a ``DegenerateMetricWarning``
-    carrying a machine-readable flag, so batch evaluation never aborts;
-  * ``compute_report`` bundles the full suite and collects those flags.
+  * degenerate denominators yield 0.0, so batch evaluation never aborts;
+  * one kernel computes the whole suite from one checked matrix, with a
+    machine-readable flag per degenerate case; ``compute_report`` returns
+    those flags as report data, and each metric function its own value.
 
 Note on specificity: it is macro-averaged one-vs-rest true-negative rate,
 which is one of several possible multiclass readings. Classes whose
@@ -19,7 +20,6 @@ quadratic-weighted kappa for the 3-class ordinal task.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 from typing import Mapping
 
@@ -27,10 +27,6 @@ import numpy as np
 
 from .core import Task
 from .errors import ConfigError, InvalidInputError, UndefinedMetricError
-
-
-class DegenerateMetricWarning(UserWarning):
-    """Signals a metric that fell back to 0.0 or skipped a class."""
 
 
 T1_AVERAGE_COMPONENTS: tuple[str, ...] = ("micro_f1", "rk_correlation", "specificity")
@@ -70,10 +66,6 @@ class MetricReport:
 METRIC_NAMES: tuple[str, ...] = tuple(f.name for f in fields(MetricReport) if f.name not in ("task", "flags"))
 
 
-def _flag(message: str) -> None:
-    warnings.warn(message, DegenerateMetricWarning, stacklevel=3)
-
-
 def _check_cm(cm: np.ndarray) -> np.ndarray:
     arr = np.asarray(cm)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
@@ -88,10 +80,45 @@ def _check_cm(cm: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _suite(arr: np.ndarray) -> tuple[dict[str, float], tuple[str, ...]]:
+    """Every metric of a matrix that ``_check_cm`` passed, by its
+    ``MetricReport`` name in ``METRIC_NAMES`` order, and the degenerate flags:
+    the skipped specificity classes, then the degenerate rk, kappa and
+    weighted kappa, then the classes balanced accuracy skips."""
+    n_classes, s, c = arr.shape[0], arr.sum(), np.trace(arr)
+    rows, cols, diag = arr.sum(axis=1), arr.sum(axis=0), np.diag(arr)
+    fp, tn = cols - diag, s - rows - cols + diag
+    negatives = tn + fp != 0  # classes with one-vs-rest negatives
+    chance = float(np.dot(cols, rows))  # the sum of the marginal products
+    cov_xx, cov_yy = s * s - float(np.dot(cols, cols)), s * s - float(np.dot(rows, rows))
+    rk_flat = cov_xx <= 0 or cov_yy <= 0
+    p_e = chance / (s * s)
+    kappa_flat = abs(1.0 - p_e) < 1e-15
+    idx = np.arange(n_classes, dtype=np.float64)
+    w = (idx[:, None] - idx[None, :]) ** 2 / (n_classes - 1) ** 2
+    denom = float(np.sum(w * np.outer(rows / s, cols / s)))
+    qw_flat = denom < 1e-15
+    present = rows != 0
+    values = {
+        "micro_f1": float(c / s),
+        "specificity": float(np.mean(tn[negatives] / (tn + fp)[negatives])),
+        "rk_correlation": 0.0 if rk_flat else float((c * s - chance) / math.sqrt(cov_xx * cov_yy)),
+        "cohens_kappa": 0.0 if kappa_flat else float((c / s - p_e) / (1.0 - p_e)),
+        "qw_kappa": 0.0 if qw_flat else float(1.0 - np.sum(w * (arr / s)) / denom),
+        "balanced_accuracy": float(np.mean(diag[present] / rows[present])),
+    }
+    flags = (
+        *(f"specificity:skipped_class:{k}" for k in np.flatnonzero(~negatives)),
+        *(f"{name}:degenerate" for name, flat in
+          (("rk_correlation", rk_flat), ("cohens_kappa", kappa_flat), ("qw_kappa", qw_flat)) if flat),
+        *(f"balanced_accuracy:empty_class:{k}" for k in np.flatnonzero(~present)),
+    )
+    return values, flags
+
+
 def micro_f1(cm: np.ndarray) -> float:
     """Micro-averaged F1; for single-label data this equals plain accuracy."""
-    arr = _check_cm(cm)
-    return float(np.trace(arr) / arr.sum())
+    return _suite(_check_cm(cm))[0]["micro_f1"]
 
 
 def specificity(cm: np.ndarray) -> float:
@@ -100,20 +127,7 @@ def specificity(cm: np.ndarray) -> float:
     A class with no one-vs-rest negatives (every sample truly belongs to it)
     is skipped and flagged.
     """
-    arr = _check_cm(cm)
-    total = arr.sum()
-    rows = arr.sum(axis=1)
-    cols = arr.sum(axis=0)
-    diag = np.diag(arr)
-    per_class = []
-    for k in range(arr.shape[0]):
-        fp = cols[k] - diag[k]
-        tn = total - rows[k] - cols[k] + diag[k]
-        if tn + fp == 0:
-            _flag(f"specificity:skipped_class:{k}")
-            continue
-        per_class.append(tn / (tn + fp))
-    return float(np.mean(per_class))
+    return _suite(_check_cm(cm))[0]["specificity"]
 
 
 def rk_correlation(cm: np.ndarray) -> float:
@@ -122,30 +136,12 @@ def rk_correlation(cm: np.ndarray) -> float:
     Returns 0.0 with a flag when either marginal is constant, which makes the
     denominator vanish.
     """
-    arr = _check_cm(cm)
-    s = arr.sum()
-    c = np.trace(arr)
-    t_k = arr.sum(axis=1)
-    p_k = arr.sum(axis=0)
-    cov_xy = c * s - float(np.dot(p_k, t_k))
-    cov_xx = s * s - float(np.dot(p_k, p_k))
-    cov_yy = s * s - float(np.dot(t_k, t_k))
-    if cov_xx <= 0 or cov_yy <= 0:
-        _flag("rk_correlation:degenerate")
-        return 0.0
-    return float(cov_xy / math.sqrt(cov_xx * cov_yy))
+    return _suite(_check_cm(cm))[0]["rk_correlation"]
 
 
 def cohens_kappa(cm: np.ndarray) -> float:
     """Cohen's kappa: agreement beyond chance from the matrix marginals."""
-    arr = _check_cm(cm)
-    s = arr.sum()
-    p_o = np.trace(arr) / s
-    p_e = float(np.dot(arr.sum(axis=1), arr.sum(axis=0))) / (s * s)
-    if abs(1.0 - p_e) < 1e-15:
-        _flag("cohens_kappa:degenerate")
-        return 0.0
-    return float((p_o - p_e) / (1.0 - p_e))
+    return _suite(_check_cm(cm))[0]["cohens_kappa"]
 
 
 def quadratic_weighted_kappa(cm: np.ndarray) -> float:
@@ -153,31 +149,12 @@ def quadratic_weighted_kappa(cm: np.ndarray) -> float:
 
     For C = 2 the weights are 0/1 and the value coincides with Cohen's kappa.
     """
-    arr = _check_cm(cm)
-    n_classes = arr.shape[0]
-    s = arr.sum()
-    idx = np.arange(n_classes, dtype=np.float64)
-    w = (idx[:, None] - idx[None, :]) ** 2 / (n_classes - 1) ** 2
-    observed = arr / s
-    expected = np.outer(arr.sum(axis=1) / s, arr.sum(axis=0) / s)
-    denom = float(np.sum(w * expected))
-    if denom < 1e-15:
-        _flag("qw_kappa:degenerate")
-        return 0.0
-    return float(1.0 - np.sum(w * observed) / denom)
+    return _suite(_check_cm(cm))[0]["qw_kappa"]
 
 
 def balanced_accuracy(cm: np.ndarray) -> float:
     """Mean per-class recall over classes that actually occur in the truth."""
-    arr = _check_cm(cm)
-    rows = arr.sum(axis=1)
-    recalls = []
-    for k in range(arr.shape[0]):
-        if rows[k] == 0:
-            _flag(f"balanced_accuracy:empty_class:{k}")
-            continue
-        recalls.append(arr[k, k] / rows[k])
-    return float(np.mean(recalls))
+    return _suite(_check_cm(cm))[0]["balanced_accuracy"]
 
 
 def challenge_average(task: Task, values: Mapping[str, float]) -> float:
@@ -198,29 +175,11 @@ def challenge_average(task: Task, values: Mapping[str, float]) -> float:
 
 
 def compute_report(cm: np.ndarray, task: Task) -> MetricReport:
-    """Evaluate the full metric suite, collecting degenerate-metric flags."""
+    """Evaluate the full metric suite, with its degenerate-metric flags."""
     arr = _check_cm(cm)
     if arr.shape[0] != task.n_classes:
         raise InvalidInputError(
             f"confusion matrix has {arr.shape[0]} classes, task {task.value} expects {task.n_classes}"
         )
-    flags: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DegenerateMetricWarning)
-        values = {
-            "micro_f1": micro_f1(arr),
-            "specificity": specificity(arr),
-            "rk_correlation": rk_correlation(arr),
-            "cohens_kappa": cohens_kappa(arr),
-            "qw_kappa": quadratic_weighted_kappa(arr),
-            "balanced_accuracy": balanced_accuracy(arr),
-        }
-    for w in caught:
-        if issubclass(w.category, DegenerateMetricWarning):
-            flags.append(str(w.message))
-    return MetricReport(
-        task=task,
-        average=challenge_average(task, values),
-        flags=tuple(flags),
-        **values,
-    )
+    values, flags = _suite(arr)
+    return MetricReport(task=task, average=challenge_average(task, values), flags=flags, **values)

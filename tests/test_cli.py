@@ -196,6 +196,11 @@ class TestConfigKeys:
                 text = default.value if isinstance(default, Task) else str(default)
             assert parse_kv_config(f"{key}={text}\n", schema, "cfg") == {key: default}, key
 
+    @pytest.mark.parametrize("default", [None, b"raw", [1, 2]], ids=["none", "bytes", "list"])
+    def test_a_default_with_no_parser_is_refused(self, default):
+        with pytest.raises(TypeError, match="no config parser for the default"):
+            cli._parser(default)
+
     @pytest.mark.parametrize("command", ["gen", "train"])
     def test_bad_task_names_its_file_and_line_exit_3(self, workdir, tmp_path, capsys, command):
         cfg = tmp_path / "bad.cfg"
@@ -438,8 +443,15 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "folds, out, blocker",
-        [("0", "m.ckpt", "m.ckpt"), ("2", "m.ckpt", "m.fold1.ckpt"), ("2", "f/m.ckpt", "f")],
-        ids=["out_is_a_directory", "fold_is_a_directory", "parent_is_a_file"],
+        [
+            ("0", "m.ckpt", "m.ckpt"), ("2", "m.ckpt", "m.fold1.ckpt"), ("2", "f/m.ckpt", "f"),
+            ("0", "m.ckpt", "m.ckpt.history.csv"), ("2", "m.ckpt", "m.fold1.ckpt.history.csv"),
+            ("0", "m.ckpt", "m.ckpt.manifest.json"),
+        ],
+        ids=[
+            "out_is_a_directory", "fold_is_a_directory", "parent_is_a_file", "history_is_a_directory",
+            "fold_history_is_a_directory", "manifest_is_a_directory",
+        ],
     )
     def test_unwritable_out_exit_2_before_training(self, workdir, tmp_path, capsys, monkeypatch, folds, out, blocker):
         if blocker == "f":
@@ -451,9 +463,9 @@ class TestTrain:
         monkeypatch.setattr(cli, "train", lambda *args: runs.append(args))
         argv = ["train", "--config", str(workdir / "train.cfg"), "--data", str(workdir / "data" / "dataset.csv")]
         assert main([*argv, "--folds", folds, "--out", str(tmp_path / out)]) == 2
-        err = capsys.readouterr().err
+        stdout, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path / blocker) in err
-        assert runs == [] and sorted(tmp_path.rglob("*")) == before
+        assert stdout == "" and runs == [] and sorted(tmp_path.rglob("*")) == before
 
     def test_task_mismatch_exit_3(self, workdir, tmp_path):
         rc = main(
@@ -1230,6 +1242,11 @@ class TestEval:
         )
         assert rc == 3
 
+    def test_task_checked_against_the_predictions_before_the_truth_exit_3(self, workdir, capsys):
+        argv = ["eval", "--pred", str(workdir / "preds.csv"), "--truth", str(workdir / "data" / "truth.csv")]
+        assert main([*argv, "--task", "t1"]) == 3
+        assert capsys.readouterr().err == "error: predictions carry 3 classes, task t1 expects 4\n"
+
 
 def edited_copy(source: Path, out: Path, line: int, edit) -> Path:
     """Copy ``source`` with ``edit`` applied to the field list of one line."""
@@ -1479,6 +1496,34 @@ class TestRunner:
         before = sorted(tmp_path.rglob("*"))
         assert main(["gradcheck", "--trials", "1", "--losses", "ce"]) == 0
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "command, out, blocker, work",
+        [
+            ("gen", "g", "g/truth.csv", "gen_t2_volumes"),
+            ("predict", "p.csv", "p.csv.manifest.json", "load_checkpoint"),
+            ("ensemble", "e.csv", "e.csv", "read_predictions_csv"),
+            ("eval", "r.csv", "r.csv", "read_predictions_csv"),
+        ],
+        ids=["gen", "predict", "ensemble", "eval"],
+    )
+    def test_output_that_is_a_directory_exit_2_before_any_work(
+        self, workdir, tmp_path, capsys, monkeypatch, command, out, blocker, work
+    ):
+        (tmp_path / blocker).mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        calls = []
+        monkeypatch.setattr(cli, work, lambda *args: calls.append(args))
+        data, truth, preds = (str(workdir / name) for name in ("data/dataset.csv", "data/truth.csv", "preds.csv"))
+        argv = {
+            "gen": ["gen", "--config", str(workdir / "gen.cfg")],
+            "predict": ["predict", "--ckpt", str(workdir / "model.ckpt"), "--data", data],
+            "ensemble": ["ensemble", preds],
+            "eval": ["eval", "--pred", preds, "--truth", truth, "--task", "t2"],
+        }[command]
+        assert main([*argv, "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr() == ("", f"error: output path {tmp_path / blocker} is a directory\n")
+        assert calls == [] and sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command", ["predict", "ensemble", "eval"])
     def test_output_into_a_missing_directory(self, workdir, tmp_path, command):

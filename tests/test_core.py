@@ -11,6 +11,7 @@ from ordchange.core import (
     Dataset,
     Task,
     atomic_write,
+    as_prob_rows,
     as_prob_vector,
     confusion_from_predictions,
     softmax,
@@ -63,6 +64,20 @@ class TestVectors:
     def test_as_prob_vector_rejects(self, bad):
         with pytest.raises(InvalidInputError):
             as_prob_vector(bad)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ([[0.5, 0.5], [1.0]], "mixes row lengths"),
+            ([0.5, 0.5], r"\(N, C >= 2\) matrix"),
+            ([[1.0], [1.0]], r"\(N, C >= 2\) matrix"),
+            ([[[0.5, 0.5]]], r"\(N, C >= 2\) matrix"),
+        ],
+        ids=["ragged", "vector", "one_column", "three_axes"],
+    )
+    def test_as_prob_rows_rejects(self, bad, match):
+        with pytest.raises(InvalidInputError, match=match):
+            as_prob_rows(bad)
 
     def test_softmax_uniform_on_equal_logits(self):
         np.testing.assert_allclose(softmax(np.zeros(4)), np.full(4, 0.25))

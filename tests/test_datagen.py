@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ordchange.core import ClassLabel, Task
-from ordchange.datagen import GenConfig, gen_t1_pairs, gen_t2_volumes
+from ordchange.datagen import GenConfig, _direction, gen_t1_pairs, gen_t2_volumes
 from ordchange.errors import ConfigError
 
 
@@ -50,6 +50,22 @@ class TestGenConfig:
         stable = data.x[data.labels == ClassLabel.STABLE]
         assert len(stable)
         np.testing.assert_allclose(stable, np.broadcast_to(2.0 * seed_direction(5, 3), stable.shape), rtol=1e-12)
+
+
+    def test_direction_redraws_a_zero_vector(self):
+        class Draws:
+            """An rng whose normal draws are two zero vectors, then (3, 4)."""
+
+            def __init__(self):
+                self.draws = [np.zeros(2), np.zeros(2), np.array([3.0, 4.0])]
+
+            def normal(self, size):
+                assert size == 2
+                return self.draws.pop(0)
+
+        rng = Draws()
+        assert _direction(GenConfig(feature_dim=2), rng).tolist() == [0.6, 0.8]
+        assert rng.draws == []
 
 
 class TestT2Volumes:

@@ -187,6 +187,16 @@ class TestVolumeConsistency:
         with pytest.raises(InvalidInputError):
             volume_consistency([], np.zeros(0, dtype=np.int64), np.zeros((0, 3)))
 
+    @pytest.mark.parametrize(
+        "volumes, labels, match",
+        [(["v", "v"], [S], "disagree on the row count"), (["v"], [3], r"labels must lie in \[0, 3\)"),
+         (["v"], [-1], r"labels must lie in \[0, 3\)")],
+        ids=["row_count", "label_too_large", "negative_label"],
+    )
+    def test_malformed_rows_rejected(self, volumes, labels, match):
+        with pytest.raises(InvalidInputError, match=match):
+            volume_consistency(volumes, np.array(labels), np.array([[0.1, 0.8, 0.1]]))
+
 
 class TestValidation:
     def test_prediction_set_rejects_mixed_widths(self):

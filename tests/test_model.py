@@ -110,6 +110,8 @@ class TestInit:
             )
         with pytest.raises(ConfigError):
             single_layer_params(np.full((2, 2), np.nan))
+        with pytest.raises(ConfigError, match=r"weight \(3, 4\) and bias \(2,\) are inconsistent"):
+            single_layer_params(np.ones((3, 4)), np.zeros(2))
 
 
 class TestForward:
@@ -156,6 +158,13 @@ class TestForward:
         params = init_params((4, 6), (6, 3))
         with pytest.raises(InvalidInputError, match="width 4"):
             forward(params, (np.ones((1, 5)),))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        x = np.ones((2, 4))
+        x[1, 2] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            forward(init_params((4, 6), (6, 3)), (x,))
 
     def test_plain_forward_rejects_siamese_params(self):
         params = init_params((4, 6), (12, 3))
@@ -340,6 +349,11 @@ class TestOptimizers:
         with pytest.raises(ConfigError):
             OptimizerConfig(kind="rmsprop")
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-8])
+    def test_non_positive_eps_rejected(self, eps):
+        with pytest.raises(ConfigError, match="eps must be > 0"):
+            OptimizerConfig(eps=eps)
+
 
 class TestSchedule:
     def test_ramp_and_decay(self):
@@ -364,6 +378,10 @@ def labels_with_counts(counts: dict[int, int]) -> np.ndarray:
 
 
 class TestBatching:
+    def test_empty_labels_rejected(self):
+        with pytest.raises(InvalidInputError, match="empty dataset"):
+            make_batches(np.zeros(0, dtype=np.int64), TrainConfig(), np.random.default_rng(0))
+
     def test_balanced_batches_equal_composition(self):
         labels = labels_with_counts({0: 800, 1: 150, 2: 50})
         cfg = TrainConfig(balanced_batches=True, batch_size=30, encoder_dims=(3, 4), head_dims=(4, 3))
@@ -465,6 +483,16 @@ class TestTrain:
         data = t2_dataset(np.ones((12, 5)), labels_with_counts({0: 4, 1: 4, 2: 4}))
         with pytest.raises(ConfigError, match="feature dim"):
             train(data.take(np.arange(9)), data.take(np.arange(9, 12)), SANITY_CFG)
+
+    @pytest.mark.parametrize("empty", ["train", "val"])
+    def test_empty_dataset_rejected(self, empty):
+        data, val_data = separable_dataset(4, 0, "A"), separable_dataset(2, 1, "B")
+        if empty == "train":
+            data = data.take(np.arange(0))
+        else:
+            val_data = val_data.take(np.arange(0))
+        with pytest.raises(InvalidInputError, match="dataset is empty"):
+            train(data, val_data, SANITY_CFG)
 
     def test_task_mismatch_rejected(self):
         data = separable_dataset(4, 0, "A")
