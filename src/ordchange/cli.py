@@ -19,9 +19,14 @@ finite, are rejected. Without ``head_dims``, the head maps each branch's
 encoder output to the task's classes. ``main`` writes the run manifest (JSON)
 of every command but ``gradcheck`` next to its outputs. Before a command reads
 its data, ``_check_outputs`` rejects an output path, manifest included, that is
-a directory, and creates the directory of each. Reruns with identical inputs
-and seed give byte-identical outputs, manifests excepted for their timing field.
-``train`` fits its folds one after another.
+a directory or lies under a file; it creates nothing. Reruns with identical
+inputs and seed give byte-identical outputs, manifests excepted for their timing
+field. ``train`` fits its folds one after another.
+
+Importing ``cli`` loads only ``core`` and ``errors`` of the package: each command
+imports the modules it runs (``_need``), the parser losses and ensemble for its
+choices, and ``__getattr__`` gives any other reader the names ``cli`` takes from
+them. A name set on ``cli`` before a command runs is the one the command calls.
 
 A dataset CSV becomes a ``core.Dataset``; a prediction CSV becomes a
 ``Predictions`` table of columns. ``predict`` checks that the model gives the
@@ -51,6 +56,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import importlib
 import io
 import json
 import math
@@ -70,14 +76,6 @@ import numpy as np
 
 from . import __version__, core
 from .core import ClassLabel, Dataset, Task, _column, as_prob_rows, atomic_write, confusion_from_predictions
-from .datagen import GenConfig, gen_t1_pairs, gen_t2_volumes
-from .ensemble import (
-    PostprocessConfig,
-    TieBreak,
-    mean_ensemble,
-    unanimity_ensemble,
-    volume_consistency,
-)
 from .errors import (
     AlignmentError,
     CheckpointError,
@@ -86,18 +84,37 @@ from .errors import (
     InvalidInputError,
     NumericError,
 )
-from .losses import LOSS_KINDS, LossConfig, check_loss_kind, finite_difference_check
-from .metrics import METRIC_NAMES, MetricReport, compute_report
-from .model import (
-    TrainConfig,
-    finite_difference_check_params,
-    init_params,
-    load_checkpoint,
-    predict,
-    save_checkpoint,
-    train,
-)
 
+# Names from the modules only some commands run, which importing ``cli`` does not load. A command binds the
+# names of its modules with ``_need``; ``__getattr__`` binds them for other readers. A schema comes with its config.
+_LAZY = {
+    "datagen": ("GenConfig", "GEN_SCHEMA", "gen_t1_pairs", "gen_t2_volumes"),
+    "ensemble": ("PostprocessConfig", "TieBreak", "mean_ensemble", "unanimity_ensemble", "volume_consistency"),
+    "losses": ("LOSS_KINDS", "LossConfig", "check_loss_kind", "finite_difference_check"),
+    "metrics": ("METRIC_NAMES", "MetricReport", "compute_report"),
+    "model": ("TrainConfig", "TRAIN_SCHEMA", "finite_difference_check_params", "init_params", "load_checkpoint",
+              "predict", "save_checkpoint", "train"),
+}
+_SCHEMA_OF = {"GEN_SCHEMA": "GenConfig", "TRAIN_SCHEMA": "TrainConfig"}
+
+
+def _need(*modules: str) -> None:
+    """Import these ordchange modules and bind the names ``cli`` takes from
+    them. A name already bound, such as a replacement set on ``cli``, is kept."""
+    scope = globals()
+    for module in modules:
+        owner = importlib.import_module(f"{__package__}.{module}")
+        for name in _LAZY[module]:
+            scope.setdefault(name, _schema(scope[_SCHEMA_OF[name]]) if name in _SCHEMA_OF else getattr(owner, name))
+
+
+def __getattr__(name: str):
+    """A name of ``_LAZY`` read before a command bound it (PEP 562)."""
+    module = next((module for module, names in _LAZY.items() if name in names), None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _need(module)
+    return globals()[name]
 
 # --- small formatting and io helpers ---------------------------------------------
 
@@ -359,10 +376,6 @@ def _schema(cls) -> dict[str, Callable[[str], object]]:
     return {key_of.get(name, name): _parser(default) for name, default in _field_defaults(cls).items()}
 
 
-GEN_SCHEMA = _schema(GenConfig)
-TRAIN_SCHEMA = _schema(TrainConfig)
-
-
 def parse_kv_config(text: str, schema: dict[str, Callable[[str], object]], source: str) -> dict:
     """Parse flat key=value configuration text against a typed schema."""
     values: dict[str, object] = {}
@@ -416,8 +429,8 @@ def _build_config(cls, values: dict, args):
     given = {**values, **{key: value for key, value in overrides.items() if value is not None}}
     given = {_FIELD_OF_KEY.get(key, key): value for key, value in given.items()}
     task = given["task"] = Task(given.get("task", cls.task))  # --task gives the text of a Task
-    if cls is TrainConfig:  # the default head reads each branch's encoder output
-        encoder = given.get("encoder_dims", TrainConfig.encoder_dims)
+    if hasattr(cls, "head_dims"):  # the default head reads each branch's encoder output
+        encoder = given.get("encoder_dims", cls.encoder_dims)
         given.setdefault("head_dims", ((2 if task is Task.T1 else 1) * encoder[-1], task.n_classes))
     return _construct(cls, given)
 
@@ -624,15 +637,18 @@ def _write_report_csv(path: str | os.PathLike, report: MetricReport) -> None:
 
 def _check_outputs(paths: Sequence[str | os.PathLike]) -> None:
     """Before a command reads its data: reject an output path that is a
-    directory, then make the directory of each, as ``atomic_write`` would."""
+    directory, or whose nearest existing ancestor is not one. It makes
+    nothing; ``atomic_write`` makes each directory at its first write."""
     for path in paths:
         if os.path.isdir(path):
             raise IsADirectoryError(f"output path {path} is a directory")
-    for path in paths:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        parent = next(parent for parent in Path(path).parents if parent.exists())  # "." ends a relative path
+        if not parent.is_dir():
+            raise NotADirectoryError(f"output path {path}: {parent} is not a directory")
 
 
 def cmd_gen(args) -> tuple[Path, dict]:
+    _need("datagen")
     values, config_text = _load_config(args.config, GEN_SCHEMA)
     cfg = _build_config(GenConfig, values, args)
     out_dir = Path(args.out)
@@ -663,6 +679,7 @@ def _fold_val_patients(patients: list[str], folds: int, val_ratio: float, seed: 
 
 
 def cmd_train(args) -> tuple[str, dict]:
+    _need("model", "metrics")
     values, config_text = _load_config(args.config, TRAIN_SCHEMA)
     cfg = _build_config(TrainConfig, values, args)
     out = Path(args.out)
@@ -697,6 +714,7 @@ def cmd_train(args) -> tuple[str, dict]:
 
 
 def cmd_predict(args) -> tuple[str, dict]:
+    _need("model")
     _check_outputs([args.out, f"{args.out}.manifest.json"])
     params = load_checkpoint(args.ckpt)
     task, data, case_ids = read_dataset_csv(args.data)
@@ -720,6 +738,7 @@ def cmd_predict(args) -> tuple[str, dict]:
 
 
 def cmd_ensemble(args) -> tuple[str, dict]:
+    _need("ensemble")
     _check_outputs([args.out, f"{args.out}.manifest.json"])
     tables = [read_predictions_csv(p) for p in args.preds]
     widths = {table.probs.shape[1] for table in tables}
@@ -758,6 +777,7 @@ def cmd_ensemble(args) -> tuple[str, dict]:
 
 
 def cmd_eval(args) -> tuple[str, dict]:
+    _need("metrics")
     task = Task(args.task)
     out = args.out or f"{args.pred}.report.csv"
     _check_outputs([out, f"{out}.manifest.json"])
@@ -781,6 +801,7 @@ def cmd_eval(args) -> tuple[str, dict]:
 
 
 def cmd_gradcheck(args) -> int:
+    _need("losses", "model")
     kinds = [k.strip() for k in args.losses.split(",") if k.strip()]
     if not kinds:
         raise ConfigError(f"--losses names no loss kind, got {args.losses!r}")
@@ -836,6 +857,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    _need("losses", "ensemble")  # for the choices and defaults of --loss, --losses and --tie-break
     parser = argparse.ArgumentParser(
         prog="ordchange",
         description="Ordinal change classification toolkit.",

@@ -66,6 +66,10 @@ class MetricReport:
 METRIC_NAMES: tuple[str, ...] = tuple(f.name for f in fields(MetricReport) if f.name not in ("task", "flags"))
 
 
+# The largest total the suite scores: the kernel's products of marginals reach the total to the fourth power.
+_MAX_TOTAL = float(np.finfo(np.float64).max) ** 0.25
+
+
 def _check_cm(cm: np.ndarray) -> np.ndarray:
     arr = np.asarray(cm)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
@@ -75,8 +79,12 @@ def _check_cm(cm: np.ndarray) -> np.ndarray:
     arr = arr.astype(np.float64)
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise InvalidInputError("confusion matrix entries must be finite and non-negative")
-    if arr.sum() == 0:
+    with np.errstate(over="ignore"):  # a sum past float64's range is inf, and rejected below
+        total = arr.sum()
+    if total == 0:
         raise UndefinedMetricError("confusion matrix has no samples")
+    if total > _MAX_TOTAL:
+        raise InvalidInputError(f"confusion matrix total {total:.6g} is over {_MAX_TOTAL:.6g}, too large to score")
     return arr
 
 

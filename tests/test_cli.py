@@ -1536,3 +1536,28 @@ class TestRunner:
         }[command]
         assert main([*argv, "--out", str(out)]) == 0
         assert out.is_file() and Path(f"{out}.manifest.json").is_file()
+
+    @pytest.mark.parametrize("command", ["gen", "train", "predict", "ensemble", "eval"])
+    def test_a_command_that_fails_leaves_the_tree_unchanged(self, workdir, tmp_path, capsys, command):
+        missing, out = str(tmp_path / "nope.csv"), str(tmp_path / "new" / "dir" / "out.csv")
+        argv = {
+            "gen": ["gen", "--config", missing, "--out", str(tmp_path / "new" / "dir")],
+            "train": ["train", "--config", str(workdir / "train.cfg"), "--data", missing, "--out", out],
+            "predict": ["predict", "--ckpt", str(workdir / "model.ckpt"), "--data", missing, "--out", out],
+            "ensemble": ["ensemble", missing, "--out", out],
+            "eval": ["eval", "--pred", missing, "--truth", str(workdir / "data" / "truth.csv"), "--task", "t2",
+                     "--out", out],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{missing}'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["f/p.csv", "f/new/dir/p.csv"], ids=["in_a_file", "below_a_file"])
+    def test_output_under_a_file_exit_2_before_any_work(self, workdir, tmp_path, capsys, monkeypatch, out):
+        (tmp_path / "f").write_text("")
+        calls = []
+        monkeypatch.setattr(cli, "load_checkpoint", lambda *args: calls.append(args))
+        argv = ["predict", "--ckpt", str(workdir / "model.ckpt"), "--data", str(workdir / "data" / "dataset.csv")]
+        assert main([*argv, "--out", str(tmp_path / out)]) == 2
+        message = f"error: output path {tmp_path / out}: {tmp_path / 'f'} is not a directory\n"
+        assert capsys.readouterr() == ("", message) and calls == [] and list(tmp_path.iterdir()) == [tmp_path / "f"]

@@ -3,6 +3,7 @@ and the heap freeze that importing ``ordchange.cli`` makes once."""
 
 import gc
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -81,3 +82,31 @@ def test_fresh_processes(in_process, tmp_path):
     written = outputs(root)
     assert len(written) == 10  # 2 configs, dataset, twin, truth, checkpoint, history, 2 prediction CSVs, report
     assert written == outputs(in_process[0])
+
+
+def loaded(argv: list[str], cwd: Path) -> set[str]:
+    """The ordchange modules a fresh interpreter imports to run ``argv``, from the import lines of ``python -v``."""
+    done = subprocess.run([sys.executable, "-v", *argv], cwd=cwd, env=ENV, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return {line.split("'")[1] for line in done.stderr.splitlines() if line.startswith("import 'ordchange")}
+
+
+def test_importing_cli_loads_no_module_a_command_runs(tmp_path):
+    modules = loaded(["-c", "import ordchange.cli"], tmp_path)
+    assert modules == {"ordchange", "ordchange.core", "ordchange.errors", "ordchange.cli"}
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["gen", "--config", "gen.cfg", "--out", "g"], {"model", "metrics"}),
+        (["ensemble", "p.csv", "--mode", "unanimity", "--postprocess", "--out", "e2.csv"], {"model", "datagen"}),
+        (["eval", "--pred", "e.csv", "--truth", "d/truth.csv", "--task", "t2", "--out", "r.csv"], {"model", "datagen"}),
+        (["predict", "--ckpt", "m.ckpt", "--data", "d/dataset.csv", "--out", "p2.csv"], {"datagen"}),
+    ],
+    ids=["gen", "ensemble", "eval", "predict"],
+)
+def test_a_command_loads_only_the_modules_it_runs(in_process, tmp_path, argv, unused):
+    root = shutil.copytree(in_process[0], tmp_path / "chain")
+    modules = loaded(["-m", "ordchange.cli", *argv], root)
+    assert "ordchange.core" in modules and not modules & {f"ordchange.{name}" for name in unused}

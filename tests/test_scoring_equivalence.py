@@ -98,11 +98,20 @@ def test_a_degenerate_metric_warns_nothing():
     assert metrics.compute_report(cm, Task.T2).flags == ("rk_correlation:degenerate", "balanced_accuracy:empty_class:1")
 
 
-def test_report_no_longer_hides_other_warnings():
-    cm = np.diag([1e200, 1e200, 1e200]) + np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-    with pytest.warns(RuntimeWarning):
-        report = metrics.compute_report(cm, Task.T2)
-    assert np.isnan(report.rk_correlation) and report.flags == ()
+@pytest.mark.parametrize("scale", [1e78, 1e160, 1e200, 1e308])
+def test_report_rejects_a_total_too_large_to_score(scale):
+    # Past a total of about 1.16e77 its fourth power overflows: 1e78 scored rk 0.0 unflagged, 1e160 and up nan.
+    cm = np.diag([scale] * 3) + np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    with pytest.raises(InvalidInputError, match="too large to score"):
+        metrics.compute_report(cm, Task.T2)
+
+
+def test_report_scores_totals_up_to_the_bound_exactly():
+    # Scaling by a power of two changes no bit of a ratio while nothing overflows.
+    cm = np.array([[3.0, 1, 0], [1, 2, 1], [0, 1, 1]])
+    assert metrics.compute_report(cm * 2.0**252, Task.T2) == metrics.compute_report(cm, Task.T2)
+    with pytest.raises(InvalidInputError, match="too large to score"):
+        metrics.compute_report(cm * 2.0**254, Task.T2)
 
 
 @pytest.mark.parametrize("n_classes", [2, 3, 4, 6])
