@@ -541,7 +541,7 @@ class Predictions:
     def __post_init__(self) -> None:
         for f in fields(self):
             if getattr(self, f.name) is not None:
-                object.__setattr__(self, f.name, _column(getattr(self, f.name), _PRED_DTYPES.get(f.name, str)))
+                object.__setattr__(self, f.name, _column(f.name, getattr(self, f.name), _PRED_DTYPES.get(f.name, str)))
 
 
 # Writing rounds each probability to 9 decimals, by at most 0.5e-9, so a row

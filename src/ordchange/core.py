@@ -2,11 +2,12 @@
 matrices, the columnar ``Dataset`` carried through generation, training
 and prediction, and the atomic file write behind every output.
 
-Probability and logit vectors are plain float64 numpy arrays. The functions
-``as_prob_rows`` (a matrix of probability rows) and ``as_prob_vector`` (one
-row, through the same gate) are the probability gates, and ``softmax`` is
-the logit gate; everything downstream assumes its inputs went through one
-of them.
+Probability and logit vectors are plain float64 numpy arrays.
+``as_prob_rows`` is the probability gate, for a matrix of rows or a
+one-row list, and ``softmax`` is the logit gate; everything downstream
+assumes its inputs went through one of them. Label arrays and every int64
+column go through one rule, ``_int_column``: a 1-D array of whole numbers
+that int64 holds exactly.
 """
 
 from __future__ import annotations
@@ -75,14 +76,6 @@ def as_prob_rows(p: Sequence[Sequence[float]] | np.ndarray, *, tol: float = PROB
     return arr
 
 
-def as_prob_vector(p: Sequence[float] | np.ndarray, *, tol: float = PROB_TOL) -> np.ndarray:
-    """Validate one probability vector through the row gate ``as_prob_rows``."""
-    arr = np.asarray(p, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] < 2:
-        raise InvalidInputError(f"probability vector must be 1-D of length >= 2, got shape {arr.shape}")
-    return as_prob_rows(arr[np.newaxis], tol=tol)[0]
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     """Stabilized softmax over the last axis.
 
@@ -107,20 +100,12 @@ def confusion_from_predictions(
     pred: Sequence[int | ClassLabel] | np.ndarray,
     n_classes: int,
 ) -> np.ndarray:
-    """Build a confusion matrix with rows = true class, columns = predicted.
-
-    Args:
-        truth: true class values in [0, n_classes).
-        pred: predicted class values, same length as truth.
-        n_classes: number of classes C, at least 2.
-
-    Returns:
-        (C, C) int64 array; entry [t, p] counts samples with truth t predicted p.
-    """
+    """The (C, C) int64 confusion matrix of two equally long label arrays in
+    [0, C), C = n_classes >= 2: entry [t, p] counts the samples of true class
+    t predicted as p."""
     if n_classes < 2:
         raise InvalidInputError("confusion matrix needs at least 2 classes")
-    t = np.asarray(truth, dtype=np.int64)
-    p = np.asarray(pred, dtype=np.int64)
+    t, p = _int_column("truth labels", truth), _int_column("predicted labels", pred)
     if t.shape != p.shape:
         raise InvalidInputError(f"truth and prediction lengths differ: {t.shape[0]} vs {p.shape[0]}")
     if t.size and (t.min() < 0 or t.max() >= n_classes):
@@ -130,9 +115,29 @@ def confusion_from_predictions(
     return np.bincount(t * n_classes + p, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
 
 
-def _column(values, dtype) -> np.ndarray:
-    """A read-only view of ``values`` as an array of ``dtype``; copies only to convert."""
-    arr = np.asarray(values, dtype=dtype).view()
+def _int_column(name: str, values) -> np.ndarray:
+    """``values`` as a 1-D int64 array. Any other shape, or a value that int64
+    cannot hold exactly (a fraction, NaN, inf, a number out of its range or
+    text), raises ``InvalidInputError`` naming ``name``."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise InvalidInputError(f"{name} must be a 1-D array, got shape {arr.shape}")
+    if np.can_cast(arr.dtype, np.int64):
+        return arr.astype(np.int64, copy=False)
+    try:
+        with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range floats cast to junk, which != finds
+            out = arr.astype(np.int64)
+        if not np.any(out != arr):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidInputError(f"{name} must be whole numbers that int64 holds exactly")
+
+
+def _column(name: str, values, dtype) -> np.ndarray:
+    """A read-only view of ``values`` as an array of ``dtype``, an int64 one by
+    the ``_int_column`` rule; copies only to convert."""
+    arr = (_int_column(f"column {name}", values) if dtype is np.int64 else np.asarray(values, dtype=dtype)).view()
     arr.setflags(write=False)
     return arr
 
@@ -176,7 +181,7 @@ class Dataset:
     def __post_init__(self) -> None:
         for f in fields(self):
             if getattr(self, f.name) is not None:
-                object.__setattr__(self, f.name, _column(getattr(self, f.name), _DTYPES[f.name]))
+                object.__setattr__(self, f.name, _column(f.name, getattr(self, f.name), _DTYPES[f.name]))
         if self.x.ndim != 2 or self.x.shape[1] == 0:
             raise InvalidInputError(f"features must be a (rows, dim >= 1) matrix, got shape {self.x.shape}")
         n = self.x.shape[0]

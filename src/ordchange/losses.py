@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Task, as_prob_vector, softmax
+from .core import Task, as_prob_rows, softmax
 from .errors import ConfigError, InvalidInputError
 
 LOSS_KINDS: tuple[str, ...] = ("ce", "focal", "emd", "combined")
@@ -81,11 +81,9 @@ def validate_loss_for_task(loss_kind: str, task: Task) -> None:
 
 def loss_value(kind: str, p_hat: np.ndarray, y: np.ndarray, cfg: LossConfig | None = None) -> float:
     """The ``kind`` loss of a predicted probability vector against a target
-    probability vector of the same length; defaults apply when cfg is omitted."""
-    p = as_prob_vector(p_hat)
-    t = as_prob_vector(y)
-    if p.shape != t.shape:
-        raise InvalidInputError(f"prediction and target lengths differ: {p.shape[0]} vs {t.shape[0]}")
+    probability vector of the same length, both checked by the row gate;
+    defaults apply when cfg is omitted."""
+    p, t = as_prob_rows([p_hat, y])
     return float(_terms(kind, p[None, :], t[None, :], cfg or LossConfig())[0][0])
 
 
@@ -217,6 +215,6 @@ def finite_difference_check(
     one-row batch ``z`` against central differences and return
     ``central_difference_error`` over the logits."""
     zv = np.array(z, dtype=np.float64)
-    t = as_prob_vector(y)
+    t = as_prob_rows([y])[0]
     _, grad = batch_loss_gradient(loss_kind, zv[None], t[None], cfg)
     return central_difference_error(lambda v: loss_value(loss_kind, softmax(v), t, cfg), zv, grad[0], h)

@@ -1,16 +1,20 @@
-"""Multiclass evaluation metrics computed from a confusion matrix.
+"""Multiclass evaluation metrics computed from a confusion matrix whose rows
+are the true classes and columns the predicted ones.
 
-Conventions shared by every function here:
+``suite`` is the one scoring entry: it checks a matrix once and computes six
+metrics, each 0.0 with a machine-readable flag where its denominator is
+empty, so batch evaluation never aborts; ``compute_report`` returns the
+flags as report data. The metrics:
 
-  * matrices have rows = true class, columns = predicted class;
-  * degenerate denominators yield 0.0, so batch evaluation never aborts;
-  * one kernel computes the whole suite from one checked matrix, with a
-    machine-readable flag per degenerate case; ``compute_report`` returns
-    those flags as report data, and each metric function its own value.
-
-Note on specificity: it is macro-averaged one-vs-rest true-negative rate,
-which is one of several possible multiclass readings. Classes whose
-one-vs-rest negatives are empty are skipped from the average.
+  micro_f1           micro-averaged F1, which is accuracy for single-label data
+  specificity        mean one-vs-rest TN / (TN + FP) over the classes that have
+                     one-vs-rest negatives; the others are skipped and flagged
+  rk_correlation     Gorodkin's Rk, the multiclass Matthews correlation
+  cohens_kappa       agreement beyond chance from the matrix marginals
+  qw_kappa           kappa with quadratic weights (i - j)^2 / (C - 1)^2, which
+                     are 0/1 at C = 2, where it equals Cohen's kappa
+  balanced_accuracy  mean recall over the classes that occur in the truth; the
+                     absent ones are flagged
 
 The challenge score is the plain mean of a fixed metric subset per task:
 micro F1, Rk correlation, and specificity for the 4-class pair task, plus
@@ -66,8 +70,10 @@ class MetricReport:
 METRIC_NAMES: tuple[str, ...] = tuple(f.name for f in fields(MetricReport) if f.name not in ("task", "flags"))
 
 
-# The largest total the suite scores: the kernel's products of marginals reach the total to the fourth power.
+# The totals the suite scores: its products of marginals reach the total to the fourth power, which
+# must neither overflow nor underflow float64.
 _MAX_TOTAL = float(np.finfo(np.float64).max) ** 0.25
+_MIN_TOTAL = float(np.finfo(np.float64).tiny) ** 0.25
 
 
 def _check_cm(cm: np.ndarray) -> np.ndarray:
@@ -85,14 +91,17 @@ def _check_cm(cm: np.ndarray) -> np.ndarray:
         raise UndefinedMetricError("confusion matrix has no samples")
     if total > _MAX_TOTAL:
         raise InvalidInputError(f"confusion matrix total {total:.6g} is over {_MAX_TOTAL:.6g}, too large to score")
+    if total < _MIN_TOTAL:
+        raise InvalidInputError(f"confusion matrix total {total:.6g} is under {_MIN_TOTAL:.6g}, too small to score")
     return arr
 
 
-def _suite(arr: np.ndarray) -> tuple[dict[str, float], tuple[str, ...]]:
-    """Every metric of a matrix that ``_check_cm`` passed, by its
-    ``MetricReport`` name in ``METRIC_NAMES`` order, and the degenerate flags:
-    the skipped specificity classes, then the degenerate rk, kappa and
+def suite(cm: np.ndarray) -> tuple[dict[str, float], tuple[str, ...]]:
+    """Check the (C, C) matrix ``cm`` once and return every metric of it, by
+    its ``MetricReport`` name in ``METRIC_NAMES`` order, and the degenerate
+    flags: the skipped specificity classes, then the degenerate rk, kappa and
     weighted kappa, then the classes balanced accuracy skips."""
+    arr = _check_cm(cm)
     n_classes, s, c = arr.shape[0], arr.sum(), np.trace(arr)
     rows, cols, diag = arr.sum(axis=1), arr.sum(axis=0), np.diag(arr)
     fp, tn = cols - diag, s - rows - cols + diag
@@ -124,47 +133,6 @@ def _suite(arr: np.ndarray) -> tuple[dict[str, float], tuple[str, ...]]:
     return values, flags
 
 
-def micro_f1(cm: np.ndarray) -> float:
-    """Micro-averaged F1; for single-label data this equals plain accuracy."""
-    return _suite(_check_cm(cm))[0]["micro_f1"]
-
-
-def specificity(cm: np.ndarray) -> float:
-    """Macro-averaged one-vs-rest specificity TN / (TN + FP).
-
-    A class with no one-vs-rest negatives (every sample truly belongs to it)
-    is skipped and flagged.
-    """
-    return _suite(_check_cm(cm))[0]["specificity"]
-
-
-def rk_correlation(cm: np.ndarray) -> float:
-    """K-category correlation coefficient (multiclass Matthews correlation).
-
-    Returns 0.0 with a flag when either marginal is constant, which makes the
-    denominator vanish.
-    """
-    return _suite(_check_cm(cm))[0]["rk_correlation"]
-
-
-def cohens_kappa(cm: np.ndarray) -> float:
-    """Cohen's kappa: agreement beyond chance from the matrix marginals."""
-    return _suite(_check_cm(cm))[0]["cohens_kappa"]
-
-
-def quadratic_weighted_kappa(cm: np.ndarray) -> float:
-    """Kappa with quadratic disagreement weights (i - j)^2 / (C - 1)^2.
-
-    For C = 2 the weights are 0/1 and the value coincides with Cohen's kappa.
-    """
-    return _suite(_check_cm(cm))[0]["qw_kappa"]
-
-
-def balanced_accuracy(cm: np.ndarray) -> float:
-    """Mean per-class recall over classes that actually occur in the truth."""
-    return _suite(_check_cm(cm))[0]["balanced_accuracy"]
-
-
 def challenge_average(task: Task, values: Mapping[str, float]) -> float:
     """Mean of the task's challenge metrics.
 
@@ -184,10 +152,8 @@ def challenge_average(task: Task, values: Mapping[str, float]) -> float:
 
 def compute_report(cm: np.ndarray, task: Task) -> MetricReport:
     """Evaluate the full metric suite, with its degenerate-metric flags."""
-    arr = _check_cm(cm)
-    if arr.shape[0] != task.n_classes:
-        raise InvalidInputError(
-            f"confusion matrix has {arr.shape[0]} classes, task {task.value} expects {task.n_classes}"
-        )
-    values, flags = _suite(arr)
+    values, flags = suite(cm)
+    if np.shape(cm)[0] != task.n_classes:
+        raise InvalidInputError(f"confusion matrix has {np.shape(cm)[0]} classes, task {task.value} "
+                                f"expects {task.n_classes}")
     return MetricReport(task=task, average=challenge_average(task, values), flags=flags, **values)

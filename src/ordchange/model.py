@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, Task, as_prob_vector, atomic_write, confusion_from_predictions, softmax
+from .core import Dataset, Task, as_prob_rows, atomic_write, confusion_from_predictions, softmax
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -342,7 +342,7 @@ def finite_difference_check_params(
     and bias entry.
     """
     batch = [np.asarray(x, dtype=np.float64)[None, :] for x in inputs]
-    targets = as_prob_vector(target)[None]
+    targets = as_prob_rows([target])
     logits, cache = forward(params, batch)
     analytic = backward(cache, batch_loss_gradient(loss_kind, logits, targets, cfg)[1])
     bumped = ModelParams(params.encoder_layers, params.head_layers, params.dropout_rate)

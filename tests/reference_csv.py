@@ -64,6 +64,9 @@ def read_dataset_csv(path: str | os.PathLike) -> tuple[Task, Dataset, list[str]]
         columns = {"patient_id": ids[:, 1], "labels": list(map(int, ids[:, -1]))}
         if task is Task.T2:
             columns.update(visit_id=ids[:, 2], volume_id=ids[:, 3], bscan_index=list(map(int, ids[:, 4])))
+        for name in ("labels", "bscan_index"):  # an int beyond int64 fails here, where Dataset used to fail it
+            if name in columns:
+                columns[name] = np.array(columns[name], dtype=np.int64)
         data = Dataset(x=feats[:, :dim], x_b=feats[:, dim:] if task is Task.T1 else None, **columns)
     except InvalidInputError as exc:
         raise DataError(f"{path}: {exc}") from exc

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ordchange.core import ClassLabel, as_prob_vector
+from ordchange.core import ClassLabel, as_prob_rows
 from ordchange.ensemble import PostprocessConfig, TieBreak
 from ordchange.errors import AlignmentError, InvalidInputError
 
@@ -37,7 +37,7 @@ class PredictionSet:
             if key in seen:
                 raise InvalidInputError(f"prediction set {self.model_id} repeats key {key!r}")
             seen.add(key)
-            vec = as_prob_vector(probs)
+            vec = as_prob_rows([probs])[0]
             if width is None:
                 width = vec.shape[0]
             elif vec.shape[0] != width:
@@ -121,7 +121,7 @@ def stable_unanimity_vote(preds: Sequence[tuple[int, np.ndarray]], cfg: Postproc
     if not preds:
         raise InvalidInputError("unanimity vote needs at least one prediction")
     labels = [int(lab) for lab, _ in preds]
-    probs = [as_prob_vector(p) for _, p in preds]
+    probs = [as_prob_rows([p])[0] for _, p in preds]
     if all(lab == STABLE for lab in labels):
         return STABLE
     if cfg.majority_includes_stable:
@@ -163,7 +163,7 @@ def volume_consistency(
     volume_labels: dict[str, int] = {}
     for vol, group in by_volume.items():
         labels = [int(g.label) for g in group]
-        probs = [as_prob_vector(g.probs) for g in group]
+        probs = [as_prob_rows([g.probs])[0] for g in group]
         stable_fraction = sum(1 for lab in labels if lab == STABLE) / len(labels)
         if stable_fraction >= cfg.stable_ratio_threshold:
             volume_labels[vol] = STABLE

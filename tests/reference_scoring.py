@@ -1,5 +1,5 @@
 """The metric functions, ``compute_report`` and ``confusion_from_predictions``
-that the one-pass metric kernel ``ordchange.metrics._suite`` and the
+that the one-pass metric kernel ``ordchange.metrics.suite`` and the
 ``np.bincount`` confusion count replaced, kept as a test oracle.
 
 Each metric checks its matrix itself and reports a degenerate case as a

@@ -23,16 +23,7 @@ from ordchange.ensemble import (
     volume_consistency,
 )
 from ordchange.losses import LossConfig, loss_value
-from ordchange.metrics import (
-    balanced_accuracy,
-    challenge_average,
-    cohens_kappa,
-    compute_report,
-    micro_f1,
-    quadratic_weighted_kappa,
-    rk_correlation,
-    specificity,
-)
+from ordchange.metrics import challenge_average, compute_report, suite
 from ordchange.model import TrainConfig, finite_difference_check_params, init_params, predict, train
 
 
@@ -113,13 +104,15 @@ def test_criterion_2_reduction_identities():
                 cm = np.array(cells).reshape(2, 2)
                 if cm.sum() == 0:
                     continue
-                assert abs(quadratic_weighted_kappa(cm) - cohens_kappa(cm)) <= 1e-12
+                values = suite(cm)[0]
+                assert abs(values["qw_kappa"] - values["cohens_kappa"]) <= 1e-12
                 checked += 1
             for _ in range(1000):
                 cm = rng.poisson(5.0, size=(2, 2))
                 if cm.sum() == 0:
                     continue
-                assert abs(quadratic_weighted_kappa(cm) - cohens_kappa(cm)) <= 1e-12
+                values = suite(cm)[0]
+                assert abs(values["qw_kappa"] - values["cohens_kappa"]) <= 1e-12
                 checked += 1
 
         for _ in range(1000):
@@ -128,7 +121,7 @@ def test_criterion_2_reduction_identities():
             if cm.sum() == 0:
                 cm[0, 0] = 1
             accuracy = np.trace(cm) / cm.sum()
-            assert abs(micro_f1(cm) - accuracy) <= 1e-15
+            assert abs(suite(cm)[0]["micro_f1"] - accuracy) <= 1e-15
         info["detail"] = f"300 loss pairs, {checked} binary matrices, 1000 confusion matrices"
 
 
@@ -291,12 +284,12 @@ def test_criterion_7_metrics_match_independent_oracle():
     with criterion(7, "metrics match the brute-force oracle") as info:
         rng = np.random.default_rng(12345)
         pairs = (
-            (micro_f1, ref.ref_micro_f1),
-            (specificity, ref.ref_specificity),
-            (rk_correlation, ref.ref_rk),
-            (cohens_kappa, ref.ref_cohens_kappa),
-            (quadratic_weighted_kappa, ref.ref_qw_kappa),
-            (balanced_accuracy, ref.ref_balanced_accuracy),
+            ("micro_f1", ref.ref_micro_f1),
+            ("specificity", ref.ref_specificity),
+            ("rk_correlation", ref.ref_rk),
+            ("cohens_kappa", ref.ref_cohens_kappa),
+            ("qw_kappa", ref.ref_qw_kappa),
+            ("balanced_accuracy", ref.ref_balanced_accuracy),
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -307,9 +300,10 @@ def test_criterion_7_metrics_match_independent_oracle():
                     cm[rng.integers(0, n)] = 0
                 if cm.sum() == 0:
                     cm[0, 0] = 1
-                for ours, oracle in pairs:
-                    a, b = ours(cm), oracle(cm)
-                    assert abs(a - b) <= 1e-9, f"matrix {i}: {ours.__name__} {a} vs {b}"
+                values = suite(cm)[0]
+                for name, oracle in pairs:
+                    a, b = values[name], oracle(cm)
+                    assert abs(a - b) <= 1e-9, f"matrix {i}: {name} {a} vs {b}"
         info["detail"] = "6 metrics x 50 matrices at 1e-9"
 
 

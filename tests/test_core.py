@@ -12,7 +12,6 @@ from ordchange.core import (
     Task,
     atomic_write,
     as_prob_rows,
-    as_prob_vector,
     confusion_from_predictions,
     softmax,
 )
@@ -48,7 +47,7 @@ class TestVectors:
             softmax(bad)
 
     def test_as_prob_vector_accepts_within_tolerance(self):
-        as_prob_vector([0.5, 0.5 + 5e-10])
+        as_prob_rows([[0.5, 0.5 + 5e-10]])
 
     @pytest.mark.parametrize(
         "bad",
@@ -63,7 +62,7 @@ class TestVectors:
     )
     def test_as_prob_vector_rejects(self, bad):
         with pytest.raises(InvalidInputError):
-            as_prob_vector(bad)
+            as_prob_rows([bad])
 
     @pytest.mark.parametrize(
         "bad, match",
@@ -89,7 +88,7 @@ class TestVectors:
     def test_softmax_extreme_logits_stay_finite(self):
         out = softmax(np.array([1e4, 0.0, -1e4]))
         assert np.all(np.isfinite(out))
-        as_prob_vector(out)
+        as_prob_rows([out])
 
     def test_softmax_2d_rows(self):
         z = np.array([[0.0, 1.0, 2.0], [5.0, 5.0, 5.0]])
@@ -99,7 +98,7 @@ class TestVectors:
 
     @given(arrays(np.float64, st.integers(2, 6), elements=st.floats(-500, 500)))
     def test_softmax_always_yields_prob_vector(self, z):
-        as_prob_vector(softmax(z))
+        as_prob_rows([softmax(z)])
 
 
 class TestConfusion:
@@ -118,6 +117,32 @@ class TestConfusion:
     def test_rejects_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             confusion_from_predictions([0, 1], [0], 3)
+
+    @pytest.mark.parametrize(
+        "truth, pred, match",
+        [
+            ([0.7, 1.9, 2.5], [0, 1, 2], "truth labels must be whole numbers"),
+            ([0, 1, 2], [0, 1.5, 2], "predicted labels must be whole numbers"),
+            ([0, np.nan, 2], [0, 1, 2], "truth labels must be whole numbers"),
+            ([0, 1, 2], [0, 1, np.inf], "predicted labels must be whole numbers"),
+            ([0, 1, 2.0**63], [0, 1, 2], "truth labels must be whole numbers"),
+            ([0, 1, "2"], [0, 1, 2], "truth labels must be whole numbers"),
+            ([[0, 1], [2, 0]], [[0, 1], [2, 0]], r"truth labels must be a 1-D array, got shape \(2, 2\)"),
+        ],
+        ids=["fraction", "pred_fraction", "nan", "inf", "past_int64", "text", "two_axes"],
+    )
+    def test_rejects_labels_int64_cannot_hold(self, truth, pred, match):
+        with pytest.raises(InvalidInputError, match=match):
+            confusion_from_predictions(truth, pred, 3)
+
+    def test_whole_float_bool_and_class_labels_count_as_ints(self):
+        expected = confusion_from_predictions([0, 1, 1], [1, 1, 0], 2)
+        for truth, pred in (
+            ([0.0, 1.0, 1.0], np.array([1.0, 1.0, 0.0])),
+            ([False, True, True], np.array([True, True, False])),
+            ([ClassLabel.REDUCED, ClassLabel.STABLE, ClassLabel.STABLE], np.array([1, 1, 0], dtype=np.uint8)),
+        ):
+            np.testing.assert_array_equal(confusion_from_predictions(truth, pred, 2), expected)
 
     @given(
         st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=60)
@@ -195,6 +220,25 @@ class TestRecords:
             t2_data(["P1_V1"], [0], [1], visit_id=None)
         with pytest.raises(InvalidInputError, match="columns"):
             Dataset(x=np.ones((1, 2)), x_b=np.ones((1, 2)), labels=[1], patient_id=["P1"], volume_id=["v"])
+
+    @pytest.mark.parametrize(
+        "indices, labels, match",
+        [
+            ([0, 1], [0.9, 2.7], "column labels must be whole numbers"),
+            ([0.5, 1.2], [1, 1], "column bscan_index must be whole numbers"),
+            ([0, 1], [1, np.nan], "column labels must be whole numbers"),
+            ([0, 1], [[1], [1]], r"column labels must be a 1-D array, got shape \(2, 1\)"),
+        ],
+        ids=["fractional_labels", "fractional_bscan_index", "nan_label", "two_axis_labels"],
+    )
+    def test_rejects_int_columns_int64_cannot_hold(self, indices, labels, match):
+        with pytest.raises(InvalidInputError, match=match):
+            t2_data(["P1_V1", "P1_V1"], indices, labels)
+
+    def test_whole_float_and_bool_int_columns_are_stored_as_int64(self):
+        data = t2_data(["P1_V1", "P1_V1"], np.array([0.0, 1.0]), [True, True])
+        assert data.labels.dtype == data.bscan_index.dtype == np.int64
+        assert data.labels.tolist() == [1, 1] and data.bscan_index.tolist() == [0, 1]
 
     def test_take_selects_rows_in_order(self):
         data = t2_data(["A_V1", "B_V1", "C_V1"], [0, 0, 0], [0, 1, 2], x=np.arange(6.0).reshape(3, 2))

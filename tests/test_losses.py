@@ -265,7 +265,7 @@ class TestConfigValidation:
             batch_loss_gradient("hinge", np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]]))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="mixes row lengths"):
             loss_value("ce", np.array([0.5, 0.5]), np.array([0.4, 0.3, 0.3]))
 
 

@@ -4,21 +4,9 @@ import numpy as np
 import pytest
 
 import reference_metrics as ref
-from ordchange import metrics
 from ordchange.core import Task
 from ordchange.errors import ConfigError, InvalidInputError, UndefinedMetricError
-from ordchange.metrics import (
-    T1_AVERAGE_COMPONENTS,
-    T2_AVERAGE_COMPONENTS,
-    balanced_accuracy,
-    challenge_average,
-    cohens_kappa,
-    compute_report,
-    micro_f1,
-    quadratic_weighted_kappa,
-    rk_correlation,
-    specificity,
-)
+from ordchange.metrics import T1_AVERAGE_COMPONENTS, T2_AVERAGE_COMPONENTS, challenge_average, compute_report, suite
 
 HAND_MATRIX = np.array([[5, 2, 0], [1, 6, 1], [0, 2, 3]])
 
@@ -37,19 +25,18 @@ class TestFrozenValues:
     """Spot values frozen from the brute-force script before this module."""
 
     def test_hand_matrix(self):
-        assert quadratic_weighted_kappa(HAND_MATRIX) == pytest.approx(
-            0.7222222222222223, abs=1e-15
-        )
-        assert rk_correlation(HAND_MATRIX) == pytest.approx(0.5413804893762535, abs=1e-15)
-        assert cohens_kappa(HAND_MATRIX) == pytest.approx(0.5348837209302325, abs=1e-15)
+        values = suite(HAND_MATRIX)[0]
+        assert values["qw_kappa"] == pytest.approx(0.7222222222222223, abs=1e-15)
+        assert values["rk_correlation"] == pytest.approx(0.5413804893762535, abs=1e-15)
+        assert values["cohens_kappa"] == pytest.approx(0.5348837209302325, abs=1e-15)
 
     def test_symmetric_2x2(self):
-        cm = np.array([[2, 1], [1, 2]])
-        assert micro_f1(cm) == pytest.approx(2.0 / 3.0)
-        assert specificity(cm) == pytest.approx(2.0 / 3.0)
-        assert rk_correlation(cm) == pytest.approx(1.0 / 3.0)
-        assert cohens_kappa(cm) == pytest.approx(1.0 / 3.0)
-        assert quadratic_weighted_kappa(cm) == pytest.approx(1.0 / 3.0)
+        values = suite(np.array([[2, 1], [1, 2]]))[0]
+        assert values["micro_f1"] == pytest.approx(2.0 / 3.0)
+        assert values["specificity"] == pytest.approx(2.0 / 3.0)
+        assert values["rk_correlation"] == pytest.approx(1.0 / 3.0)
+        assert values["cohens_kappa"] == pytest.approx(1.0 / 3.0)
+        assert values["qw_kappa"] == pytest.approx(1.0 / 3.0)
 
     def test_perfect_predictions_score_one(self):
         cm = np.diag([4, 7, 2])
@@ -63,26 +50,24 @@ class TestOracleAgreement:
     def test_fifty_random_matrices(self):
         rng = np.random.default_rng(2024)
         pairs = [
-            (micro_f1, ref.ref_micro_f1),
-            (specificity, ref.ref_specificity),
-            (rk_correlation, ref.ref_rk),
-            (cohens_kappa, ref.ref_cohens_kappa),
-            (quadratic_weighted_kappa, ref.ref_qw_kappa),
-            (balanced_accuracy, ref.ref_balanced_accuracy),
+            ("micro_f1", ref.ref_micro_f1),
+            ("specificity", ref.ref_specificity),
+            ("rk_correlation", ref.ref_rk),
+            ("cohens_kappa", ref.ref_cohens_kappa),
+            ("qw_kappa", ref.ref_qw_kappa),
+            ("balanced_accuracy", ref.ref_balanced_accuracy),
         ]
         for _ in range(50):
             cm = random_confusion(rng)
-            for fast, slow in pairs:
-                assert fast(cm) == pytest.approx(slow(cm.tolist()), abs=1e-9), (
-                    fast.__name__,
-                    cm.tolist(),
-                )
+            values = suite(cm)[0]
+            for name, slow in pairs:
+                assert values[name] == pytest.approx(slow(cm.tolist()), abs=1e-9), (name, cm.tolist())
 
     def test_micro_f1_equals_accuracy(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             cm = random_confusion(rng)
-            assert micro_f1(cm) == pytest.approx(np.trace(cm) / cm.sum(), abs=1e-12)
+            assert suite(cm)[0]["micro_f1"] == pytest.approx(np.trace(cm) / cm.sum(), abs=1e-12)
 
     def test_qwk_equals_cohens_kappa_binary(self):
         rng = np.random.default_rng(11)
@@ -91,32 +76,31 @@ class TestOracleAgreement:
             cm = rng.poisson(2.0, size=(2, 2))
             if cm.sum() == 0:
                 continue
-            assert quadratic_weighted_kappa(cm) == pytest.approx(
-                cohens_kappa(cm), abs=1e-12
-            )
+            values = suite(cm)[0]
+            assert values["qw_kappa"] == pytest.approx(values["cohens_kappa"], abs=1e-12)
             checked += 1
         assert checked > 250
 
 
 def kernel_flags(cm) -> tuple[str, ...]:
     """The degenerate flags the metric kernel gives for a matrix."""
-    return metrics._suite(metrics._check_cm(cm))[1]
+    return suite(cm)[1]
 
 
 class TestDegenerateHandling:
     def test_constant_predictions_flag_rk(self):
         cm = np.array([[3, 0, 0], [4, 0, 0], [2, 0, 0]])  # everything predicted class 0
-        assert rk_correlation(cm) == 0.0
+        assert suite(cm)[0]["rk_correlation"] == 0.0
         assert "rk_correlation:degenerate" in kernel_flags(cm)
 
     def test_single_class_truth_skips_specificity(self):
         cm = np.array([[0, 0], [5, 0]])
-        assert specificity(cm) == 0.0
+        assert suite(cm)[0]["specificity"] == 0.0
         assert "specificity:skipped_class:1" in kernel_flags(cm)
 
     def test_empty_truth_class_skipped_in_balanced_accuracy(self):
         cm = np.array([[3, 1, 0], [0, 0, 0], [1, 0, 2]])
-        assert balanced_accuracy(cm) == pytest.approx((3 / 4 + 2 / 3) / 2)
+        assert suite(cm)[0]["balanced_accuracy"] == pytest.approx((3 / 4 + 2 / 3) / 2)
         assert "balanced_accuracy:empty_class:1" in kernel_flags(cm)
 
     def test_report_collects_flags(self):
@@ -129,21 +113,21 @@ class TestDegenerateHandling:
 
     def test_all_agreement_by_chance_kappa(self):
         cm = np.array([[7, 0], [0, 0]])  # p_e == 1: agreement indistinguishable from chance
-        assert cohens_kappa(cm) == 0.0
+        assert suite(cm)[0]["cohens_kappa"] == 0.0
         assert "cohens_kappa:degenerate" in kernel_flags(cm)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(UndefinedMetricError):
-            micro_f1(np.zeros((3, 3)))
+            suite(np.zeros((3, 3)))
 
     @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros(4), np.array([["a", "b"], ["c", "d"]])])
     def test_malformed_matrices_rejected(self, bad):
         with pytest.raises(InvalidInputError):
-            rk_correlation(bad)
+            suite(bad)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(InvalidInputError):
-            micro_f1(np.array([[1, -1], [0, 2]]))
+            suite(np.array([[1, -1], [0, 2]]))
 
 
 class TestChallengeAverage:
@@ -195,7 +179,7 @@ class TestComputeReport:
     def test_report_values_consistent(self):
         report = compute_report(HAND_MATRIX, Task.T2)
         vals = report.values()
-        assert vals["micro_f1"] == pytest.approx(micro_f1(HAND_MATRIX))
+        assert vals["micro_f1"] == pytest.approx(suite(HAND_MATRIX)[0]["micro_f1"])
         assert vals["qw_kappa"] == pytest.approx(0.7222222222222223)
         assert report.average == pytest.approx(challenge_average(Task.T2, vals))
 
@@ -206,3 +190,19 @@ class TestComputeReport:
             [report.micro_f1, report.rk_correlation, report.specificity]
         )
         assert report.average == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-200])
+    def test_total_too_small_to_score_rejected(self, scale):
+        # Under a total of about 1.22e-77 its fourth power underflows: 1e-100 scored rk inf unflagged, and
+        # 1e-200 scored rk 0.0 flagged degenerate with kappa nan.
+        with pytest.raises(InvalidInputError, match="too small to score"):
+            compute_report(HAND_MATRIX * scale, Task.T2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-78, 1e-70])
+    def test_small_total_over_the_bound_scores_as_unscaled(self, scale):
+        report, unscaled = compute_report(HAND_MATRIX * scale, Task.T2), compute_report(HAND_MATRIX, Task.T2)
+        assert report.flags == ()
+        for name, value in unscaled.values().items():
+            assert abs(getattr(report, name) - value) <= 1e-12, name
+        assert abs(report.average - unscaled.average) <= 1e-12

@@ -17,7 +17,7 @@ from ordchange.errors import (
     NumericError,
 )
 from ordchange.losses import LossConfig, batch_loss_gradient
-from ordchange.metrics import micro_f1
+from ordchange.metrics import suite
 from ordchange.model import (
     CHECKPOINT_MAGIC,
     ModelParams,
@@ -509,7 +509,7 @@ class TestTrain:
         pred = predict(params, train_data).argmax(axis=1)
         cm = np.zeros((3, 3), dtype=int)
         np.add.at(cm, (train_data.labels, pred), 1)
-        assert micro_f1(cm) >= 0.95
+        assert suite(cm)[0]["micro_f1"] >= 0.95
         assert len(history.entries) == 30
 
     def test_bitwise_determinism(self):

@@ -12,14 +12,14 @@ from ordchange import metrics
 from ordchange.core import ClassLabel, Task, confusion_from_predictions
 from ordchange.errors import InvalidInputError
 
-# Each public metric by the name of its entry in the kernel's values.
-PUBLIC = {
-    "micro_f1": (metrics.micro_f1, old.micro_f1),
-    "specificity": (metrics.specificity, old.specificity),
-    "rk_correlation": (metrics.rk_correlation, old.rk_correlation),
-    "cohens_kappa": (metrics.cohens_kappa, old.cohens_kappa),
-    "qw_kappa": (metrics.quadratic_weighted_kappa, old.quadratic_weighted_kappa),
-    "balanced_accuracy": (metrics.balanced_accuracy, old.balanced_accuracy),
+# Each old metric function by the name of its entry in the kernel's values.
+OLD = {
+    "micro_f1": old.micro_f1,
+    "specificity": old.specificity,
+    "rk_correlation": old.rk_correlation,
+    "cohens_kappa": old.cohens_kappa,
+    "qw_kappa": old.quadratic_weighted_kappa,
+    "balanced_accuracy": old.balanced_accuracy,
 }
 
 
@@ -47,7 +47,7 @@ def old_suite(cm) -> tuple[dict[str, float], tuple[str, ...]]:
     """The six old metrics and the flags they warn, as the old report collected them."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", old.DegenerateMetricWarning)
-        values = {name: pair[1](cm) for name, pair in PUBLIC.items()}
+        values = {name: metric(cm) for name, metric in OLD.items()}
     return values, tuple(str(w.message) for w in caught if issubclass(w.category, old.DegenerateMetricWarning))
 
 
@@ -58,7 +58,7 @@ def bits(values) -> np.ndarray:
 def test_kernel_matches_the_old_metrics_bit_for_bit():
     new_values, old_values, flagged = [], [], 0
     for cm in random_matrices(seed=22, count=10_000):
-        values, flags = metrics._suite(metrics._check_cm(cm))
+        values, flags = metrics.suite(cm)
         expected, expected_flags = old_suite(cm)
         assert flags == expected_flags, cm.tolist()
         assert list(values) == list(expected) == list(metrics.METRIC_NAMES[:-1])
@@ -73,9 +73,9 @@ def test_kernel_matches_the_old_metrics_bit_for_bit():
 def test_public_metrics_and_report_match_the_old_ones():
     reports = 0
     for cm in random_matrices(seed=23, count=500):
-        values = metrics._suite(metrics._check_cm(cm))[0]
-        for name, (new, ref) in PUBLIC.items():
-            assert bits(new(cm)) == bits(ref(cm)) == bits(values[name]), (name, cm.tolist())
+        values = metrics.suite(cm)[0]
+        for name, metric in OLD.items():
+            assert bits(metric(cm)) == bits(values[name]), (name, cm.tolist())
         task = {3: Task.T2, 4: Task.T1}.get(cm.shape[0])
         if task is not None:
             assert metrics.compute_report(cm, task) == old.compute_report(cm, task)
@@ -94,7 +94,8 @@ def test_report_checks_its_matrix_once(monkeypatch):
 @pytest.mark.filterwarnings("error")
 def test_a_degenerate_metric_warns_nothing():
     cm = np.array([[3, 0, 0], [0, 0, 0], [2, 0, 0]])
-    assert metrics.rk_correlation(cm) == 0.0 and metrics.balanced_accuracy(cm) == 0.5
+    values = metrics.suite(cm)[0]
+    assert values["rk_correlation"] == 0.0 and values["balanced_accuracy"] == 0.5
     assert metrics.compute_report(cm, Task.T2).flags == ("rk_correlation:degenerate", "balanced_accuracy:empty_class:1")
 
 
