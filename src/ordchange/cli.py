@@ -19,9 +19,11 @@ finite, are rejected. Without ``head_dims``, the head maps each branch's
 encoder output to the task's classes. ``main`` writes the run manifest (JSON)
 of every command but ``gradcheck`` next to its outputs. Before a command reads
 its data, ``_check_outputs`` rejects an output path, manifest included, that is
-a directory or lies under a file; it creates nothing. Reruns with identical
-inputs and seed give byte-identical outputs, manifests excepted for their timing
-field. ``train`` fits its folds one after another.
+a directory, lies under a file or is the same file as one of the command's
+inputs; it creates nothing. Reruns with identical inputs and seed give
+byte-identical outputs, manifests excepted for their timing field. ``train``
+fits its folds one after another and lets go of each fold's split, model and
+history before it builds the next fold's split.
 
 Importing ``cli`` loads only ``core`` and ``errors`` of the package: each command
 imports the modules it runs (``_need``), the parser losses and ensemble for its
@@ -187,11 +189,12 @@ _TWIN_VERSION = 1
 
 def _twin_key(path: str | os.PathLike) -> list[int]:
     """The key a twin holds of its CSV: the format version, then the CSV's
-    byte length and CRC-32, read in 1 MiB chunks."""
+    byte length and CRC-32, read through one reused 1 MiB buffer."""
     size = crc = 0
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            size, crc = size + len(chunk), zlib.crc32(chunk, crc)
+    buffer = memoryview(bytearray(1 << 20))
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buffer):
+            size, crc = size + n, zlib.crc32(buffer[:n], crc)
     return [_TWIN_VERSION, size, crc]
 
 
@@ -635,16 +638,21 @@ def _write_report_csv(path: str | os.PathLike, report: MetricReport) -> None:
 # --- commands -------------------------------------------------------------------------
 
 
-def _check_outputs(paths: Sequence[str | os.PathLike]) -> None:
+def _check_outputs(paths: Sequence[str | os.PathLike], inputs: Sequence[str | os.PathLike]) -> None:
     """Before a command reads its data: reject an output path that is a
-    directory, or whose nearest existing ancestor is not one. It makes
-    nothing; ``atomic_write`` makes each directory at its first write."""
+    directory, whose nearest existing ancestor is not one, or that is the
+    same file as one of the command's ``inputs``, which writing it would
+    destroy. It makes nothing; ``atomic_write`` makes each directory at its
+    first write."""
     for path in paths:
         if os.path.isdir(path):
             raise IsADirectoryError(f"output path {path} is a directory")
         parent = next(parent for parent in Path(path).parents if parent.exists())  # "." ends a relative path
         if not parent.is_dir():
             raise NotADirectoryError(f"output path {path}: {parent} is not a directory")
+        for source in inputs:
+            if os.path.exists(path) and os.path.exists(source) and os.path.samefile(path, source):
+                raise DataError(f"output path {path} is the same file as the input {source}")
 
 
 def cmd_gen(args) -> tuple[Path, dict]:
@@ -654,14 +662,14 @@ def cmd_gen(args) -> tuple[Path, dict]:
     out_dir = Path(args.out)
     dataset_path, truth_path, manifest = out_dir / "dataset.csv", out_dir / "truth.csv", out_dir / "manifest.json"
     outputs = [str(dataset_path), f"{dataset_path}.npy", str(truth_path)]
-    _check_outputs([*outputs, manifest])
+    inputs = [args.config] if args.config else []
+    _check_outputs([*outputs, manifest], inputs)
     data = gen_t2_volumes(cfg) if cfg.task is Task.T2 else gen_t1_pairs(cfg)
     write_dataset_csv(dataset_path, data)
     write_truth_csv(truth_path, data)
     counts = np.bincount(data.labels, minlength=cfg.task.n_classes)
     summary = ", ".join(f"{ClassLabel(c).name.lower()}={n}" for c, n in enumerate(counts.tolist()) if n)
     print(f"wrote {len(data)} {cfg.task.value} records to {dataset_path} ({summary})")
-    inputs = [args.config] if args.config else []
     return manifest, {"inputs": inputs, "outputs": outputs, "config": config_text, "seed": cfg.seed}
 
 
@@ -688,7 +696,8 @@ def cmd_train(args) -> tuple[str, dict]:
     else:
         ckpt_paths = [out]
     outputs = [str(path) for ckpt in ckpt_paths for path in (ckpt, f"{ckpt}.history.csv")]
-    _check_outputs([*outputs, f"{out}.manifest.json"])
+    inputs = [p for p in (args.config, args.data) if p]
+    _check_outputs([*outputs, f"{out}.manifest.json"], [*inputs, f"{args.data}.npy"])
     data_task, data, _ = read_dataset_csv(args.data)
     if data_task is not cfg.task:
         raise ConfigError(
@@ -709,13 +718,14 @@ def cmd_train(args) -> tuple[str, dict]:
             f"fold {i}: best val average {history.best_average:.6f} "
             f"at epoch {history.best_epoch} ({len(train_data)} train / {len(val_data)} val records)"
         )
-    inputs = [p for p in (args.config, args.data) if p]
+        # Free this fold's split and model before the next fold builds its own.
+        del in_val, train_data, val_data, params, history
     return f"{out}.manifest.json", {"inputs": inputs, "outputs": outputs, "config": config_text, "seed": cfg.seed}
 
 
 def cmd_predict(args) -> tuple[str, dict]:
     _need("model")
-    _check_outputs([args.out, f"{args.out}.manifest.json"])
+    _check_outputs([args.out, f"{args.out}.manifest.json"], [args.ckpt, args.data, f"{args.data}.npy"])
     params = load_checkpoint(args.ckpt)
     task, data, case_ids = read_dataset_csv(args.data)
     if not len(data):
@@ -739,7 +749,7 @@ def cmd_predict(args) -> tuple[str, dict]:
 
 def cmd_ensemble(args) -> tuple[str, dict]:
     _need("ensemble")
-    _check_outputs([args.out, f"{args.out}.manifest.json"])
+    _check_outputs([args.out, f"{args.out}.manifest.json"], args.preds)
     tables = [read_predictions_csv(p) for p in args.preds]
     widths = {table.probs.shape[1] for table in tables}
     if len(widths) != 1:
@@ -780,7 +790,7 @@ def cmd_eval(args) -> tuple[str, dict]:
     _need("metrics")
     task = Task(args.task)
     out = args.out or f"{args.pred}.report.csv"
-    _check_outputs([out, f"{out}.manifest.json"])
+    _check_outputs([out, f"{out}.manifest.json"], [args.pred, args.truth])
     pred = read_predictions_csv(args.pred)
     if pred.probs.shape[1] != task.n_classes:
         raise ConfigError(

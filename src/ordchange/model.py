@@ -9,8 +9,12 @@ enabled, applies to the head input only and only during training (inverted
 scaling, so inference needs no correction).
 
 Everything is numpy with explicit caches and hand-written backpropagation:
-``forward`` takes one (N, d) matrix per branch and returns the cache that
-``backward`` consumes, and ``backward`` returns the gradient as one vector.
+``forward`` takes one (N, d) matrix per branch, adds each bias and applies
+each ReLU in place, and a training pass returns the cache that ``backward``
+consumes; ``backward`` returns the gradient as one vector. An inference pass
+(``training=False``, what validation and ``predict`` run) keeps no backprop
+state and returns no cache, so only a layer's input and output are alive at
+once.
 
 Parameters, gradients and Adam moments each live in one contiguous float64
 vector laid out w0, b0, w1, b1, ... in encoder-then-head order (the
@@ -215,16 +219,22 @@ def _as_batch(x: np.ndarray, width: int, name: str) -> np.ndarray:
 
 
 def _stack(
-    layers: Sequence[tuple], act: np.ndarray, relu_last: bool
+    layers: Sequence[tuple], act: np.ndarray, relu_last: bool, keep: bool
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Run ``act`` through (w, b) layers with a ReLU after each, the last one
-    only if ``relu_last``. Returns the output and each layer's input and
-    pre-activation."""
+    only if ``relu_last``. Each bias add and ReLU is done in place. Returns
+    the output and, when ``keep``, each layer's input and activation for
+    ``backward``, whose ReLU mask ``activation > 0`` is the pre-activation's.
+    Without ``keep`` nothing is kept, so no more than a layer's input and
+    output are alive at once."""
     ins, pres = [], []
     for i, (w, b) in enumerate(layers):
-        ins.append(act)
-        pres.append(act @ w.T + b)
-        act = pres[-1] if i == len(layers) - 1 and not relu_last else np.maximum(pres[-1], 0.0)
+        pre = act @ w.T
+        pre += b
+        if keep:
+            ins.append(act)
+            pres.append(pre)
+        act = np.maximum(pre, 0.0, out=pre) if relu_last or i < len(layers) - 1 else pre
     return act, ins, pres
 
 
@@ -233,29 +243,33 @@ def forward(
     inputs: Sequence[np.ndarray],
     training: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, dict]:
+) -> tuple[np.ndarray, dict | None]:
     """Run the network on one (N, d) matrix per branch: ``(x,)`` for the
     plain model, ``(x, x_b)`` for the siamese one.
 
     The shared encoder embeds each branch and the head reads the embeddings
-    side by side. Returns the (N, C) logits and the cache that ``backward``
-    consumes. Dropout fires only when ``training`` is set and the parameters
-    carry a nonzero rate.
+    side by side. Returns the (N, C) logits and, when ``training``, the cache
+    that ``backward`` consumes; an inference pass keeps no backprop state and
+    returns ``(logits, None)``. Dropout fires only when ``training`` is set
+    and the parameters carry a nonzero rate.
     """
     if len(inputs) != params.n_branches:
         raise InvalidInputError(f"the model takes {params.n_branches} input(s) per row, got {len(inputs)}")
     xs = [_as_batch(x, params.input_dim, name) for x, name in zip(inputs, ("x", "x_b"))]
     if xs[-1].shape[0] != xs[0].shape[0]:
         raise InvalidInputError(f"paired batches differ in length: {xs[0].shape[0]} vs {xs[-1].shape[0]}")
-    embs, enc_ins, enc_pres = zip(*(_stack(params.encoder_layers, x, relu_last=True) for x in xs))
+    embs, enc_ins, enc_pres = zip(*(_stack(params.encoder_layers, x, relu_last=True, keep=training) for x in xs))
     head_input = embs[0] if len(embs) == 1 else np.concatenate(embs, axis=1)
+    del embs  # a siamese pass frees its branch embeddings once the head input holds them
     mask = None
     if training and params.dropout_rate > 0.0:
         if rng is None:
             raise InvalidInputError("training forward with dropout needs an rng")
         mask = (rng.random(head_input.shape) >= params.dropout_rate) / (1.0 - params.dropout_rate)
         head_input = head_input * mask
-    logits, head_ins, head_pres = _stack(params.head_layers, head_input, relu_last=False)
+    logits, head_ins, head_pres = _stack(params.head_layers, head_input, relu_last=False, keep=training)
+    if not training:
+        return logits, None
     cache = {
         "params": params,
         "enc_ins": enc_ins,
@@ -290,7 +304,7 @@ def _backprop(
 
 
 def backward(cache: dict, grad_logits: np.ndarray) -> np.ndarray:
-    """Backpropagate a logit gradient through the cache from a forward pass.
+    """Backpropagate a logit gradient through the cache of a training forward pass.
 
     ``grad_logits`` must match the cached logits' shape. Returns the gradient
     as one vector laid out like ``ModelParams.vector``; every layer's gradient
@@ -299,7 +313,7 @@ def backward(cache: dict, grad_logits: np.ndarray) -> np.ndarray:
     gradient.
     """
     if not isinstance(cache, dict) or "head_pres" not in cache or "params" not in cache:
-        raise InvalidStateError("backward needs the cache produced by a forward pass")
+        raise InvalidStateError("backward needs the cache of a training forward pass")
     params: ModelParams = cache["params"]
     expected = cache["head_pres"][-1].shape
     g = np.asarray(grad_logits, dtype=np.float64)
@@ -337,17 +351,18 @@ def finite_difference_check_params(
     ``inputs`` holds one feature vector per branch: ``(x,)`` for the plain
     model, ``(x_a, x_b)`` for the siamese one; each becomes a one-row batch,
     and ``batch_loss_gradient`` gives the loss and logit gradient as in
-    training. Dropout stays off, so the loss is a deterministic function of
-    the parameters. Returns ``central_difference_error`` over every weight
-    and bias entry.
+    training. Dropout stays off: the analytic pass is a training pass on a
+    dropout-free copy of ``params``, so the loss is a deterministic function
+    of the parameters. Returns ``central_difference_error`` over every weight
+    and bias entry of that copy.
     """
     batch = [np.asarray(x, dtype=np.float64)[None, :] for x in inputs]
     targets = as_prob_rows([target])
-    logits, cache = forward(params, batch)
+    nodrop = ModelParams(params.encoder_layers, params.head_layers)
+    logits, cache = forward(nodrop, batch, training=True)
     analytic = backward(cache, batch_loss_gradient(loss_kind, logits, targets, cfg)[1])
-    bumped = ModelParams(params.encoder_layers, params.head_layers, params.dropout_rate)
     return central_difference_error(
-        lambda _: batch_loss_gradient(loss_kind, forward(bumped, batch)[0], targets, cfg)[0], bumped.vector, analytic, h
+        lambda _: batch_loss_gradient(loss_kind, forward(nodrop, batch)[0], targets, cfg)[0], nodrop.vector, analytic, h
     )
 
 

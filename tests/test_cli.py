@@ -1,7 +1,9 @@
 import argparse
 import json
 import os
+import shutil
 import struct
+import weakref
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from ordchange.cli import (
     read_truth_csv,
     write_predictions_csv,
 )
-from ordchange.core import Task
+from ordchange.core import Dataset, Task
 from ordchange.datagen import GenConfig
 from ordchange.errors import ConfigError
 from ordchange.losses import LossConfig
@@ -1551,6 +1553,58 @@ class TestRunner:
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{missing}'\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, victim, work",
+        [
+            ("eval", "data/truth.csv", "read_predictions_csv"),
+            ("ensemble", "preds.csv", "read_predictions_csv"),
+            ("predict", "data/dataset.csv", "load_checkpoint"),
+            ("predict", "data/dataset.csv.npy", "load_checkpoint"),
+        ],
+        ids=["eval", "ensemble", "predict", "predict_twin"],
+    )
+    def test_output_that_is_an_input_exit_2_before_any_work(
+        self, workdir, tmp_path, capsys, monkeypatch, command, victim, work
+    ):
+        for name in ("preds.csv", "model.ckpt", "data/dataset.csv", "data/dataset.csv.npy", "data/truth.csv"):
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            shutil.copyfile(workdir / name, tmp_path / name)
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        calls = []
+        monkeypatch.setattr(cli, work, lambda *args: calls.append(args))
+        victim = str(tmp_path / victim)
+        argv = {
+            "eval": ["eval", "--pred", str(tmp_path / "preds.csv"), "--truth", victim, "--task", "t2"],
+            "ensemble": ["ensemble", victim],
+            "predict": ["predict", "--ckpt", str(tmp_path / "model.ckpt"), "--data", victim.removesuffix(".npy")],
+        }[command]
+        out = os.path.join(os.path.dirname(victim), ".", os.path.basename(victim))  # another spelling of the path
+        assert main([*argv, "--out", out]) == 2
+        assert capsys.readouterr() == ("", f"error: output path {out} is the same file as the input {victim}\n")
+        assert calls == [] and {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+    def test_each_fold_is_freed_before_the_next_fold_is_built(self, workdir, tmp_path, monkeypatch):
+        held, alive = [], []  # weak references to each finished fold's split, parameters and history
+
+        def fit(train_data, val_data, cfg):
+            alive.append(("train", sum(ref() is not None for ref in held)))
+            params, history = model_mod.train(train_data, val_data, cfg)
+            held.extend(weakref.ref(obj) for obj in (train_data, val_data, params, history))
+            return params, history
+
+        take = Dataset.take
+
+        def counted_take(self, rows):
+            alive.append(("take", sum(ref() is not None for ref in held)))
+            return take(self, rows)
+
+        monkeypatch.setattr(cli, "train", fit)
+        monkeypatch.setattr(Dataset, "take", counted_take)
+        argv = ["train", "--config", str(workdir / "train.cfg"), "--data", str(workdir / "data" / "dataset.csv")]
+        assert main([*argv, "--folds", "3", "--out", str(tmp_path / "m.ckpt")]) == 0
+        assert alive == [("take", 0), ("take", 0), ("train", 0)] * 3 and len(held) == 12
+        assert all(ref() is None for ref in held)
 
     @pytest.mark.parametrize("out", ["f/p.csv", "f/new/dir/p.csv"], ids=["in_a_file", "below_a_file"])
     def test_output_under_a_file_exit_2_before_any_work(self, workdir, tmp_path, capsys, monkeypatch, out):

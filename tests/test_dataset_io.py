@@ -7,6 +7,7 @@ import csv
 import hashlib
 import shutil
 import tempfile
+import zlib
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli_fuzz import SPECIAL
 
+import ordchange.cli as cli
 from ordchange.cli import main, read_dataset_csv, write_dataset_csv
 from ordchange.core import Dataset
 
@@ -313,3 +315,10 @@ def test_ill_shaped_twin_falls_back(dataset, change):
     got, parsed = read(dataset)
     assert parsed == (change != "as saved")
     assert_same_read(got, read_text(dataset))
+
+
+@pytest.mark.parametrize("size", [0, 2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 7])
+def test_twin_key_is_the_crc_of_the_whole_file(tmp_path, size):
+    blob = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    (tmp_path / "f.csv").write_bytes(blob)
+    assert cli._twin_key(tmp_path / "f.csv") == [cli._TWIN_VERSION, size, zlib.crc32(blob)]

@@ -1,9 +1,12 @@
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordchange.model as model_mod
 from checkpoint_bytes import seal, zero_checkpoint
@@ -218,7 +221,7 @@ class TestSiamese:
 class TestBackward:
     def test_zero_grad_logits_gives_zero_grads(self):
         params = init_params((4, 6), (6, 3), seed=1)
-        logits, cache = forward(params, (np.ones((1, 4)),))
+        logits, cache = forward(params, (np.ones((1, 4)),), training=True)
         grads = backward(cache, np.zeros_like(logits))
         np.testing.assert_array_equal(grads, np.zeros_like(params.vector))
 
@@ -228,7 +231,7 @@ class TestBackward:
 
     def test_grad_shape_mismatch_rejected(self):
         params = init_params((4, 6), (6, 3))
-        _, cache = forward(params, (np.ones((1, 4)),))
+        _, cache = forward(params, (np.ones((1, 4)),), training=True)
         with pytest.raises(InvalidInputError):
             backward(cache, np.zeros((1, 4)))
 
@@ -236,7 +239,7 @@ class TestBackward:
         params = init_params((4, 8), (8, 3), seed=13)
         x = np.random.default_rng(0).normal(size=4)
         y = np.array([0.0, 1.0, 0.0])
-        batch_logits, cache = forward(params, (x[None, :],))
+        batch_logits, cache = forward(params, (x[None, :],), training=True)
         logits = batch_logits[0]
         cfg = LossConfig(alpha=1.0, gamma=0.0, emd_weight=0.0)
         g_combined = batch_loss_gradient("combined", logits[None], y[None], cfg)[1]
@@ -278,7 +281,7 @@ class TestBackward:
         xa = np.array([0.4, -0.2, 1.0])
         xb = np.array([-1.0, 0.3, 0.8])
         y = np.array([1.0, 0.0, 0.0])
-        logits, cache = forward(params, (xa[None, :], xb[None, :]))
+        logits, cache = forward(params, (xa[None, :], xb[None, :]), training=True)
         g = batch_loss_gradient("ce", logits[0][None], y[None])[1][0]
         grads = backward(cache, g[None, :])
         # Recompute each branch alone by zeroing the other half of the head
@@ -291,6 +294,53 @@ class TestBackward:
         ga = (g_fused[:e] * (emb_a > 0))[:, None] * xa[None, :]
         gb = (g_fused[e:] * (emb_b > 0))[:, None] * xb[None, :]
         np.testing.assert_allclose(grads[: ga.size].reshape(ga.shape), ga + gb, atol=1e-12)
+
+
+class TestInferencePass:
+    """A forward pass with ``training=False`` keeps no backprop state."""
+
+    def test_returns_no_cache_and_backward_rejects_it(self):
+        params = init_params((4, 6), (6, 3), seed=1)
+        logits, cache = forward(params, (np.ones((2, 4)),), training=False)
+        assert logits.shape == (2, 3) and cache is None
+        with pytest.raises(InvalidStateError, match="training forward pass"):
+            backward(cache, np.zeros_like(logits))
+
+    @pytest.mark.parametrize("encoder, head", [((5, 9, 7), (7, 3)), ((5, 6), (12, 8, 4))], ids=["plain", "siamese"])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 33), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_logits_equal_a_dropout_free_training_pass_bit_for_bit(self, encoder, head, seed, rows, scale):
+        params = init_params(encoder, head, seed=seed)
+        rng = np.random.default_rng(seed)
+        inputs = [rng.normal(0.0, scale, size=(rows, encoder[0])) for _ in range(params.n_branches)]
+        inferred, _ = forward(params, inputs)
+        trained, cache = forward(params, inputs, training=True)
+        assert cache is not None and cache["drop_mask"] is None
+        assert (inferred.shape, inferred.tobytes()) == (trained.shape, trained.tobytes())
+
+    def test_peak_memory_is_under_one_and_a_half_widest_activations(self):
+        params = init_params((16, 256, 64), (64, 3), seed=0)
+        x = np.random.default_rng(0).normal(size=(4000, 16))
+        widest = x.shape[0] * 256 * 8
+        tracemalloc.start()
+        try:
+            forward(params, (x,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * widest
+
+    @pytest.mark.parametrize("encoder, head", [((4, 8), (8, 3)), ((4, 6), (12, 4))], ids=["plain", "siamese"])
+    def test_gradient_check_runs_without_the_dropout_rate(self, encoder, head):
+        params = init_params(encoder, head, dropout=0.3, seed=7)
+        rng = np.random.default_rng(5)
+        inputs = [rng.normal(size=encoder[0]) for _ in range(params.n_branches)]
+        y = np.eye(head[-1])[1]
+        before = params.vector.copy()
+        error = finite_difference_check_params(params, inputs, y, "combined")
+        nodrop = ModelParams(params.encoder_layers, params.head_layers, 0.0)
+        assert error == finite_difference_check_params(nodrop, inputs, y, "combined") and 0 < error < 1e-5
+        assert params.vector.tobytes() == before.tobytes()
 
 
 class TestOptimizers:
