@@ -20,8 +20,9 @@ Parameters, gradients and Adam moments each live in one contiguous float64
 vector laid out w0, b0, w1, b1, ... in encoder-then-head order (the
 checkpoint body's order); the per-layer (w, b) pairs of ``ModelParams`` are
 views into it. ``backward`` writes every layer's gradient into its view of
-the gradient vector, and ``optimizer_step`` is a few vector operations.
-``ModelParams`` is validated when a model is built, copied, loaded or
+the gradient vector, the second branch adding into the encoder's views, and
+``optimizer_step`` is a few vector operations. ``ModelParams`` is validated,
+and its topology set as fields, when a model is built, copied, loaded or
 saved; an optimizer step keeps the checked layout and only checks its
 result for non-finite entries.
 
@@ -97,8 +98,11 @@ class ModelParams:
     input width is the encoder output times ``n_branches``: 1 for the plain
     model, 2 for the siamese one.
 
-    The constructor validates the layers and copies them into ``vector``;
-    ``encoder_layers`` and ``head_layers`` are then views into it.
+    The constructor validates the layers, copies them into ``vector`` and
+    states the topology once: ``input_dim``, ``encoder_output_dim`` (the
+    input width when there is no encoder), ``n_branches`` and ``head_offset``,
+    where the head's parameters start in ``vector``. ``encoder_layers`` and
+    ``head_layers`` are then views into ``vector``.
     """
 
     encoder_layers: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -106,6 +110,10 @@ class ModelParams:
     dropout_rate: float = 0.0
     vector: np.ndarray = field(init=False, repr=False, compare=False)
     layout: tuple = field(init=False, repr=False, compare=False)
+    input_dim: int = field(init=False, repr=False, compare=False)
+    encoder_output_dim: int = field(init=False, repr=False, compare=False)
+    n_branches: int = field(init=False, repr=False, compare=False)
+    head_offset: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.head_layers:
@@ -122,44 +130,20 @@ class ModelParams:
                 raise ConfigError(f"{where}: weight {w.shape} has a zero dimension")
             if i not in (0, n_enc) and w.shape[1] != layers[i - 1][0].shape[0]:
                 raise ConfigError(f"{where} input {w.shape[1]} breaks the chain")
-        if n_enc:
-            enc_out, head_in = layers[n_enc - 1][0].shape[0], layers[n_enc][0].shape[1]
-            if head_in not in (enc_out, 2 * enc_out):
-                raise ConfigError(
-                    f"head input {head_in} must equal the encoder output {enc_out} or twice it"
-                )
+        head_in = layers[n_enc][0].shape[1]
+        enc_out = layers[n_enc - 1][0].shape[0] if n_enc else head_in
+        if head_in not in (enc_out, 2 * enc_out):
+            raise ConfigError(f"head input {head_in} must equal the encoder output {enc_out} or twice it")
         vector = np.concatenate([np.ravel(a) for layer in layers for a in layer]).astype(np.float64, copy=False)
         layout = (n_enc, tuple(w.shape for w, _ in layers))
         encoder, head = _views(vector, layout)
-        vars(self).update(encoder_layers=encoder, head_layers=head, vector=vector, layout=layout)
+        vars(self).update(
+            encoder_layers=encoder, head_layers=head, vector=vector, layout=layout,
+            input_dim=layers[0][0].shape[1], encoder_output_dim=enc_out, n_branches=head_in // enc_out,
+            head_offset=sum(w.size + b.size for w, b in encoder),
+        )
         if not np.all(np.isfinite(self.vector)):
             raise ConfigError("parameters contain non-finite entries")
-
-    @property
-    def head_offset(self) -> int:
-        """Where the head's parameters start in ``vector``."""
-        return sum(w.size + b.size for w, b in self.encoder_layers)
-
-    @property
-    def encoder_output_dim(self) -> int:
-        if self.encoder_layers:
-            return self.encoder_layers[-1][0].shape[0]
-        return self.head_layers[0][0].shape[1]
-
-    @property
-    def head_input_dim(self) -> int:
-        return self.head_layers[0][0].shape[1]
-
-    @property
-    def n_branches(self) -> int:
-        """How many inputs the network reads per row: 1 plain, 2 siamese."""
-        return self.head_input_dim // self.encoder_output_dim
-
-    @property
-    def input_dim(self) -> int:
-        if self.encoder_layers:
-            return self.encoder_layers[0][0].shape[1]
-        return self.head_input_dim
 
 
 def init_params(
@@ -288,16 +272,22 @@ def _backprop(
     g: np.ndarray,
     out: Sequence[tuple[np.ndarray, np.ndarray]],
     relu_last: bool,
+    add: bool = False,
 ) -> np.ndarray:
     """Backpropagate ``g``, the gradient at the output of a stack that
     ``_stack`` ran (``relu_last`` as there), and write each layer's gradient
-    into its (w, b) views in ``out``. Returns the gradient at the first
-    layer's pre-activation."""
+    into its (w, b) views in ``out``, or add it to them when ``add``. Returns
+    the gradient at the first layer's pre-activation."""
     for i in range(len(layers) - 1, -1, -1):
         if relu_last or i < len(layers) - 1:
             g = g * (pres[i] > 0)
-        np.matmul(g.T, ins[i], out=out[i][0])
-        np.add.reduce(g, axis=0, out=out[i][1])
+        if add:
+            w, b = out[i]
+            w += g.T @ ins[i]
+            b += np.add.reduce(g, axis=0)
+        else:
+            np.matmul(g.T, ins[i], out=out[i][0])
+            np.add.reduce(g, axis=0, out=out[i][1])
         if i > 0:
             g = g @ layers[i][0]
     return g
@@ -308,9 +298,8 @@ def backward(cache: dict, grad_logits: np.ndarray) -> np.ndarray:
 
     ``grad_logits`` must match the cached logits' shape. Returns the gradient
     as one vector laid out like ``ModelParams.vector``; every layer's gradient
-    is written straight into its view of it. Each branch after the first is
-    backpropagated into a scratch vector and added into the shared encoder
-    gradient.
+    is written straight into its view of it. Each branch after the first adds
+    its gradient into the shared encoder's views.
     """
     if not isinstance(cache, dict) or "head_pres" not in cache or "params" not in cache:
         raise InvalidStateError("backward needs the cache of a training forward pass")
@@ -328,13 +317,8 @@ def backward(cache: dict, grad_logits: np.ndarray) -> np.ndarray:
         g = g * cache["drop_mask"]
     e = params.encoder_output_dim
     for k, (ins, pres) in enumerate(zip(cache["enc_ins"], cache["enc_pres"])):
-        if k == 0:
-            _backprop(params.encoder_layers, ins, pres, g[:, :e], encoder_grads, relu_last=True)
-        else:
-            branch = np.empty_like(grad)
-            branch_grads = _views(branch, params.layout)[0]
-            _backprop(params.encoder_layers, ins, pres, g[:, k * e : (k + 1) * e], branch_grads, relu_last=True)
-            grad[: params.head_offset] += branch[: params.head_offset]
+        g_k = g[:, k * e : (k + 1) * e]
+        _backprop(params.encoder_layers, ins, pres, g_k, encoder_grads, relu_last=True, add=k > 0)
     return grad
 
 

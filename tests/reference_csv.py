@@ -4,20 +4,100 @@ replaced, kept as a test oracle.
 Each reader matches its header with its own header helper and ``layout``
 callback, parses its int columns its own way (``int`` over a column, one
 ``np.array`` call, a list comprehension) and checks its own label range.
-They share with ``ordchange.cli`` only what the declarations did not
-change: ``_read_table``, ``_record_lines``, ``_check_unique`` and the
-``Predictions`` and ``Dataset`` tables.
+The text pass is a frozen copy of ``cli._read_table`` and
+``cli._record_lines`` as the declarations left them, so a change to
+either in ``ordchange.cli`` shows as a difference. The oracle shares with
+``ordchange.cli`` only the twin reader ``_read_twin``, ``_check_unique``
+and the ``Predictions`` and ``Dataset`` tables.
 """
 
 from __future__ import annotations
 
+import csv
 import os
+import re
+from itertools import chain, islice
+from typing import Callable, Iterator
 
 import numpy as np
 
-from ordchange.cli import _ROUNDED_PROB_TOL, Predictions, _check_unique, _read_table, _record_lines
+from ordchange.cli import _ROUNDED_PROB_TOL, Predictions, _check_unique, _read_twin
 from ordchange.core import ClassLabel, Dataset, Task, as_prob_rows
 from ordchange.errors import DataError, InvalidInputError
+
+
+def _record_lines(path: str | os.PathLike) -> list[int]:
+    """The file line each data record of a CSV starts on, by one ``csv`` pass.
+
+    The ``csv`` module defines a record. Raises DataError on text that is not
+    UTF-8, and names the first record it rejects or whose field count is not
+    the header's: a field over the limit when one of its lines is, or else a
+    quote not closed when a quoted field runs on to the end of the file, or
+    over lines into the field limit."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            n_fields, starts = len(next(reader)), [reader.line_num + 1]
+            for row in reader:
+                if len(row) != n_fields:
+                    break
+                starts.append(reader.line_num + 1)
+            else:
+                return starts[:-1]
+            is_last = next(fh, None) is None
+            fh.seek(0)  # after the last line, '"' closes a quoted field left open, or else reads as a record [""]
+            if not is_last or list(csv.reader(chain(fh, ['"'])))[-1] == [""]:
+                raise DataError(f"{path}: line {starts[-1]} has {len(row)} fields, expected {n_fields}")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            # csv does not say whether the field it stopped in is quoted; a line of the record over the limit
+            # holds a field over it, else a quoted field ran on over lines.
+            fh.seek(0)
+            record = islice(fh, starts[-1] - 1, reader.line_num)
+            if reader.line_num == starts[-1] or any(len(line) > csv.field_size_limit() for line in record):
+                raise DataError(f"{path}: line {starts[-1]}: {exc}") from None
+    raise DataError(f"{path}: line {starts[-1]}: quote not closed (read to line {reader.line_num})")
+
+
+def _read_table(path: str | os.PathLike, layout: Callable[[list[str]], tuple]) -> tuple[object, dict[str, np.ndarray]]:
+    """Read a CSV into one array per group of fields, from its twin when
+    ``_read_twin`` takes it (only ``write_dataset_csv`` writes one), else in
+    one structured ``np.loadtxt`` pass.
+
+    ``layout(header)`` checks the header and returns what the caller keeps of
+    it and the ``(name, type, width)`` groups of a row's fields (``object``
+    fields hold text). ``_record_lines`` judges the file when it is not UTF-8,
+    ``loadtxt`` rejects a row, or a line is blank or over the ``csv`` limit."""
+    options = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 1}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader, lineno, starts = csv.reader(fh), 1, None
+
+        def lines() -> Iterator[str]:
+            nonlocal lineno, starts
+            for lineno, line in enumerate(fh, reader.line_num + 1):
+                if starts is None and (line[0] in "\r\n" or len(line) > csv.field_size_limit()):
+                    starts = _record_lines(path)
+                yield line
+
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty CSV")
+            info, groups = layout(header)
+            table = _read_twin(path, groups)
+            if table is not None:
+                return info, table
+            dtype = np.dtype([(name, kind, (width,)) for name, kind, width in groups])
+            rows = lines()
+            first = next(rows, None)  # loadtxt warns on a file with no rows
+            table = np.empty(0, dtype) if first is None else np.loadtxt(chain([first], rows), dtype, **options)
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+        except ValueError as exc:  # text that is not UTF-8, or a row loadtxt rejects on its last line
+            start = max(line for line in starts or _record_lines(path) if line <= lineno)
+            raise DataError(f"{path}: line {start}: {re.sub(' at row [0-9]+,', ' at', str(exc))}") from None
+    return info, {name: table[name] for name in dtype.names}
 
 
 def dataset_header(task: Task, dim: int) -> list[str]:

@@ -26,9 +26,9 @@ from ordchange.cli import (
 )
 from ordchange.core import Dataset, Task
 from ordchange.datagen import GenConfig
-from ordchange.errors import ConfigError
+from ordchange.errors import ConfigError, NumericError
 from ordchange.losses import LossConfig
-from ordchange.model import CHECKPOINT_MAGIC, OptimizerConfig, TrainConfig, init_params, save_checkpoint
+from ordchange.model import CHECKPOINT_MAGIC, OptimizerConfig, TrainConfig, init_params, load_checkpoint, save_checkpoint
 
 GEN_CFG = """\
 # tiny but non-trivial dataset
@@ -492,6 +492,23 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite logits at epoch 0 batch ") and err.count("\n") == 1
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_failed_fold_keeps_the_finished_folds_and_writes_no_manifest(self, workdir, tmp_path, capsys, monkeypatch):
+        fits = []
+
+        def fit(*args):
+            fits.append(args)
+            if len(fits) == 2:
+                raise NumericError("fold 1 diverged")
+            return model_mod.train(*args)
+
+        monkeypatch.setattr(cli, "train", fit)
+        argv = ["train", "--config", str(workdir / "train.cfg"), "--data", str(workdir / "data" / "dataset.csv")]
+        assert main([*argv, "--folds", "2", "--out", str(tmp_path / "m.ckpt")]) == 4
+        stdout, err = capsys.readouterr()
+        assert err == "error: fold 1 diverged\n" and stdout.startswith("fold 0: ") and stdout.count("\n") == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["m.fold0.ckpt", "m.fold0.ckpt.history.csv"]
+        assert load_checkpoint(tmp_path / "m.fold0.ckpt").n_branches == 1
 
 
 @pytest.fixture(scope="module")

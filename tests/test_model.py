@@ -65,6 +65,10 @@ def single_layer_params(w_head, b_head=None, encoder=(), dropout=0.0) -> ModelPa
     return ModelParams(encoder_layers=tuple(encoder), head_layers=((w, b),), dropout_rate=dropout)
 
 
+def topology(params: ModelParams) -> tuple[int, int, int, int]:
+    return params.input_dim, params.encoder_output_dim, params.n_branches, params.head_offset
+
+
 class TestInit:
     def test_shapes_follow_dims(self):
         params = init_params((8, 16), (16, 3))
@@ -89,12 +93,12 @@ class TestInit:
     def test_single_entry_encoder_means_no_encoder(self):
         params = init_params((5,), (5, 3))
         assert params.encoder_layers == ()
-        assert params.input_dim == 5 and params.n_branches == 1
+        assert topology(params) == (5, 5, 1, 0)
 
     def test_siamese_dims(self):
         params = init_params((4, 6), (12, 3))
-        assert params.n_branches == 2
-        assert params.head_input_dim == 12 and params.encoder_output_dim == 6
+        assert params.head_layers[0][0].shape[1] == 12
+        assert topology(params) == (4, 6, 2, 4 * 6 + 6)
 
     @pytest.mark.parametrize(
         "enc,head",
@@ -294,6 +298,18 @@ class TestBackward:
         ga = (g_fused[:e] * (emb_a > 0))[:, None] * xa[None, :]
         gb = (g_fused[e:] * (emb_b > 0))[:, None] * xb[None, :]
         np.testing.assert_allclose(grads[: ga.size].reshape(ga.shape), ga + gb, atol=1e-12)
+
+    @pytest.mark.parametrize("head_in", [5, 10], ids=["plain", "siamese"])
+    def test_one_gradient_layout_per_call(self, monkeypatch, head_in):
+        # Every branch writes into the views of the one gradient vector.
+        params = init_params((3, 5), (head_in, 3), seed=8)
+        rng = np.random.default_rng(1)
+        logits, cache = forward(params, [rng.normal(size=(4, 3)) for _ in range(params.n_branches)], training=True)
+        calls = []
+        views = model_mod._views
+        monkeypatch.setattr(model_mod, "_views", lambda *args: calls.append(args) or views(*args))
+        backward(cache, np.ones_like(logits))
+        assert len(calls) == 1
 
 
 class TestInferencePass:
@@ -755,7 +771,7 @@ class TestCheckpoints:
         ):
             np.testing.assert_array_equal(w0, w1)
             np.testing.assert_array_equal(b0, b1)
-        assert loaded.n_branches == params.n_branches
+        assert topology(loaded) == topology(params) == (4, 6, 2, 30)
 
     def test_file_layout_and_determinism(self, tmp_path):
         params = self.make_params()
