@@ -703,13 +703,15 @@ def cmd_train(args) -> tuple[str, dict]:
         raise ConfigError(
             f"dataset {args.data} holds {data_task.value} records but config says {cfg.task.value}"
         )
-    patients = np.unique(data.patient_id).tolist()
+    # Python sets, not numpy's set routines: np.unique imports numpy.ma, which nothing else in train needs.
+    patient_ids = data.patient_id.tolist()
+    patients = sorted(set(patient_ids))
     if len(patients) < 2:
         raise DataError("need at least two patients for a patient-disjoint split")
     val_sets = _fold_val_patients(patients, cfg.folds, cfg.val_ratio, cfg.seed)
 
     for i, (val_patients, ckpt_path) in enumerate(zip(val_sets, ckpt_paths)):
-        in_val = np.isin(data.patient_id, list(val_patients))
+        in_val = np.array([p in val_patients for p in patient_ids], dtype=bool)
         train_data, val_data = data.take(~in_val), data.take(in_val)
         params, history = train(train_data, val_data, replace(cfg, seed=cfg.seed + i))
         save_checkpoint(ckpt_path, params)

@@ -17,7 +17,8 @@ evaluates a whole batch and returns its per-row values together with their
 gradient with respect to the probabilities, so a training step computes the
 shared logs, powers and cumulative sums once. ``batch_loss_gradient`` chains
 that path through softmax and is the one gradient entry point: training
-calls it on every batch, and the gradient checks on a one-row batch.
+calls it on every batch, and the gradient checks on a one-row batch. The
+combined kind scales a term by its weight only when the weight is not 1.0.
 """
 
 from __future__ import annotations
@@ -151,10 +152,15 @@ def _terms(kind: str, P: np.ndarray, Y: np.ndarray, cfg: LossConfig) -> tuple[np
     check_loss_kind(kind)  # "combined" is the one kind left
     focal, focal_grad = _focal_terms(P, Y, cfg)
     emd, emd_grad = _emd_terms(P, Y)
-    focal *= cfg.focal_weight
-    focal += np.multiply(emd, cfg.emd_weight, out=emd)
-    focal_grad *= cfg.focal_weight
-    focal_grad += np.multiply(emd_grad, cfg.emd_weight, out=emd_grad)
+    # x * 1.0 is x bit for bit, so a weight of 1.0 (the default) needs no pass.
+    if cfg.focal_weight != 1.0:
+        focal *= cfg.focal_weight
+        focal_grad *= cfg.focal_weight
+    if cfg.emd_weight != 1.0:
+        emd *= cfg.emd_weight
+        emd_grad *= cfg.emd_weight
+    focal += emd
+    focal_grad += emd_grad
     return focal, focal_grad
 
 

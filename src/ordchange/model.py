@@ -6,7 +6,8 @@ the shared encoder embeds each branch's input, and the head reads the
 embeddings side by side, so its input width is the encoder output times the
 number of branches (``ModelParams.n_branches``, 1 or 2). Dropout, when
 enabled, applies to the head input only and only during training (inverted
-scaling, so inference needs no correction).
+scaling, so inference needs no correction); its mask is built in place, in
+the buffer of its uniform draw.
 
 Everything is numpy with explicit caches and hand-written backpropagation:
 ``forward`` takes one (N, d) matrix per branch, adds each bias and applies
@@ -21,7 +22,8 @@ vector laid out w0, b0, w1, b1, ... in encoder-then-head order (the
 checkpoint body's order); the per-layer (w, b) pairs of ``ModelParams`` are
 views into it. ``backward`` writes every layer's gradient into its view of
 the gradient vector, the second branch adding into the encoder's views, and
-``optimizer_step`` is a few vector operations. ``ModelParams`` is validated,
+``optimizer_step`` is a few vector operations, only those its config needs:
+at zero weight decay it runs no decay pass. ``ModelParams`` is validated,
 and its topology set as fields, when a model is built, copied, loaded or
 saved; an optimizer step keeps the checked layout and only checks its
 result for non-finite entries.
@@ -249,7 +251,11 @@ def forward(
     if training and params.dropout_rate > 0.0:
         if rng is None:
             raise InvalidInputError("training forward with dropout needs an rng")
-        mask = (rng.random(head_input.shape) >= params.dropout_rate) / (1.0 - params.dropout_rate)
+        # The mask is built in the buffer of its uniform draw: 1.0 * s is s, so
+        # it holds the bits of (u >= rate) / (1.0 - rate).
+        mask = rng.random(head_input.shape)
+        np.greater_equal(mask, params.dropout_rate, out=mask)
+        mask *= 1.0 / (1.0 - params.dropout_rate)
         head_input = head_input * mask
     logits, head_ins, head_pres = _stack(params.head_layers, head_input, relu_last=False, keep=training)
     if not training:
@@ -412,6 +418,13 @@ def optimizer_step(
     update gives it. The updated parameters are checked for non-finite
     entries only. ``freeze_head`` leaves the head's parameters and moments
     as they are, weight decay included.
+
+    The decay passes run only when ``weight_decay > 0``. At zero decay they
+    would subtract ``p * 0.0``, which leaves every finite ``p`` as it is
+    except ``-0.0``, which they turn into ``+0.0``; skipped, a ``-0.0``
+    parameter with a zero step stays ``-0.0``. ``train`` never meets one:
+    ``init_params`` makes no ``-0.0``, and ``p - step`` is ``-0.0`` only
+    when ``p`` already is, so its bytes are those of the two passes.
     """
     if not (np.isfinite(lr) and lr > 0):
         raise InvalidInputError(f"learning rate must be finite and > 0, got {lr}")
@@ -441,9 +454,12 @@ def optimizer_step(
         np.sqrt(scratch, out=scratch)
         scratch += cfg.eps
         step /= scratch
-    decay = np.multiply(p, lr * cfg.weight_decay, out=scratch)  # p = p - step - lr * weight_decay * p
-    p -= step
-    p -= decay
+    if cfg.weight_decay > 0:
+        decay = np.multiply(p, lr * cfg.weight_decay, out=scratch)  # p = p - step - lr * weight_decay * p
+        p -= step
+        p -= decay
+    else:
+        p -= step
     if not np.isfinite(p).all():
         raise NumericError("the optimizer step produced non-finite parameters")
     return params, OptimizerState(cfg, state.step + 1, state.m, state.v)
@@ -592,12 +608,13 @@ def make_batches(labels: np.ndarray, cfg: TrainConfig, rng: np.random.Generator)
                 streams.append(rng.permutation(idx)[:needed])
             else:
                 streams.append(rng.choice(idx, size=needed, replace=True))
-        batches = []
-        for b in range(n_batches):
-            batch = np.concatenate([s[b * per_class : (b + 1) * per_class] for s in streams])
+        # Row b holds each class's b-th run of per_class indices, class by
+        # class. Each row is shuffled in place, in batch order, so the
+        # generator's draws follow the batches.
+        batches = np.stack([s.reshape(n_batches, per_class) for s in streams], axis=1).reshape(n_batches, -1)
+        for batch in batches:
             rng.shuffle(batch)
-            batches.append(batch)
-        return batches
+        return list(batches)
 
     if cfg.undersample_majority > 0:
         counts = np.bincount(labels, minlength=n_classes)
@@ -639,9 +656,10 @@ def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelPara
 
     Identical inputs and config produce bit-identical parameters and history.
     """
-    overlap = np.intersect1d(data.patient_id, val_data.patient_id)
-    if overlap.size:
-        raise InvalidInputError(f"train/val patients overlap: {overlap[:5].tolist()}")
+    # Python sets, not np.intersect1d, whose np.unique call imports numpy.ma.
+    overlap = sorted(set(data.patient_id.tolist()) & set(val_data.patient_id.tolist()))
+    if overlap:
+        raise InvalidInputError(f"train/val patients overlap: {overlap[:5]}")
     for d in (data, val_data):
         if len(d) == 0:
             raise InvalidInputError("dataset is empty")

@@ -5,10 +5,11 @@ Each reader matches its header with its own header helper and ``layout``
 callback, parses its int columns its own way (``int`` over a column, one
 ``np.array`` call, a list comprehension) and checks its own label range.
 The text pass is a frozen copy of ``cli._read_table`` and
-``cli._record_lines`` as the declarations left them, so a change to
-either in ``ordchange.cli`` shows as a difference. The oracle shares with
-``ordchange.cli`` only the twin reader ``_read_twin``, ``_check_unique``
-and the ``Predictions`` and ``Dataset`` tables.
+``cli._record_lines`` as the declarations left them, and the twin reader
+one of ``cli._read_twin`` and ``cli._twin_key``, so a change to any of
+them in ``ordchange.cli`` shows as a difference. The oracle shares with
+``ordchange.cli`` only ``_check_unique`` and the ``Predictions`` and
+``Dataset`` tables.
 """
 
 from __future__ import annotations
@@ -16,14 +17,45 @@ from __future__ import annotations
 import csv
 import os
 import re
+import zlib
 from itertools import chain, islice
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ordchange.cli import _ROUNDED_PROB_TOL, Predictions, _check_unique, _read_twin
+from ordchange.cli import _ROUNDED_PROB_TOL, Predictions, _check_unique
 from ordchange.core import ClassLabel, Dataset, Task, as_prob_rows
 from ordchange.errors import DataError, InvalidInputError
+
+
+def _twin_key(path: str | os.PathLike) -> list[int]:
+    """The key a twin holds of its CSV: format version 1, then the CSV's
+    byte length and CRC-32."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    return [1, len(blob), zlib.crc32(blob)]
+
+
+def _read_twin(path: str | os.PathLike, groups: Sequence[tuple]) -> dict[str, np.ndarray] | None:
+    """The fields of a CSV read from its twin ``<path>.npy``, or None when
+    the twin is missing, unreadable or stale (its key is not the CSV's), or
+    its records are not one (N, width) array per ``(name, type, width)``
+    group: text for an ``object`` group, float64 for a float one."""
+    try:
+        with open(f"{os.fspath(path)}.npy", "rb") as fh:
+            if np.load(fh, allow_pickle=False).tolist() != _twin_key(path):
+                return None
+            table = {name: np.load(fh, allow_pickle=False) for name, _, _ in groups}
+            if fh.read(1):
+                return None
+    except (OSError, ValueError, EOFError, MemoryError):
+        return None
+    n_rows = table[groups[0][0]].shape[:1]
+    for name, kind, width in groups:
+        arr = table[name]
+        if arr.shape != (*n_rows, width) or not (arr.dtype.kind == "U" if kind is object else arr.dtype == kind):
+            return None
+    return {name: table[name].astype(object) if kind is object else table[name] for name, kind, _ in groups}
 
 
 def _record_lines(path: str | os.PathLike) -> list[int]:

@@ -7,10 +7,14 @@ a fresh array for every result, and each loss term has one function for its
 per-row values and another for its derivative with respect to the
 probabilities. The arithmetic of each array is what ``ordchange.model`` and
 ``ordchange.losses`` now do on one vector, partly in place, so the two must
-agree bit for bit.
+agree bit for bit. Balanced batches are concatenated and shuffled one batch
+at a time, and ``model.make_batches`` must return the same index arrays and
+take the same draws.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -210,3 +214,28 @@ def batch_loss_gradient(kind, logits, targets, cfg) -> tuple[float, np.ndarray]:
     grad_p = _grad_p_rows(kind, P, Y, cfg)
     grad = P * (grad_p - np.sum(grad_p * P, axis=1, keepdims=True)) / Z.shape[0]
     return float(np.mean(values)), grad
+
+
+# --- batching ----------------------------------------------------------------------
+
+
+def balanced_batches(labels: np.ndarray, batch_size: int, n_classes: int, rng: np.random.Generator) -> list:
+    """One epoch of balanced batches: floor(batch_size / n_classes) indices of
+    every class per batch, each batch concatenated class by class and then
+    shuffled. Every class must be present."""
+    per_class = batch_size // n_classes
+    class_idx = [np.flatnonzero(labels == c) for c in range(n_classes)]
+    n_batches = int(math.ceil(max(idx.size for idx in class_idx) / per_class))
+    streams = []
+    for idx in class_idx:
+        needed = n_batches * per_class
+        if idx.size >= needed:
+            streams.append(rng.permutation(idx)[:needed])
+        else:
+            streams.append(rng.choice(idx, size=needed, replace=True))
+    batches = []
+    for b in range(n_batches):
+        batch = np.concatenate([s[b * per_class : (b + 1) * per_class] for s in streams])
+        rng.shuffle(batch)
+        batches.append(batch)
+    return batches

@@ -9,6 +9,7 @@ same message. The only exceptions are the intended changes that
 ``intended`` names, and each is checked against the file's records."""
 
 import csv
+import io
 import re
 import tempfile
 from dataclasses import fields, replace
@@ -180,6 +181,30 @@ def test_valid_files_read_as_the_reference_reads_them(bases, kind, tmp_path):
         Path(f"{path}.npy").write_bytes(twin)
     new, old = (outcome(read, path) for read in readers(kind))
     assert new[0] == "ok" and new == old
+
+
+@pytest.mark.parametrize("kind", ["t2 dataset", "t1 dataset"])
+@pytest.mark.parametrize("fault", ["stale", "misshaped"])
+def test_a_stale_or_misshaped_twin_is_not_read(bases, kind, fault, tmp_path):
+    """Both readers parse the text in place of a twin whose key is not the
+    CSV's, or whose key is but whose feature matrix lacks a column."""
+    text, twin = bases[kind]
+    path = tmp_path / "file.csv"
+    if fault == "stale":
+        # The last field of the last record is a feature: the CSV stays valid.
+        head, _, last = text.rstrip(b"\n").rpartition(b"\n")
+        path.write_bytes(head + b"\n" + last.rpartition(b",")[0] + b",12.5\n")
+        Path(f"{path}.npy").write_bytes(twin)
+    else:
+        path.write_bytes(text)
+        key, ids, floats = (np.load(fh, allow_pickle=False) for fh in [io.BytesIO(twin)] * 3)
+        with open(f"{path}.npy", "wb") as fh:
+            for arr in (key, ids, floats[:, :-1]):
+                np.save(fh, arr, allow_pickle=False)
+    new, old = (outcome(read, path) for read in readers(kind))
+    assert new[0] == "ok" and new == old
+    data = cli.read_dataset_csv(path)[1]
+    assert data.inputs[-1][-1, -1] == (12.5 if fault == "stale" else float(text.rpartition(b",")[2]))
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -4,9 +4,12 @@ on ``cli`` wins, and the command line parser is unchanged."""
 
 import importlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from test_process import ENV
 
 import ordchange.cli as cli
 from ordchange.cli import GEN_SCHEMA, TRAIN_SCHEMA, main
@@ -74,3 +77,20 @@ def test_the_parser_is_unchanged(capsys, monkeypatch, case):
     with pytest.raises(SystemExit) as exit_:
         main(case["argv"])
     assert (exit_.value.code, *capsys.readouterr()) == (case["code"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("folds", [[], ["--folds", "2"]], ids=["one split", "two folds"])
+def test_gen_and_train_do_not_load_numpy_ma(tmp_path, folds):
+    """``np.unique`` without its optional outputs imports ``numpy.ma``; ``train``
+    splits patients with Python sets, so a ``train`` process never loads it."""
+    (tmp_path / "gen.cfg").write_text("task=t2\nn_patients=4\nvisits_min=2\nvisits_max=2\nfeature_dim=3\n")
+    (tmp_path / "train.cfg").write_text("task=t2\nencoder_dims=3,4\nhead_dims=4,3\nepochs=1\n")
+    probe = (
+        "import sys\nfrom ordchange.cli import main\n"
+        "assert main(['gen', '--config', 'gen.cfg', '--out', 'd']) == 0\n"
+        f"assert main(['train', '--config', 'train.cfg', '--data', 'd/dataset.csv', '--out', 'm.ckpt', *{folds!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=ENV, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines()[-1] == "False"

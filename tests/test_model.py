@@ -396,6 +396,17 @@ class TestOptimizers:
         new, _ = optimizer_step(state, params, np.zeros_like(params.vector), lr=0.5)
         np.testing.assert_array_equal(new.vector, before)
 
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_signed_zero_with_a_zero_step(self, kind):
+        # At zero decay no decay pass runs, so -0.0 - 0.0 stays -0.0; the
+        # decay pass subtracts lr * decay * -0.0 == -0.0, which gives +0.0.
+        for decay, negative in ((0.0, True), (0.1, False)):
+            params = init_params((3, 4), (4, 3), seed=0)
+            params.vector[0] = -0.0
+            state = init_optimizer_state(OptimizerConfig(kind=kind, weight_decay=decay), params)
+            new, _ = optimizer_step(state, params, np.zeros_like(params.vector), lr=0.5)
+            assert new.vector[0] == 0.0 and bool(np.signbit(new.vector[0])) is negative
+
     def test_bad_lr_rejected(self):
         params = init_params((3, 4), (4, 3))
         grads = np.zeros_like(params.vector)

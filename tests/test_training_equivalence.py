@@ -1,22 +1,26 @@
-"""The flat-vector training step against the per-layer oracle in
-``reference_training``, and golden digests of ``train``'s output files."""
+"""The flat-vector training step and the balanced batches against the
+oracles in ``reference_training``, and golden digests of ``train``'s output
+files."""
 
 import hashlib
 
 import numpy as np
 import pytest
 import reference_training as ref
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordchange.cli import main
+from ordchange.core import Task
 from ordchange.losses import LOSS_KINDS, LossConfig, batch_loss_gradient
 from ordchange.model import (
     OptimizerConfig,
+    TrainConfig,
     backward,
     forward,
     init_optimizer_state,
     init_params,
+    make_batches,
     optimizer_step,
 )
 
@@ -138,6 +142,31 @@ def test_clamped_and_certain_probabilities_match_oracle():
             ref_value, ref_grad = ref.batch_loss_gradient(kind, logits, targets, cfg)
             assert value == ref_value and same_bits(grad, ref_grad)
             assert np.all(np.isfinite(grad))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    task=st.sampled_from(list(Task)),
+    counts=st.lists(st.integers(1, 40), min_size=4, max_size=4),
+    batch_size=st.integers(4, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+# A minority class drawn with replacement, and a batch size the class count does not divide.
+@example(task=Task.T2, counts=[3, 40, 1, 1], batch_size=10, seed=1)
+@example(task=Task.T1, counts=[40, 2, 7, 40], batch_size=7, seed=2)
+def test_balanced_batches_match_per_batch_oracle(task, counts, batch_size, seed):
+    """``make_batches`` in balanced mode returns the oracle's index arrays,
+    as a list of 1-D arrays, and leaves the generator where the oracle does."""
+    n_classes = task.n_classes
+    labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(n_classes), counts[:n_classes]))
+    cfg = TrainConfig(task=task, loss_kind="focal", head_dims=(32, n_classes), balanced_batches=True,
+                      batch_size=batch_size)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batches = make_batches(labels, cfg, rng)
+    ref_batches = ref.balanced_batches(labels, batch_size, n_classes, ref_rng)
+    assert isinstance(batches, list) and len(batches) == len(ref_batches)
+    assert all(b.ndim == 1 and same_bits(b, r) for b, r in zip(batches, ref_batches))
+    assert rng.random() == ref_rng.random()
 
 
 # sha256 of the checkpoint and history CSV of one gen + train. The t1 and t2
