@@ -16,7 +16,6 @@ from .errors import (
     ConfigError,
     DataError,
     InvalidInputError,
-    InvalidStateError,
     NumericError,
     OrdchangeError,
     UndefinedMetricError,
@@ -33,6 +32,5 @@ __all__ = [
     "NumericError",
     "CheckpointError",
     "AlignmentError",
-    "InvalidStateError",
     "UndefinedMetricError",
 ]

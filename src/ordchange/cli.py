@@ -434,7 +434,7 @@ def _build_config(cls, values: dict, args):
     task = given["task"] = Task(given.get("task", cls.task))  # --task gives the text of a Task
     if hasattr(cls, "head_dims"):  # the default head reads each branch's encoder output
         encoder = given.get("encoder_dims", cls.encoder_dims)
-        given.setdefault("head_dims", ((2 if task is Task.T1 else 1) * encoder[-1], task.n_classes))
+        given.setdefault("head_dims", (task.n_branches * encoder[-1], task.n_classes))
     return _construct(cls, given)
 
 

@@ -55,6 +55,11 @@ class Task(Enum):
     def n_classes(self) -> int:
         return 4 if self is Task.T1 else 3
 
+    @property
+    def n_branches(self) -> int:
+        """Inputs per row: 2 visits for T1 pairs, 1 for T2."""
+        return 2 if self is Task.T1 else 1
+
 
 def as_prob_rows(p: Sequence[Sequence[float]] | np.ndarray, *, tol: float = PROB_TOL) -> np.ndarray:
     """Validate an (N, C >= 2) matrix whose every row is a probability vector:

@@ -33,9 +33,5 @@ class AlignmentError(OrdchangeError):
     """Prediction and truth record keys do not line up."""
 
 
-class InvalidStateError(OrdchangeError):
-    """An operation was called with stale or internally inconsistent state."""
-
-
 class UndefinedMetricError(InvalidInputError):
     """A metric is undefined for the given confusion matrix (e.g. no samples)."""

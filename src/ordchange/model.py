@@ -4,10 +4,11 @@ The network is an encoder stack of ReLU layers followed by a head whose final
 layer is linear. The plain model is the one-branch case of the siamese one:
 the shared encoder embeds each branch's input, and the head reads the
 embeddings side by side, so its input width is the encoder output times the
-number of branches (``ModelParams.n_branches``, 1 or 2). Dropout, when
-enabled, applies to the head input only and only during training (inverted
-scaling, so inference needs no correction); its mask is built in place, in
-the buffer of its uniform draw.
+number of branches (``ModelParams.n_branches``, 1 or 2). ``TrainConfig``
+checks that width against its task's ``Task.n_branches`` when it is built,
+before any data is read. Dropout, when enabled, applies to the head input
+only and only during training (inverted scaling, so inference needs no
+correction); its mask is built in place, in the buffer of its uniform draw.
 
 Everything is numpy with explicit caches and hand-written backpropagation:
 ``forward`` takes one (N, d) matrix per branch, adds each bias and applies
@@ -29,9 +30,15 @@ saved; an optimizer step keeps the checked layout and only checks its
 result for non-finite entries.
 
 ``forward``, ``backward`` and ``losses.batch_loss_gradient`` allocate their
-results and leave their arguments as they are. ``optimizer_step`` updates
-the parameter vector and the Adam moments in place, so ``train`` keeps one
-live set of them and copies the parameters of each improving epoch.
+results and leave their arguments as they are. ``optimizer_step`` returns
+nothing: it updates the parameter vector and the ``OptimizerState``, its
+step count and Adam moments, in place, so ``train`` keeps one live set of
+them and copies the parameters of each improving epoch.
+
+A checkpoint is the fixed ``_HEADER`` struct (magic, version, dropout rate,
+encoder and head layer counts), which ``save_checkpoint`` packs and
+``load_checkpoint`` unpacks, then every layer's (out, in) as one u32 array,
+the parameter vector as little-endian f64 and a CRC32 of all before it.
 
 ``train`` and ``predict`` take a columnar ``Dataset`` and feed the network
 its ``inputs``: the feature matrix, or for T1 pairs both matrices. Batches
@@ -50,18 +57,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import Dataset, Task, as_prob_rows, atomic_write, confusion_from_predictions, softmax
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DataError,
-    InvalidInputError,
-    InvalidStateError,
-    NumericError,
-)
+from .errors import CheckpointError, ConfigError, DataError, InvalidInputError, NumericError
 from .losses import (
     LossConfig,
-    _emd_terms,
-    _focal_terms,
+    _terms,
     batch_loss_gradient,
     central_difference_error,
     validate_loss_for_task,
@@ -72,6 +71,8 @@ OPTIMIZER_KINDS: tuple[str, ...] = ("sgd", "adam")
 
 CHECKPOINT_MAGIC = b"ORDCHKPT"
 CHECKPOINT_VERSION = 1
+# A checkpoint's fixed head: magic, version, dropout rate, encoder and head layer counts.
+_HEADER = struct.Struct("<8sIdII")
 
 
 # --- parameters ----------------------------------------------------------------
@@ -308,7 +309,7 @@ def backward(cache: dict, grad_logits: np.ndarray) -> np.ndarray:
     its gradient into the shared encoder's views.
     """
     if not isinstance(cache, dict) or "head_pres" not in cache or "params" not in cache:
-        raise InvalidStateError("backward needs the cache of a training forward pass")
+        raise InvalidInputError("backward needs the cache of a training forward pass")
     params: ModelParams = cache["params"]
     expected = cache["head_pres"][-1].shape
     g = np.asarray(grad_logits, dtype=np.float64)
@@ -384,10 +385,10 @@ class OptimizerConfig:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class OptimizerState:
     """Step counter and first/second moment vectors (None for sgd), laid out
-    like ``ModelParams.vector``."""
+    like ``ModelParams.vector``; ``optimizer_step`` updates all three in place."""
 
     config: OptimizerConfig
     step: int
@@ -408,16 +409,16 @@ def optimizer_step(
     grads: np.ndarray,
     lr: float,
     freeze_head: bool = False,
-) -> tuple[ModelParams, OptimizerState]:
-    """Apply one update in place and return the parameters and the new state.
+) -> None:
+    """Apply one update in place to ``params.vector`` and to ``state``: its
+    step count and its Adam moments.
 
     ``grads`` is a gradient vector laid out like ``params.vector``, as
-    ``backward`` returns it. The update is a handful of vector operations
-    on ``params.vector`` and the Adam moments of ``state``, which the
-    returned state shares; every entry gets the same arithmetic a per-layer
-    update gives it. The updated parameters are checked for non-finite
-    entries only. ``freeze_head`` leaves the head's parameters and moments
-    as they are, weight decay included.
+    ``backward`` returns it. The update is a handful of vector operations;
+    every entry gets the same arithmetic a per-layer update gives it. The
+    updated parameters are checked for non-finite entries only.
+    ``freeze_head`` leaves the head's parameters and moments as they are,
+    weight decay included.
 
     The decay passes run only when ``weight_decay > 0``. At zero decay they
     would subtract ``p * 0.0``, which leaves every finite ``p`` as it is
@@ -462,7 +463,7 @@ def optimizer_step(
         p -= step
     if not np.isfinite(p).all():
         raise NumericError("the optimizer step produced non-finite parameters")
-    return params, OptimizerState(cfg, state.step + 1, state.m, state.v)
+    state.step += 1
 
 
 # --- training configuration ------------------------------------------------------
@@ -537,6 +538,13 @@ class TrainConfig:
         if self.head_dims and self.head_dims[-1] != self.task.n_classes:
             raise ConfigError(
                 f"head output {self.head_dims[-1]} must equal the task's {self.task.n_classes} classes"
+            )
+        # The head reads the encoder output of each of the task's branches side by side.
+        branches = self.task.n_branches
+        if self.head_dims and self.encoder_dims and self.head_dims[0] != branches * self.encoder_dims[-1]:
+            raise ConfigError(
+                f"head input {self.head_dims[0]} must be {branches * self.encoder_dims[-1]} for "
+                f"{'pair' if branches == 2 else 'plain'} rows with encoder output {self.encoder_dims[-1]}"
             )
         if self.folds < 0 or self.folds == 1:
             raise ConfigError(f"folds must be 0 (single split) or >= 2, got {self.folds}")
@@ -622,7 +630,8 @@ def make_batches(labels: np.ndarray, cfg: TrainConfig, rng: np.random.Generator)
         rest = np.delete(counts, majority)
         if rest.size == 0 or rest.max() == 0:
             raise DataError("undersampling needs at least one non-majority class with samples")
-        cap = max(1, int(round(cfg.undersample_majority * int(rest.max()))))
+        # Capped at the majority's count first: a huge factor overflows round().
+        cap = max(1, int(round(min(cfg.undersample_majority * int(rest.max()), int(counts[majority])))))
         maj_idx = rng.permutation(np.flatnonzero(labels == majority))[:cap]
         pool = np.concatenate([maj_idx, np.flatnonzero(labels != majority)])
         pool = rng.permutation(pool)
@@ -635,11 +644,12 @@ def make_batches(labels: np.ndarray, cfg: TrainConfig, rng: np.random.Generator)
 # --- training and prediction ------------------------------------------------------
 
 
-def _loss_diagnostics(logits: np.ndarray, targets: np.ndarray, cfg: LossConfig) -> str:
+def _loss_diagnostics(kind: str, logits: np.ndarray, targets: np.ndarray, cfg: LossConfig) -> str:
+    """The batch mean of each term of the ``kind`` loss: for ``combined``, of
+    each term times its weight; for any other kind, of its one term."""
     probs = softmax(logits)
-    focal = float(np.mean(_focal_terms(probs, targets, cfg)[0]))
-    emd = float(np.mean(_emd_terms(probs, targets)[0]))
-    return f"focal={focal!r} emd={emd!r}"
+    weights = {"focal": cfg.focal_weight, "emd": cfg.emd_weight} if kind == "combined" else {kind: 1.0}
+    return " ".join(f"{k}={float(np.mean(w * _terms(k, probs, targets, cfg)[0]))!r}" for k, w in weights.items())
 
 
 # A diverging run overflows; the loop reports the non-finite logits, loss or
@@ -669,12 +679,6 @@ def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelPara
     if cfg.encoder_dims[0] != feat_dim:
         raise ConfigError(f"encoder input {cfg.encoder_dims[0]} does not match feature dim {feat_dim}")
     inputs = data.inputs
-    want_head_in = len(inputs) * cfg.encoder_dims[-1]
-    if cfg.head_dims[0] != want_head_in:
-        raise ConfigError(
-            f"head input {cfg.head_dims[0]} must be {want_head_in} for {'pair' if len(inputs) == 2 else 'plain'} "
-            f"rows with encoder output {cfg.encoder_dims[-1]}"
-        )
 
     n_classes = cfg.task.n_classes
     onehot = np.eye(n_classes)[data.labels]
@@ -705,10 +709,10 @@ def train(data: Dataset, val_data: Dataset, cfg: TrainConfig) -> tuple[ModelPara
             if not math.isfinite(loss_value):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch} batch {batch_no}: "
-                    + _loss_diagnostics(logits, targets, cfg.loss)
+                    + _loss_diagnostics(cfg.loss_kind, logits, targets, cfg.loss)
                 )
             grads = backward(cache, grad_logits)
-            params, opt_state = optimizer_step(opt_state, params, grads, lr, freeze_head=frozen)
+            optimizer_step(opt_state, params, grads, lr, freeze_head=frozen)
             loss_sum += loss_value * idx.size
             sample_count += idx.size
 
@@ -740,19 +744,12 @@ def predict(params: ModelParams, data: Dataset) -> np.ndarray:
 
 
 def save_checkpoint(path: str | os.PathLike, params: ModelParams) -> None:
-    """Validate the parameters and write them to a binary checkpoint, atomically.
-
-    Layout: 8-byte magic, u32 version, f64 dropout rate, u32 layer counts for
-    encoder and head, per-layer (out, in) u32 pairs, the parameter vector as
-    row-major little-endian f64 (each layer's weight then bias, in order), and
-    a trailing CRC32 of everything before it.
-    """
+    """Validate the parameters and write them to a binary checkpoint, in the
+    layout the module docstring gives, atomically."""
     params = ModelParams(params.encoder_layers, params.head_layers, params.dropout_rate)
-    header = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
-    header.append(struct.pack("<d", params.dropout_rate))
-    header.append(struct.pack("<II", len(params.encoder_layers), len(params.head_layers)))
-    header += [struct.pack("<II", out_dim, in_dim) for out_dim, in_dim in params.layout[1]]
-    payload = b"".join(header) + params.vector.astype("<f8", copy=False).tobytes()
+    n_enc, shapes = params.layout
+    header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, params.dropout_rate, n_enc, len(shapes) - n_enc)
+    payload = header + np.array(shapes, dtype="<u4").tobytes() + params.vector.astype("<f8", copy=False).tobytes()
     atomic_write(path, payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
@@ -767,32 +764,25 @@ def load_checkpoint(path: str | os.PathLike) -> ModelParams:
             blob = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if len(blob) < len(CHECKPOINT_MAGIC) + 4 + 4:
+    if len(blob) < len(CHECKPOINT_MAGIC) + 4 + 4:  # magic, version and checksum
         raise CheckpointError(f"checkpoint {path} is truncated")
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+    # Zero-padded, so that a file too short for the whole header still shows its
+    # magic and version; the length check below then calls it truncated.
+    magic, version, dropout, n_enc, n_head = _HEADER.unpack(blob[: _HEADER.size].ljust(_HEADER.size, b"\0"))
+    if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint file (bad magic)")
     payload, (crc_stored,) = blob[:-4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
         raise CheckpointError(f"checkpoint {path} failed its checksum")
-    off = len(CHECKPOINT_MAGIC)
-
-    def take(fmt: str) -> tuple:
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(payload):
-            raise CheckpointError(f"checkpoint {path} is truncated")
-        vals = struct.unpack_from(fmt, payload, off)
-        off += size
-        return vals
-
-    (version,) = take("<I")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint {path} has format version {version}, expected {CHECKPOINT_VERSION}"
         )
-    (dropout,) = take("<d")
-    n_enc, n_head = take("<II")
-    shapes = tuple(take("<II") for _ in range(n_enc + n_head))
+    off = _HEADER.size + 8 * (n_enc + n_head)
+    if len(payload) < off:
+        raise CheckpointError(f"checkpoint {path} is truncated")
+    # As Python ints, so that the size sum below cannot wrap.
+    shapes = np.frombuffer(payload[_HEADER.size : off], dtype="<u4").reshape(-1, 2).tolist()
     body = len(payload) - off
     expected = 8 * sum(out_dim * (in_dim + 1) for out_dim, in_dim in shapes)
     if body < expected:

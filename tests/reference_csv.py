@@ -6,10 +6,11 @@ callback, parses its int columns its own way (``int`` over a column, one
 ``np.array`` call, a list comprehension) and checks its own label range.
 The text pass is a frozen copy of ``cli._read_table`` and
 ``cli._record_lines`` as the declarations left them, and the twin reader
-one of ``cli._read_twin`` and ``cli._twin_key``, so a change to any of
-them in ``ordchange.cli`` shows as a difference. The oracle shares with
-``ordchange.cli`` only ``_check_unique`` and the ``Predictions`` and
-``Dataset`` tables.
+one of ``cli._read_twin`` and ``cli._twin_key``. The repeated-id check
+``_check_unique`` and the prediction simplex tolerance
+``_ROUNDED_PROB_TOL`` are frozen copies too, so a change to any of them in
+``ordchange.cli`` shows as a difference. The oracle shares with
+``ordchange.cli`` only the ``Predictions`` and ``Dataset`` tables.
 """
 
 from __future__ import annotations
@@ -18,14 +19,26 @@ import csv
 import os
 import re
 import zlib
+from collections import Counter
 from itertools import chain, islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ordchange.cli import _ROUNDED_PROB_TOL, Predictions, _check_unique
+from ordchange.cli import Predictions
 from ordchange.core import ClassLabel, Dataset, Task, as_prob_rows
-from ordchange.errors import DataError, InvalidInputError
+from ordchange.errors import AlignmentError, DataError, InvalidInputError
+
+# The simplex tolerance of a prediction row read back: 9 written decimals
+# move each of up to 4 probabilities by at most 0.5e-9.
+_ROUNDED_PROB_TOL = 3e-9
+
+
+def _check_unique(path: str | os.PathLike, case_ids: Sequence[str]) -> None:
+    counts = Counter(case_ids)
+    if len(counts) != len(case_ids):
+        repeated = next(key for key, n in counts.items() if n > 1)
+        raise AlignmentError(f"{path}: case_id {repeated!r} appears more than once")
 
 
 def _twin_key(path: str | os.PathLike) -> list[int]:

@@ -535,8 +535,12 @@ class TestTrainRejectsItsData:
             ("t2", "beta1=1.5", "adam betas must lie in [0, 1)", 3),
             ("t2", "weight_decay=-1", "weight_decay must be >= 0, got -1.0", 3),
             ("t2", "optimizer=sgd\nlr=1e300\nweight_decay=1e10", "the optimizer step produced non-finite parameters", 4),
+            # The diagnostics name the loss's own terms, each times its weight in the combined loss.
+            ("t2", "loss=focal\nalpha=1e308", "non-finite loss at epoch 0 batch 0: focal=inf", 4),
+            ("t2", "focal_weight=1e308\nemd_weight=1e308", "non-finite loss at epoch 0 batch 0: focal=inf emd=inf", 4),
         ],
-        ids=["task", "head_input", "folds", "val_ratio", "beta1", "weight_decay", "non_finite_step"],
+        ids=["task", "head_input", "folds", "val_ratio", "beta1", "weight_decay", "non_finite_step",
+             "focal_diagnostics", "weighted_diagnostics"],
     )
     def test_exit_with_one_line(self, workdir, t1_data, tmp_path, capsys, task, settings, message, code):
         data = t1_data if task == "t1" else workdir / "data" / "dataset.csv"
@@ -549,6 +553,22 @@ class TestTrainRejectsItsData:
         err = capsys.readouterr().err
         assert err == f"error: {message.format(data=data)}\n"
         assert not list(tmp_path.glob("m.*"))
+
+    def test_head_input_checked_before_the_data_is_read(self, tmp_path, capsys):
+        (tmp_path / "train.cfg").write_text("task=t1\nloss=focal\nencoder_dims=5,8\nhead_dims=8,4\n")
+        argv = ["train", "--config", str(tmp_path / "train.cfg"), "--data", str(tmp_path / "missing.csv")]
+        assert main([*argv, "--out", str(tmp_path / "m.ckpt")]) == 3
+        assert capsys.readouterr().err == "error: head input 8 must be 16 for pair rows with encoder output 8\n"
+
+    def test_undersampling_factor_past_the_majority_keeps_it_whole(self, workdir, tmp_path, capsys):
+        # 1e308 times the largest minority count is inf; the cap is the majority's count.
+        data = str(workdir / "data" / "dataset.csv")
+        for name, factor in (("huge", "1e308"), ("whole", "100.0")):
+            (tmp_path / f"{name}.cfg").write_text(TRAIN_CFG + f"undersample_majority={factor}\n")
+            argv = ["train", "--config", str(tmp_path / f"{name}.cfg"), "--data", data]
+            assert main([*argv, "--out", str(tmp_path / f"{name}.ckpt")]) == 0
+        assert (tmp_path / "huge.ckpt").read_bytes() == (tmp_path / "whole.ckpt").read_bytes()
+        assert "error" not in capsys.readouterr().err
 
     def test_undersampling_a_single_class_exit_2(self, tmp_path, capsys):
         (tmp_path / "gen.cfg").write_text(GEN_CFG.replace("class_ratios=0.25,0.5,0.25", "class_ratios=0,1,0"))

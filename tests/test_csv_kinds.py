@@ -208,6 +208,19 @@ def test_a_stale_or_misshaped_twin_is_not_read(bases, kind, fault, tmp_path):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_a_repeated_record_reads_as_the_reference_reads_it(bases, kind, tmp_path):
+    """Both readers reject a file whose last record appears twice, with the
+    same error; the edited examples below reach this case only by chance."""
+    text, twin = bases[kind]
+    path = tmp_path / "file.csv"
+    path.write_bytes(text + text.rstrip(b"\n").rpartition(b"\n")[2] + b"\n")
+    if twin is not None:  # stale, so both readers parse the text
+        Path(f"{path}.npy").write_bytes(twin)
+    new, old = (outcome(read, path) for read in readers(kind))
+    assert new[0] != "ok" and new == old
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_edited_files_read_as_the_reference_reads_them(bases, kind, data):

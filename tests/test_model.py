@@ -16,7 +16,6 @@ from ordchange.errors import (
     ConfigError,
     DataError,
     InvalidInputError,
-    InvalidStateError,
     NumericError,
 )
 from ordchange.losses import LossConfig, batch_loss_gradient
@@ -230,7 +229,7 @@ class TestBackward:
         np.testing.assert_array_equal(grads, np.zeros_like(params.vector))
 
     def test_stale_cache_rejected(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(InvalidInputError, match="training forward pass"):
             backward({"bogus": 1}, np.zeros(3))
 
     def test_grad_shape_mismatch_rejected(self):
@@ -319,7 +318,7 @@ class TestInferencePass:
         params = init_params((4, 6), (6, 3), seed=1)
         logits, cache = forward(params, (np.ones((2, 4)),), training=False)
         assert logits.shape == (2, 3) and cache is None
-        with pytest.raises(InvalidStateError, match="training forward pass"):
+        with pytest.raises(InvalidInputError, match="training forward pass"):
             backward(cache, np.zeros_like(logits))
 
     @pytest.mark.parametrize("encoder, head", [((5, 9, 7), (7, 3)), ((5, 6), (12, 8, 4))], ids=["plain", "siamese"])
@@ -363,8 +362,8 @@ class TestOptimizers:
     def test_sgd_lr_one_gradient_equals_params(self):
         params = init_params((3, 4), (4, 3), seed=0)
         state = init_optimizer_state(OptimizerConfig(kind="sgd"), params)
-        new, _ = optimizer_step(state, params, params.vector.copy(), lr=1.0)
-        for w, b in (*new.encoder_layers, *new.head_layers):
+        optimizer_step(state, params, params.vector.copy(), lr=1.0)
+        for w, b in (*params.encoder_layers, *params.head_layers):
             np.testing.assert_array_equal(w, np.zeros_like(w))
             np.testing.assert_array_equal(b, np.zeros_like(b))
 
@@ -372,10 +371,10 @@ class TestOptimizers:
         params = single_layer_params(np.array([[2.0, -4.0]]))
         grads = np.array([1.0, 1.0, 0.0])  # w (1, 2), then b (1,)
         cfg = OptimizerConfig(kind="sgd", weight_decay=0.1)
-        new, _ = optimizer_step(init_optimizer_state(cfg, params), params, grads, lr=0.5)
+        optimizer_step(init_optimizer_state(cfg, params), params, grads, lr=0.5)
         # p - lr*g - lr*wd*p
         np.testing.assert_allclose(
-            new.head_layers[0][0], np.array([[2.0 - 0.5 - 0.1, -4.0 - 0.5 + 0.2]])
+            params.head_layers[0][0], np.array([[2.0 - 0.5 - 0.1, -4.0 - 0.5 + 0.2]])
         )
 
     def test_adam_first_step_is_signlike(self):
@@ -385,16 +384,27 @@ class TestOptimizers:
         cfg = OptimizerConfig(kind="adam")
         # After bias correction the first update is -lr * g/(|g| + eps).
         expected = params.head_layers[0][0] - 0.1 * g / (np.abs(g) + cfg.eps)
-        new, state = optimizer_step(init_optimizer_state(cfg, params), params, grads, lr=0.1)
-        np.testing.assert_allclose(new.head_layers[0][0], expected, atol=1e-12)
+        state = init_optimizer_state(cfg, params)
+        optimizer_step(state, params, grads, lr=0.1)
+        np.testing.assert_allclose(params.head_layers[0][0], expected, atol=1e-12)
         assert state.step == 1
 
     def test_adam_zero_gradient_is_fixed_point(self):
         params = init_params((3, 4), (4, 3), seed=2)
         state = init_optimizer_state(OptimizerConfig(kind="adam"), params)
         before = params.vector.copy()
-        new, _ = optimizer_step(state, params, np.zeros_like(params.vector), lr=0.5)
-        np.testing.assert_array_equal(new.vector, before)
+        optimizer_step(state, params, np.zeros_like(params.vector), lr=0.5)
+        np.testing.assert_array_equal(params.vector, before)
+
+    def test_step_updates_the_state_in_place(self):
+        params = init_params((3, 4), (4, 3), seed=2)
+        state = init_optimizer_state(OptimizerConfig(kind="adam"), params)
+        vector, m, v = params.vector, state.m, state.v
+        grads = np.random.default_rng(0).normal(size=params.vector.size)
+        for step in (1, 2):
+            assert optimizer_step(state, params, grads, lr=0.1) is None
+            assert state.step == step and state.m is m and state.v is v and params.vector is vector
+        assert np.all(m != 0) and np.all(v > 0)
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_signed_zero_with_a_zero_step(self, kind):
@@ -404,8 +414,8 @@ class TestOptimizers:
             params = init_params((3, 4), (4, 3), seed=0)
             params.vector[0] = -0.0
             state = init_optimizer_state(OptimizerConfig(kind=kind, weight_decay=decay), params)
-            new, _ = optimizer_step(state, params, np.zeros_like(params.vector), lr=0.5)
-            assert new.vector[0] == 0.0 and bool(np.signbit(new.vector[0])) is negative
+            optimizer_step(state, params, np.zeros_like(params.vector), lr=0.5)
+            assert params.vector[0] == 0.0 and bool(np.signbit(params.vector[0])) is negative
 
     def test_bad_lr_rejected(self):
         params = init_params((3, 4), (4, 3))
@@ -484,6 +494,15 @@ class TestBatching:
         counts = np.bincount(labels[pooled], minlength=3)
         np.testing.assert_array_equal(counts, [150, 150, 50])
         assert np.unique(pooled).size == pooled.size  # no duplication in this mode
+
+    def test_undersample_factor_past_the_majority_keeps_it_whole(self):
+        # 1e308 * 150 overflows to inf; the cap is the majority's 800 rows.
+        labels = labels_with_counts({0: 800, 1: 150, 2: 50})
+        cfgs = [TrainConfig(undersample_majority=u, batch_size=64, encoder_dims=(3, 4), head_dims=(4, 3))
+                for u in (1e308, 6.0)]
+        huge, whole = (make_batches(labels, cfg, np.random.default_rng(0)) for cfg in cfgs)
+        assert len(huge) == len(whole) and all(np.array_equal(a, b) for a, b in zip(huge, whole))
+        assert np.array_equal(np.sort(np.concatenate(huge)), np.arange(labels.size))
 
     def test_plain_mode_covers_everything_once(self):
         labels = labels_with_counts({0: 17, 1: 6})
