@@ -149,6 +149,13 @@ class ModelParams:
             raise ConfigError("parameters contain non-finite entries")
 
 
+def _head_input_error(head_input: int, encoder_output: int) -> ConfigError:
+    return ConfigError(
+        f"head input {head_input} must equal the encoder output {encoder_output}, "
+        "or twice it when the encoder has layers"
+    )
+
+
 def init_params(
     encoder_dims: Sequence[int],
     head_dims: Sequence[int],
@@ -176,10 +183,7 @@ def init_params(
         raise ConfigError(f"head_dims needs at least (in, out) positive ints, got {head_dims!r}")
     # Twice the encoder output is the siamese head, which needs an encoder to share.
     if head[0] != enc[-1] and (head[0] != 2 * enc[-1] or len(enc) == 1):
-        raise ConfigError(
-            f"head input {head[0]} must equal the encoder output {enc[-1]}, "
-            "or twice it when the encoder has layers"
-        )
+        raise _head_input_error(head[0], enc[-1])
     rng = np.random.default_rng(seed)
 
     def draw(chain: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -546,6 +550,8 @@ class TrainConfig:
                 f"head input {self.head_dims[0]} must be {branches * self.encoder_dims[-1]} for "
                 f"{'pair' if branches == 2 else 'plain'} rows with encoder output {self.encoder_dims[-1]}"
             )
+        if branches == 2 and len(self.encoder_dims) == 1 and self.head_dims:  # no encoder for the pair to share
+            raise _head_input_error(self.head_dims[0], self.encoder_dims[-1])
         if self.folds < 0 or self.folds == 1:
             raise ConfigError(f"folds must be 0 (single split) or >= 2, got {self.folds}")
         if not (0.0 < self.val_ratio < 1.0):

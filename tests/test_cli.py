@@ -560,6 +560,15 @@ class TestTrainRejectsItsData:
         assert main([*argv, "--out", str(tmp_path / "m.ckpt")]) == 3
         assert capsys.readouterr().err == "error: head input 8 must be 16 for pair rows with encoder output 8\n"
 
+    def test_pair_head_without_encoder_layers_checked_before_the_data_is_read(self, tmp_path, capsys):
+        (tmp_path / "train.cfg").write_text("task=t1\nloss=focal\nencoder_dims=8\nhead_dims=16,4\n")
+        argv = ["train", "--config", str(tmp_path / "train.cfg"), "--data", str(tmp_path / "missing.csv")]
+        assert main([*argv, "--out", str(tmp_path / "m.ckpt")]) == 3
+        assert capsys.readouterr().err == (
+            "error: head input 16 must equal the encoder output 8, or twice it when the encoder has layers\n"
+        )
+        assert not list(tmp_path.glob("m.*"))
+
     def test_undersampling_factor_past_the_majority_keeps_it_whole(self, workdir, tmp_path, capsys):
         # 1e308 times the largest minority count is inf; the cap is the majority's count.
         data = str(workdir / "data" / "dataset.csv")

@@ -2,13 +2,19 @@
 bytes for any table of text columns and float rows, once each row's CR LF
 line end is cut to LF. Text ids that hold commas, quotes, carriage returns
 and line breaks read back as written, and writing them again gives the same
-bytes. ``csv.writer`` is kept here as the oracle only."""
+bytes. ``csv.writer`` is kept here as the oracle only. The same oracle checks
+the split path, where a forked process formats the second half of the rows,
+and the tests below it check what a failure on either side leaves behind."""
 
+import contextlib
 import csv
 import io
 import math
+import os
 import tempfile
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -135,3 +141,130 @@ def check_round_trip(data: Dataset) -> None:
             assert getattr(pred, name).tolist() == getattr(table, name).tolist(), name
         cli.write_predictions_csv(again, pred)
         assert again.read_bytes() == first.read_bytes()
+
+
+# --- the split path: a forked process formats the second half of the rows -------------------
+
+
+@contextlib.contextmanager
+def split_every_float_table(forks: list[int] | None = None):
+    """Make ``_write_csv`` split any non-empty float matrix, as on a host with
+    two usable CPUs, and append the pid of each process it forks to ``forks``."""
+    real_fork = os.fork
+
+    def fork() -> int:
+        pid = real_fork()
+        if pid and forks is not None:
+            forks.append(pid)
+        return pid
+
+    with mock.patch.object(cli, "_SPLIT_VALUES", 1), mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}), \
+            mock.patch.object(os, "fork", fork):
+        yield
+
+
+@st.composite
+def split_tables(draw) -> tuple[list[str], list[list], np.ndarray]:
+    """Tables of 1-7 rows (odd counts put the extra row in the second half)
+    whose ids and floats are mostly the edge cases, on both sides of the split."""
+    n_rows = draw(st.integers(1, 7))
+    columns = [draw(st.lists(fields, min_size=n_rows, max_size=n_rows)) for _ in range(draw(st.integers(1, 3)))]
+    width = draw(st.integers(1, 3))
+    matrix = np.array(draw(st.lists(floats, min_size=n_rows * width, max_size=n_rows * width))).reshape(n_rows, width)
+    return draw(st.lists(texts, min_size=len(columns) + width, max_size=len(columns) + width)), columns, matrix
+
+
+EDGE_ROWS = np.array([[math.nan, math.inf], [-math.inf, -0.0], [5e-324, -5e-324], [0.1, 1e16], [-0.0, math.nan]])
+EDGE_IDS = ["a,b", 'say "hi"', "x\ry", "\n", 'P,"0"']
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=split_tables())
+@example(table=(["id", "f0"], [[","]], np.array([[math.nan]])))  # one row: the parent writes only the header
+@example(table=(["id", "f0", "f1"], [EDGE_IDS], EDGE_ROWS))  # five rows: two in the parent, three in the child
+@example(table=(["id", "f0", "f1"], [EDGE_IDS[::-1][:4]], EDGE_ROWS[::-1][:4]))
+def test_split_writer_matches_csv_writer(table):
+    header, columns, matrix = table
+    forks = []
+    with tempfile.TemporaryDirectory() as tmp, split_every_float_table(forks):
+        path = Path(tmp) / "table.csv"
+        cli._write_csv(path, header, columns, matrix)
+        assert path.read_bytes() == csv_writer_bytes(header, columns, matrix)
+        assert len(forks) == 1 and os.listdir(tmp) == ["table.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("affinity", [lambda pid: {0}, None], ids=["one usable CPU", "no affinity call"])
+def test_without_a_second_cpu_the_same_bytes_are_written_without_forking(tmp_path, monkeypatch, affinity):
+    header, columns = ["id", "f0", "f1"], [EDGE_IDS]
+    monkeypatch.setattr(cli, "_SPLIT_VALUES", 1)
+    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+    if affinity is None:  # as on macOS, which has fork but not sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", affinity)
+    cli._write_csv(tmp_path / "table.csv", header, columns, EDGE_ROWS)
+    assert (tmp_path / "table.csv").read_bytes() == csv_writer_bytes(header, columns, EDGE_ROWS)
+
+
+def test_a_small_table_is_written_by_one_process(tmp_path):
+    rows = np.ones((cli._SPLIT_VALUES // 4 - 1, 4))
+    with mock.patch.object(os, "fork", mock.Mock(side_effect=AssertionError("forked"))):
+        cli._write_csv(tmp_path / "table.csv", ["id", "a", "b", "c", "d"], [range(len(rows))], rows)
+    assert (tmp_path / "table.csv").read_bytes() == csv_writer_bytes(
+        ["id", "a", "b", "c", "d"], [list(range(len(rows)))], rows
+    )
+
+
+GEN_CFG = "task=t2\nn_patients=3\nvisits_min=2\nvisits_max=2\nbscans_min=2\nbscans_max=3\nfeature_dim=3\nseed=4\n"
+
+
+def gen_once(root: Path, capsys) -> tuple[Path, bytes]:
+    """Run ``gen`` once into ``root/d``; return the dataset path and its bytes."""
+    (root / "gen.cfg").write_text(GEN_CFG)
+    assert cli.main(["gen", "--config", str(root / "gen.cfg"), "--out", str(root / "d")]) == 0
+    capsys.readouterr()
+    return root / "d" / "dataset.csv", (root / "d" / "dataset.csv").read_bytes()
+
+
+def test_a_failed_child_exits_2_and_keeps_the_old_file(tmp_path, capsys):
+    dataset, old = gen_once(tmp_path, capsys)
+    parent, write_lines = os.getpid(), cli._write_lines
+
+    def fail_in_child(fh, lines):
+        if os.getpid() != parent:
+            raise OSError("no space left for the second half")
+        write_lines(fh, lines)
+
+    (tmp_path / "gen.cfg").write_text(GEN_CFG.replace("seed=4", "seed=5"))
+    with split_every_float_table(), mock.patch.object(cli, "_write_lines", fail_in_child):
+        assert cli.main(["gen", "--config", str(tmp_path / "gen.cfg"), "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {dataset}: the process that formats its second half exited 1\n"
+    assert dataset.read_bytes() == old
+    assert not list((tmp_path / "d").glob("*.tmp.*"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_parent_that_fails_mid_half_kills_and_reaps_its_child(tmp_path, capsys):
+    dataset, old = gen_once(tmp_path, capsys)
+    parent, write_lines = os.getpid(), cli._write_lines
+
+    def stall_child_fail_parent(fh, lines):
+        if os.getpid() != parent:
+            time.sleep(60)  # still running when the parent fails, unless killed
+            write_lines(fh, lines)
+        else:
+            next(iter(lines))
+            raise OSError("disk full")
+
+    start = time.monotonic()
+    with split_every_float_table(), mock.patch.object(cli, "_write_lines", stall_child_fail_parent):
+        assert cli.main(["gen", "--config", str(tmp_path / "gen.cfg"), "--out", str(tmp_path / "d")]) == 2
+    assert time.monotonic() - start < 30
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert dataset.read_bytes() == old and not list((tmp_path / "d").glob("*.tmp.*"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -18,6 +18,7 @@ import reference_dataset as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cli_fuzz import SPECIAL
+from test_csv_writer import split_every_float_table
 
 import ordchange.cli as cli
 from ordchange.cli import main, read_dataset_csv, write_dataset_csv
@@ -118,6 +119,21 @@ def test_gen_output_matches_golden_digest(task, tmp_path):
     _, data, _ = read_dataset_csv(tmp_path / "d" / "dataset.csv")
     write_dataset_csv(tmp_path / "again.csv", data)
     assert (tmp_path / "again.csv").read_bytes() == dataset
+
+
+@pytest.mark.parametrize("task", sorted(GOLDEN))
+def test_gen_output_split_across_two_processes_matches_golden_digest(task, tmp_path):
+    """With the split size patched down, a forked process formats the second
+    half of these small datasets; the files keep their golden bytes."""
+    config, dataset_sha, truth_sha, twin_sha = GOLDEN[task]
+    (tmp_path / "gen.cfg").write_text(config)
+    forks = []
+    with split_every_float_table(forks), contextlib.redirect_stdout(None):
+        assert main(["gen", "--config", str(tmp_path / "gen.cfg"), "--out", str(tmp_path / "d")]) == 0
+    assert len(forks) == 1  # dataset.csv; truth.csv holds no floats
+    assert hashlib.sha256((tmp_path / "d" / "dataset.csv").read_bytes()).hexdigest() == dataset_sha
+    assert hashlib.sha256((tmp_path / "d" / "truth.csv").read_bytes()).hexdigest() == truth_sha
+    assert hashlib.sha256((tmp_path / "d" / "dataset.csv.npy").read_bytes()).hexdigest() == twin_sha
 
 
 def test_spaces_around_quotes_split_as_the_csv_module_splits_them(tmp_path):

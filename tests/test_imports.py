@@ -94,3 +94,22 @@ def test_gen_and_train_do_not_load_numpy_ma(tmp_path, folds):
     done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=ENV, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_gen_and_train_load_no_process_pool_module(tmp_path):
+    """``gen`` splits its CSV rows with ``os.fork`` alone; importing
+    ``multiprocessing`` or ``concurrent.futures`` would charge every command's
+    start-up. The split size is patched down so that this small ``gen`` forks."""
+    (tmp_path / "gen.cfg").write_text("task=t2\nn_patients=4\nvisits_min=2\nvisits_max=2\nfeature_dim=3\n")
+    (tmp_path / "train.cfg").write_text("task=t2\nencoder_dims=3,4\nhead_dims=4,3\nepochs=1\n")
+    probe = (
+        "import os, sys\nimport ordchange.cli as cli\n"
+        "cli._SPLIT_VALUES, os.sched_getaffinity, fork, forks = 1, lambda pid: {0, 1}, os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "assert cli.main(['gen', '--config', 'gen.cfg', '--out', 'd']) == 0 and forks\n"
+        "assert cli.main(['train', '--config', 'train.cfg', '--data', 'd/dataset.csv', '--out', 'm.ckpt']) == 0\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=ENV, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines()[-1] == "[]"
