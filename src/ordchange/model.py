@@ -4,11 +4,12 @@ The network is an encoder stack of ReLU layers followed by a head whose final
 layer is linear. The plain model is the one-branch case of the siamese one:
 the shared encoder embeds each branch's input, and the head reads the
 embeddings side by side, so its input width is the encoder output times the
-number of branches (``ModelParams.n_branches``, 1 or 2). ``TrainConfig``
-checks that width against its task's ``Task.n_branches`` when it is built,
-before any data is read. Dropout, when enabled, applies to the head input
-only and only during training (inverted scaling, so inference needs no
-correction); its mask is built in place, in the buffer of its uniform draw.
+number of branches (``ModelParams.n_branches``, 1 or 2). ``_branches`` states
+that rule once, for ``ModelParams``, ``init_params`` and ``TrainConfig``, which
+checks it against its task's ``Task.n_branches`` when it is built, before any
+data is read. Dropout, when enabled, applies to the head input only and only
+during training (inverted scaling, so inference needs no correction); its
+mask is built in place, in the buffer of its uniform draw.
 
 Everything is numpy with explicit caches and hand-written backpropagation:
 ``forward`` takes one (N, d) matrix per branch, adds each bias and applies
@@ -93,6 +94,21 @@ def _views(vector: np.ndarray, layout: tuple) -> tuple[tuple, tuple]:
     return tuple(views[:n_encoder]), tuple(views[n_encoder:])
 
 
+def _branches(enc: Sequence[int], head: Sequence[int]) -> int:
+    """How many encoder outputs (1 or 2) the head reads side by side: the
+    network's one shape rule, on the encoder and head width chains, each
+    with its input width first. Raises ConfigError where they break it."""
+    if len(enc) < 1 or any(d < 1 for d in enc):
+        raise ConfigError(f"encoder_dims must be positive ints, got {enc!r}")
+    if len(head) < 2 or any(d < 1 for d in head):
+        raise ConfigError(f"head_dims needs at least (in, out) positive ints, got {head!r}")
+    if head[0] != enc[-1] and (head[0] != 2 * enc[-1] or len(enc) == 1):
+        raise ConfigError(
+            f"head input {head[0]} must equal the encoder output {enc[-1]}, or twice it when the encoder has layers"
+        )
+    return head[0] // enc[-1]
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Weights of the encoder and head stacks plus the dropout rate.
@@ -101,11 +117,11 @@ class ModelParams:
     input width is the encoder output times ``n_branches``: 1 for the plain
     model, 2 for the siamese one.
 
-    The constructor validates the layers, copies them into ``vector`` and
-    states the topology once: ``input_dim``, ``encoder_output_dim`` (the
-    input width when there is no encoder), ``n_branches`` and ``head_offset``,
-    where the head's parameters start in ``vector``. ``encoder_layers`` and
-    ``head_layers`` are then views into ``vector``.
+    The constructor validates the layers and, by ``_branches``, their widths,
+    copies them into ``vector`` and states the topology once: ``input_dim``,
+    ``encoder_output_dim`` (the input width without an encoder), ``n_branches``
+    and ``head_offset``, where the head's parameters start in ``vector``.
+    ``encoder_layers`` and ``head_layers`` are then views into ``vector``.
     """
 
     encoder_layers: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -133,27 +149,18 @@ class ModelParams:
                 raise ConfigError(f"{where}: weight {w.shape} has a zero dimension")
             if i not in (0, n_enc) and w.shape[1] != layers[i - 1][0].shape[0]:
                 raise ConfigError(f"{where} input {w.shape[1]} breaks the chain")
-        head_in = layers[n_enc][0].shape[1]
-        enc_out = layers[n_enc - 1][0].shape[0] if n_enc else head_in
-        if head_in not in (enc_out, 2 * enc_out):
-            raise ConfigError(f"head input {head_in} must equal the encoder output {enc_out} or twice it")
+        enc = (layers[0][0].shape[1], *(w.shape[0] for w, _ in self.encoder_layers))
+        n_branches = _branches(enc, (layers[n_enc][0].shape[1], *(w.shape[0] for w, _ in self.head_layers)))
         vector = np.concatenate([np.ravel(a) for layer in layers for a in layer]).astype(np.float64, copy=False)
         layout = (n_enc, tuple(w.shape for w, _ in layers))
         encoder, head = _views(vector, layout)
         vars(self).update(
             encoder_layers=encoder, head_layers=head, vector=vector, layout=layout,
-            input_dim=layers[0][0].shape[1], encoder_output_dim=enc_out, n_branches=head_in // enc_out,
+            input_dim=enc[0], encoder_output_dim=enc[-1], n_branches=n_branches,
             head_offset=sum(w.size + b.size for w, b in encoder),
         )
         if not np.all(np.isfinite(self.vector)):
             raise ConfigError("parameters contain non-finite entries")
-
-
-def _head_input_error(head_input: int, encoder_output: int) -> ConfigError:
-    return ConfigError(
-        f"head input {head_input} must equal the encoder output {encoder_output}, "
-        "or twice it when the encoder has layers"
-    )
 
 
 def init_params(
@@ -171,19 +178,13 @@ def init_params(
     Args:
         encoder_dims: dims chain of the encoder, e.g. (8, 16); a single entry
             means no encoder layers and the head consumes inputs directly.
-        head_dims: dims chain of the head, e.g. (16, 3). The first entry must
-            equal the encoder output, or twice it for the siamese topology,
-            which needs at least one encoder layer.
+        head_dims: dims chain of the head, e.g. (16, 3); ``_branches`` checks
+            both chains. Its first entry is the encoder output, or twice it
+            for the siamese topology, which needs an encoder layer.
     """
     enc = tuple(int(d) for d in encoder_dims)
     head = tuple(int(d) for d in head_dims)
-    if len(enc) < 1 or any(d < 1 for d in enc):
-        raise ConfigError(f"encoder_dims must be positive ints, got {encoder_dims!r}")
-    if len(head) < 2 or any(d < 1 for d in head):
-        raise ConfigError(f"head_dims needs at least (in, out) positive ints, got {head_dims!r}")
-    # Twice the encoder output is the siamese head, which needs an encoder to share.
-    if head[0] != enc[-1] and (head[0] != 2 * enc[-1] or len(enc) == 1):
-        raise _head_input_error(head[0], enc[-1])
+    _branches(enc, head)
     rng = np.random.default_rng(seed)
 
     def draw(chain: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -539,19 +540,18 @@ class TrainConfig:
             raise ConfigError("balanced_batches and undersample_majority cannot both be active")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.head_dims and self.head_dims[-1] != self.task.n_classes:
+        n_branches = _branches(self.encoder_dims, self.head_dims)
+        if self.head_dims[-1] != self.task.n_classes:
             raise ConfigError(
                 f"head output {self.head_dims[-1]} must equal the task's {self.task.n_classes} classes"
             )
         # The head reads the encoder output of each of the task's branches side by side.
         branches = self.task.n_branches
-        if self.head_dims and self.encoder_dims and self.head_dims[0] != branches * self.encoder_dims[-1]:
+        if n_branches != branches:
             raise ConfigError(
                 f"head input {self.head_dims[0]} must be {branches * self.encoder_dims[-1]} for "
                 f"{'pair' if branches == 2 else 'plain'} rows with encoder output {self.encoder_dims[-1]}"
             )
-        if branches == 2 and len(self.encoder_dims) == 1 and self.head_dims:  # no encoder for the pair to share
-            raise _head_input_error(self.head_dims[0], self.encoder_dims[-1])
         if self.folds < 0 or self.folds == 1:
             raise ConfigError(f"folds must be 0 (single split) or >= 2, got {self.folds}")
         if not (0.0 < self.val_ratio < 1.0):

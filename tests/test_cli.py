@@ -554,11 +554,23 @@ class TestTrainRejectsItsData:
         assert err == f"error: {message.format(data=data)}\n"
         assert not list(tmp_path.glob("m.*"))
 
-    def test_head_input_checked_before_the_data_is_read(self, tmp_path, capsys):
-        (tmp_path / "train.cfg").write_text("task=t1\nloss=focal\nencoder_dims=5,8\nhead_dims=8,4\n")
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ("task=t1\nloss=focal\nencoder_dims=5,8\nhead_dims=8,4",
+             "head input 8 must be 16 for pair rows with encoder output 8"),
+            # Without head_dims a t2 head is (encoder output, 3), so these two break the rule in the encoder.
+            ("task=t2\nencoder_dims=16,0", "encoder_dims must be positive ints, got (16, 0)"),
+            ("task=t2\nencoder_dims=16,-4", "encoder_dims must be positive ints, got (16, -4)"),
+            ("task=t2\nencoder_dims=16,3\nhead_dims=3", "head_dims needs at least (in, out) positive ints, got (3,)"),
+        ],
+        ids=["pair_head_input", "zero_width", "negative_width", "one_entry_head"],
+    )
+    def test_head_input_checked_before_the_data_is_read(self, tmp_path, capsys, settings, message):
+        (tmp_path / "train.cfg").write_text(settings + "\n")
         argv = ["train", "--config", str(tmp_path / "train.cfg"), "--data", str(tmp_path / "missing.csv")]
         assert main([*argv, "--out", str(tmp_path / "m.ckpt")]) == 3
-        assert capsys.readouterr().err == "error: head input 8 must be 16 for pair rows with encoder output 8\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_pair_head_without_encoder_layers_checked_before_the_data_is_read(self, tmp_path, capsys):
         (tmp_path / "train.cfg").write_text("task=t1\nloss=focal\nencoder_dims=8\nhead_dims=16,4\n")
@@ -738,8 +750,10 @@ class TestPredict:
             (zero_checkpoint([(4, 5), (8, 7)], [(3, 8)]), "encoder layer 1 input 7 breaks the chain"),
             (zero_checkpoint([(8, 5)], []), "model needs at least one head layer"),
             (with_dropout(zero_checkpoint([(8, 5)], [(3, 8)]), 1.0), "dropout_rate must lie in [0, 1), got 1.0"),
+            (zero_checkpoint([(8, 5)], [(3, 9)]),
+             "head input 9 must equal the encoder output 8, or twice it when the encoder has layers"),
         ],
-        ids=["head_chain", "encoder_chain", "no_head_layer", "dropout_one"],
+        ids=["head_chain", "encoder_chain", "no_head_layer", "dropout_one", "head_input"],
     )
     def test_checkpoint_with_inconsistent_parameters_exit_5(self, workdir, tmp_path, capsys, blob, message):
         ckpt = tmp_path / "bad.ckpt"

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ordchange.model as model_mod
@@ -539,11 +539,36 @@ class TestTrainConfig:
             {"task": Task.T1, "loss_kind": "emd", "head_dims": (32, 4)},
             {"early_stop_patience": -1},
             {"freeze_head_epochs": 99},
+            {"encoder_dims": ()},
+            {"head_dims": ()},
+            {"encoder_dims": (16, 0), "head_dims": (0, 3)},
+            {"encoder_dims": (16, 3), "head_dims": (3,)},
         ],
     )
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
+
+    # A config builds exactly when its network does and fits the task's rows and classes.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        task=st.sampled_from(Task),
+        enc=st.lists(st.integers(-1, 6), max_size=3),
+        head=st.lists(st.integers(-1, 6), max_size=3),
+    )
+    @example(task=Task.T1, enc=[2, 3], head=[6, 4])
+    @example(task=Task.T2, enc=[5], head=[5, 3])
+    def test_shape_rule_agrees_with_init_params(self, task, enc, head):
+        try:
+            params = init_params(enc, head)
+        except ConfigError:
+            params = None
+        try:
+            TrainConfig(task=task, loss_kind="focal", encoder_dims=enc, head_dims=head)
+            builds = True
+        except ConfigError:
+            builds = False
+        assert builds == (params is not None and params.n_branches == task.n_branches and head[-1] == task.n_classes)
 
     def test_t1_with_focal_accepted(self):
         cfg = TrainConfig(task=Task.T1, loss_kind="focal", head_dims=(64, 4))
