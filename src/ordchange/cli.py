@@ -95,16 +95,15 @@ from .errors import (
 )
 
 # Names from the modules only some commands run, which importing ``cli`` does not load. A command binds the
-# names of its modules with ``_need``; ``__getattr__`` binds them for other readers. A schema comes with its config.
+# names of its modules with ``_need``; ``__getattr__`` binds them for other readers.
 _LAZY = {
-    "datagen": ("GenConfig", "GEN_SCHEMA", "gen_t1_pairs", "gen_t2_volumes"),
+    "datagen": ("GenConfig", "gen_t1_pairs", "gen_t2_volumes"),
     "ensemble": ("PostprocessConfig", "TieBreak", "mean_ensemble", "unanimity_ensemble", "volume_consistency"),
     "losses": ("LOSS_KINDS", "LossConfig", "check_loss_kind", "finite_difference_check"),
     "metrics": ("METRIC_NAMES", "MetricReport", "compute_report"),
-    "model": ("TrainConfig", "TRAIN_SCHEMA", "finite_difference_check_params", "init_params", "load_checkpoint",
-              "predict", "save_checkpoint", "train"),
+    "model": ("TrainConfig", "finite_difference_check_params", "init_params", "load_checkpoint", "predict",
+              "save_checkpoint", "train"),
 }
-_SCHEMA_OF = {"GEN_SCHEMA": "GenConfig", "TRAIN_SCHEMA": "TrainConfig"}
 
 
 def _need(*modules: str) -> None:
@@ -114,7 +113,7 @@ def _need(*modules: str) -> None:
     for module in modules:
         owner = importlib.import_module(f"{__package__}.{module}")
         for name in _LAZY[module]:
-            scope.setdefault(name, _schema(scope[_SCHEMA_OF[name]]) if name in _SCHEMA_OF else getattr(owner, name))
+            scope.setdefault(name, getattr(owner, name))
 
 
 def __getattr__(name: str):
@@ -453,9 +452,9 @@ def _schema(cls) -> dict[str, Callable[[str], object]]:
     return {key_of.get(name, name): _parser(default) for name, default in _field_defaults(cls).items()}
 
 
-def parse_kv_config(text: str, schema: dict[str, Callable[[str], object]], source: str) -> dict:
-    """Parse flat key=value configuration text against a typed schema."""
-    values: dict[str, object] = {}
+def parse_kv_config(text: str, cls, source: str) -> dict:
+    """Parse flat key=value configuration text against the keys of the config class ``cls``."""
+    schema, values = _schema(cls), {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -476,17 +475,6 @@ def parse_kv_config(text: str, schema: dict[str, Callable[[str], object]], sourc
     return values
 
 
-def _load_config(path: str | None, schema: dict[str, Callable[[str], object]]) -> tuple[dict, str]:
-    if path is None:
-        return {}, ""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return parse_kv_config(text, schema, source=path), text
-
-
 def _construct(cls, given: dict):
     """``cls`` from the given field values; nested configs are built from the
     same dict, and fields absent from it keep their defaults."""
@@ -499,17 +487,24 @@ def _construct(cls, given: dict):
     return cls(**kwargs)
 
 
-def _build_config(cls, values: dict, args):
-    """The ``cls`` config of a command from its parsed config values and its
-    command-line overrides."""
+def _build_config(cls, args) -> tuple:
+    """The ``cls`` config of a command, from the key=value file ``args.config``
+    (none when None) and then the command-line overrides, and that file's text."""
+    text = ""
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{args.config}: not UTF-8 text ({exc.reason})") from None
     overrides = {key: getattr(args, key, None) for key in ("task", "loss", "seed", "folds")}
-    given = {**values, **{key: value for key, value in overrides.items() if value is not None}}
+    given = {**parse_kv_config(text, cls, args.config), **{k: v for k, v in overrides.items() if v is not None}}
     given = {_FIELD_OF_KEY.get(key, key): value for key, value in given.items()}
     task = given["task"] = Task(given.get("task", cls.task))  # --task gives the text of a Task
     if hasattr(cls, "head_dims"):  # the default head reads each branch's encoder output
         encoder = given.get("encoder_dims", cls.encoder_dims)
         given.setdefault("head_dims", (task.n_branches * encoder[-1], task.n_classes))
-    return _construct(cls, given)
+    return _construct(cls, given), text
 
 
 # --- CSV kinds -------------------------------------------------------------------------
@@ -731,8 +726,7 @@ def _check_outputs(paths: Sequence[str | os.PathLike], inputs: Sequence[str | os
 
 def cmd_gen(args) -> tuple[Path, dict]:
     _need("datagen")
-    values, config_text = _load_config(args.config, GEN_SCHEMA)
-    cfg = _build_config(GenConfig, values, args)
+    cfg, config_text = _build_config(GenConfig, args)
     out_dir = Path(args.out)
     dataset_path, truth_path, manifest = out_dir / "dataset.csv", out_dir / "truth.csv", out_dir / "manifest.json"
     outputs = [str(dataset_path), f"{dataset_path}.npy", str(truth_path)]
@@ -762,8 +756,7 @@ def _fold_val_patients(patients: list[str], folds: int, val_ratio: float, seed: 
 
 def cmd_train(args) -> tuple[str, dict]:
     _need("model", "metrics")
-    values, config_text = _load_config(args.config, TRAIN_SCHEMA)
-    cfg = _build_config(TrainConfig, values, args)
+    cfg, config_text = _build_config(TrainConfig, args)
     out = Path(args.out)
     if cfg.folds >= 2:
         ckpt_paths = [out.with_name(f"{out.stem}.fold{i}{out.suffix}") for i in range(cfg.folds)]
@@ -783,6 +776,13 @@ def cmd_train(args) -> tuple[str, dict]:
     if len(patients) < 2:
         raise DataError("need at least two patients for a patient-disjoint split")
     val_sets = _fold_val_patients(patients, cfg.folds, cfg.val_ratio, cfg.seed)
+    if cfg.balanced_batches:  # every fold's training rows must hold every class; checked before fold 0 trains
+        pairs = set(zip(patient_ids, data.labels.tolist()))  # (patient, class) of every row
+        for i, val_patients in enumerate(val_sets):
+            missing = set(range(cfg.task.n_classes)) - {c for p, c in pairs if p not in val_patients}
+            if missing:
+                raise DataError(f"fold {i}: balanced batches need samples of class {min(missing)}, "
+                                "none in its training rows")
 
     for i, (val_patients, ckpt_path) in enumerate(zip(val_sets, ckpt_paths)):
         in_val = np.array([p in val_patients for p in patient_ids], dtype=bool)
@@ -836,7 +836,8 @@ def cmd_ensemble(args) -> tuple[str, dict]:
         table.probs[_row_order(table.case_id.tolist(), base, f"prediction files {args.preds[0]} and {path}")]
         for path, table in zip(args.preds, tables)
     ])
-    # Each row is renormalized to undo the 9-decimal rounding of the files.
+    # Each row goes back onto the simplex, undoing the files' 9-decimal rounding: entries clip at 0, rows sum to 1.
+    np.maximum(stack, 0.0, out=stack)
     stack /= stack.sum(axis=2, keepdims=True)
     pp_cfg = PostprocessConfig(
         stable_ratio_threshold=args.stable_threshold,
@@ -949,28 +950,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ordinal change classification toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tasks = [task.value for task in Task]
 
     g = sub.add_parser("gen", help="generate a synthetic dataset")
+    g.set_defaults(run=cmd_gen)
     g.add_argument("--config", help="key=value generation config file")
-    g.add_argument("--task", choices=["t1", "t2"], help="override the config task")
+    g.add_argument("--task", choices=tasks, help="override the config task")
     g.add_argument("--seed", type=int, help="override the config seed")
     g.add_argument("--out", required=True, help="output directory")
 
     t = sub.add_parser("train", help="train a model from a dataset CSV")
+    t.set_defaults(run=cmd_train)
     t.add_argument("--config", help="key=value training config file")
     t.add_argument("--data", required=True, help="dataset CSV from gen")
     t.add_argument("--out", required=True, help="checkpoint output path")
-    t.add_argument("--task", choices=["t1", "t2"], help="override the config task")
+    t.add_argument("--task", choices=tasks, help="override the config task")
     t.add_argument("--loss", choices=list(LOSS_KINDS), help="override the config loss")
     t.add_argument("--seed", type=int, help="override the config seed")
     t.add_argument("--folds", type=int, help="patient-disjoint folds (0 = single split)")
 
     p = sub.add_parser("predict", help="write per-record probabilities")
+    p.set_defaults(run=cmd_predict)
     p.add_argument("--ckpt", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--out", required=True, help="prediction CSV path")
 
     e = sub.add_parser("ensemble", help="combine prediction CSVs")
+    e.set_defaults(run=cmd_ensemble)
     e.add_argument("preds", nargs="+", help="prediction CSVs to combine")
     e.add_argument("--mode", choices=["mean", "unanimity"], default="mean")
     e.add_argument("--postprocess", action="store_true", help="apply volume consistency")
@@ -984,28 +990,20 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out", required=True, help="combined prediction CSV path")
 
     v = sub.add_parser("eval", help="score predictions against ground truth")
+    v.set_defaults(run=cmd_eval)
     v.add_argument("--pred", required=True, help="prediction CSV")
     v.add_argument("--truth", required=True, help="truth CSV")
-    v.add_argument("--task", required=True, choices=["t1", "t2"])
+    v.add_argument("--task", required=True, choices=tasks)
     v.add_argument("--out", help="report CSV path (default: <pred>.report.csv)")
 
     c = sub.add_parser("gradcheck", help="verify analytic gradients")
+    c.set_defaults(run=cmd_gradcheck)
     c.add_argument("--losses", default=",".join(LOSS_KINDS))
     c.add_argument("--trials", type=int, default=25)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--h", type=float, default=1e-5)
 
     return parser
-
-
-_COMMANDS = {
-    "gen": cmd_gen,
-    "train": cmd_train,
-    "predict": cmd_predict,
-    "ensemble": cmd_ensemble,
-    "eval": cmd_eval,
-    "gradcheck": cmd_gradcheck,
-}
 
 
 # The exit code of each error that ends a command with one ``error:`` line.
@@ -1023,7 +1021,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        result = _COMMANDS[args.command](args)
+        result = args.run(args)
         if isinstance(result, int):
             return result
         path, known = result

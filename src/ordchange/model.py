@@ -597,10 +597,11 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
 def make_batches(labels: np.ndarray, cfg: TrainConfig, rng: np.random.Generator) -> list[np.ndarray]:
     """Compose one epoch of batches as index arrays into ``labels``, one label per row.
 
-    Balanced mode puts floor(batch_size / C) samples of every class into each
-    batch, drawing minority classes with replacement; the majority class sets
-    the number of batches. Undersample mode caps the majority class at
-    undersample_majority times the largest minority count for the epoch.
+    Balanced mode puts floor(batch_size / C) samples of every class, but no
+    more than the largest class holds, into each batch, drawing minority
+    classes with replacement; the majority class sets the number of batches.
+    Undersample mode caps the majority class at undersample_majority times
+    the largest minority count for the epoch.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
@@ -609,12 +610,13 @@ def make_batches(labels: np.ndarray, cfg: TrainConfig, rng: np.random.Generator)
     n_classes = cfg.task.n_classes
 
     if cfg.balanced_batches:
-        per_class = cfg.batch_size // n_classes
         class_idx = [np.flatnonzero(labels == c) for c in range(n_classes)]
         for c, idx in enumerate(class_idx):
             if idx.size == 0:
                 raise DataError(f"balanced batches need samples of class {c}, none present")
-        n_batches = int(math.ceil(max(idx.size for idx in class_idx) / per_class))
+        largest = max(idx.size for idx in class_idx)
+        per_class = min(cfg.batch_size // n_classes, largest)
+        n_batches = int(math.ceil(largest / per_class))
         streams = []
         for idx in class_idx:
             needed = n_batches * per_class

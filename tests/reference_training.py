@@ -221,10 +221,10 @@ def batch_loss_gradient(kind, logits, targets, cfg) -> tuple[float, np.ndarray]:
 
 def balanced_batches(labels: np.ndarray, batch_size: int, n_classes: int, rng: np.random.Generator) -> list:
     """One epoch of balanced batches: floor(batch_size / n_classes) indices of
-    every class per batch, each batch concatenated class by class and then
-    shuffled. Every class must be present."""
-    per_class = batch_size // n_classes
+    every class per batch, at most the largest class's size, each batch
+    concatenated class by class and then shuffled. Every class must be present."""
     class_idx = [np.flatnonzero(labels == c) for c in range(n_classes)]
+    per_class = min(batch_size // n_classes, max(idx.size for idx in class_idx))
     n_batches = int(math.ceil(max(idx.size for idx in class_idx) / per_class))
     streams = []
     for idx in class_idx:

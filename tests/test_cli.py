@@ -15,8 +15,6 @@ import ordchange.cli as cli
 from checkpoint_bytes import seal, zero_checkpoint
 import ordchange.model as model_mod
 from ordchange.cli import (
-    GEN_SCHEMA,
-    TRAIN_SCHEMA,
     Predictions,
     main,
     parse_kv_config,
@@ -93,32 +91,32 @@ def workdir(tmp_path_factory) -> Path:
 class TestParseConfig:
     def test_comments_blanks_and_types(self):
         text = "# header\n\nn_patients = 5\nclass_ratios=0.1,0.8,0.1\n"
-        values = parse_kv_config(text, GEN_SCHEMA, "x.cfg")
+        values = parse_kv_config(text, GenConfig, "x.cfg")
         assert values == {"n_patients": 5, "class_ratios": (0.1, 0.8, 0.1)}
-        assert parse_kv_config("balanced_batches=true\n", TRAIN_SCHEMA, "y")["balanced_batches"] is True
+        assert parse_kv_config("balanced_batches=true\n", TrainConfig, "y")["balanced_batches"] is True
 
     def test_unknown_key_names_source_and_line(self):
         with pytest.raises(ConfigError, match=r"cfg\.txt:3: unknown config key 'bogus'"):
-            parse_kv_config("# c\nseed=1\nbogus=2\n", GEN_SCHEMA, "cfg.txt")
+            parse_kv_config("# c\nseed=1\nbogus=2\n", GenConfig, "cfg.txt")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match=r"cfg:2: duplicate config key 'seed'"):
-            parse_kv_config("seed=1\nseed=2\n", GEN_SCHEMA, "cfg")
+            parse_kv_config("seed=1\nseed=2\n", GenConfig, "cfg")
 
     def test_bad_value(self):
         with pytest.raises(ConfigError, match=r"cfg:1: bad value for 'n_patients'"):
-            parse_kv_config("n_patients=lots\n", GEN_SCHEMA, "cfg")
+            parse_kv_config("n_patients=lots\n", GenConfig, "cfg")
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match=r"cfg:1: expected key=value"):
-            parse_kv_config("just words\n", GEN_SCHEMA, "cfg")
+            parse_kv_config("just words\n", GenConfig, "cfg")
 
     def test_key_sets(self):
-        assert set(GEN_SCHEMA) == {
+        assert set(cli._schema(GenConfig)) == {
             "task", "n_patients", "visits_min", "visits_max", "bscans_min", "bscans_max", "feature_dim",
             "class_ratios", "step_size", "noise_sigma", "patient_sigma", "other_rate", "seed",
         }
-        assert set(TRAIN_SCHEMA) == {
+        assert set(cli._schema(TrainConfig)) == {
             "task", "loss", "alpha", "gamma", "focal_weight", "emd_weight", "epsilon", "encoder_dims",
             "head_dims", "dropout", "epochs", "warmup_epochs", "lr", "lr_decay", "batch_size", "seed",
             "balanced_batches", "undersample_majority", "optimizer", "beta1", "beta2", "adam_eps",
@@ -138,7 +136,7 @@ class TestParseConfig:
     )
     def test_field_names_that_are_not_keys_are_unknown(self, schema, key):
         with pytest.raises(ConfigError, match=rf"cfg:1: unknown config key '{key}'"):
-            parse_kv_config(f"{key}=1\n", GEN_SCHEMA if schema == "gen" else TRAIN_SCHEMA, "cfg")
+            parse_kv_config(f"{key}=1\n", GenConfig if schema == "gen" else TrainConfig, "cfg")
 
 
 # Every config key with the value a command uses when neither its config file
@@ -180,23 +178,24 @@ class TestConfigKeys:
     ``cli._FIELD_OF_KEY`` gives it) in one of the four config dataclasses,
     and the field's default is the key's default."""
 
-    @pytest.mark.parametrize("cls, schema", [(GenConfig, GEN_SCHEMA), (TrainConfig, TRAIN_SCHEMA)])
+    @pytest.mark.parametrize("cls, schema", [(cls, cli._schema(cls)) for cls in (GenConfig, TrainConfig)])
     def test_every_field_is_a_key_with_its_old_default(self, cls, schema):
         nested = []
-        values = key_values(cli._build_config(cls, {}, argparse.Namespace()), nested)
+        values = key_values(cli._build_config(cls, argparse.Namespace(config=None))[0], nested)
         assert nested == ([] if cls is GenConfig else [LossConfig, OptimizerConfig])
         assert set(values) == set(schema) == set(DEFAULTS[cls])
         for key, default in DEFAULTS[cls].items():
             assert values[key] == default and type(values[key]) is type(default), key
 
-    @pytest.mark.parametrize("cls, schema", [(GenConfig, GEN_SCHEMA), (TrainConfig, TRAIN_SCHEMA)])
+    @pytest.mark.parametrize("cls, schema", [(cls, cli._schema(cls)) for cls in (GenConfig, TrainConfig)])
     def test_each_key_parses_the_text_of_its_default(self, cls, schema):
         for key, default in DEFAULTS[cls].items():
             if isinstance(default, tuple):
                 text = ",".join(map(str, default))
             else:
                 text = default.value if isinstance(default, Task) else str(default)
-            assert parse_kv_config(f"{key}={text}\n", schema, "cfg") == {key: default}, key
+            assert parse_kv_config(f"{key}={text}\n", cls, "cfg") == {key: default}, key
+            assert type(schema[key](text)) is type(default), key
 
     @pytest.mark.parametrize("default", [None, b"raw", [1, 2]], ids=["none", "bytes", "list"])
     def test_a_default_with_no_parser_is_refused(self, default):
@@ -580,6 +579,37 @@ class TestTrainRejectsItsData:
             "error: head input 16 must equal the encoder output 8, or twice it when the encoder has layers\n"
         )
         assert not list(tmp_path.glob("m.*"))
+
+    def test_a_fold_without_a_class_to_train_on_exit_2_before_any_fold_trains(self, tmp_path, capsys, monkeypatch):
+        # Class 0 lies in one patient of fold 1's validation side, so fold 0 trains on it and fold 1 cannot.
+        patients = [f"p{i}" for i in range(4)]
+        holder = sorted(cli._fold_val_patients(patients, 2, 0.2, seed=1)[1])[0]
+        rows = [(p, label) for p in patients for label in ((0, 1) if p == holder else (1, 2))]
+        n = len(rows)
+        names = [f"v{i}" for i in range(n)]
+        data = Dataset(np.zeros((n, 5)), np.array([label for _, label in rows]), [p for p, _ in rows],
+                       visit_id=names, volume_id=names, bscan_index=np.zeros(n, dtype=np.int64))
+        cli.write_dataset_csv(tmp_path / "d.csv", data)
+        (tmp_path / "train.cfg").write_text(TRAIN_CFG + "balanced_batches=true\n")
+        runs = []
+        monkeypatch.setattr(cli, "train", lambda *args: runs.append(args) or model_mod.train(*args))
+        argv = ["train", "--config", str(tmp_path / "train.cfg"), "--data", str(tmp_path / "d.csv"), "--folds", "2"]
+        assert main([*argv, "--out", str(tmp_path / "m.ckpt")]) == 2
+        stdout, err = capsys.readouterr()
+        assert err == "error: fold 1: balanced batches need samples of class 0, none in its training rows\n"
+        assert stdout == "" and runs == [] and not list(tmp_path.glob("m*"))
+
+    def test_a_batch_past_the_largest_class_takes_that_class_whole(self, workdir, tmp_path, capsys):
+        # A balanced batch of 10**15 rows per class would need petabytes; it is capped at the largest class,
+        # as is a batch of three times the dataset's rows.
+        data = str(workdir / "data" / "dataset.csv")
+        for name, size in (("huge", 10**15), ("whole", 3 * len(cli.read_dataset_csv(data)[1]))):
+            (tmp_path / f"{name}.cfg").write_text(TRAIN_CFG.replace("batch_size=16", f"batch_size={size}")
+                                                  + "balanced_batches=true\n")
+            argv = ["train", "--config", str(tmp_path / f"{name}.cfg"), "--data", data]
+            assert main([*argv, "--out", str(tmp_path / f"{name}.ckpt")]) == 0
+        assert (tmp_path / "huge.ckpt").read_bytes() == (tmp_path / "whole.ckpt").read_bytes()
+        assert "error" not in capsys.readouterr().err
 
     def test_undersampling_factor_past_the_majority_keeps_it_whole(self, workdir, tmp_path, capsys):
         # 1e308 times the largest minority count is inf; the cap is the majority's count.
@@ -1143,6 +1173,26 @@ class TestEnsemble:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert read_predictions_csv(tmp_path / "comb-second.csv").case_id.tolist() == table.case_id.tolist()
+
+    @pytest.mark.parametrize("mode, n_files", [("mean", 1), ("mean", 2), ("unanimity", 2)])
+    def test_an_entry_the_reader_accepts_below_zero_is_combined(self, workdir, tmp_path, capsys, mode, n_files):
+        """A row within the reader's 3e-9 of the simplex, with one entry below 0, is one that eval scores;
+        ensemble clips that entry to 0 before it renormalizes the row."""
+
+        def dip(fields):
+            fields[6] = "%.9f" % (float(fields[6]) + float(fields[5]) + 2e-9)  # p_stable takes the difference
+            fields[5] = "-0.000000002"
+
+        edge = edited_copy(workdir / "preds.csv", tmp_path / "edge.csv", 2, dip)
+        truth = workdir / "data" / "truth.csv"
+        assert main(["eval", "--pred", str(edge), "--truth", str(truth), "--task", "t2"]) == 0
+        preds = [str(edge), str(workdir / "preds.csv")][:n_files]
+        assert main(["ensemble", *preds, "--mode", mode, "--out", str(tmp_path / "comb.csv")]) == 0
+        assert "error" not in capsys.readouterr().err
+        combined = read_predictions_csv(tmp_path / "comb.csv")
+        assert combined.probs.min() >= 0.0 and len(combined.case_id) == len(read_predictions_csv(edge).case_id)
+        if n_files == 1:
+            assert combined.probs[1, 0] == 0.0
 
     def test_postprocess_without_volume_ids_exit_3(self, tmp_path, capsys):
         write_predictions_csv(tmp_path / "t1.csv", uniform_pair_rows([f"pair{i}" for i in range(3)]))

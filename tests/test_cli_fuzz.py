@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from checkpoint_bytes import seal
-from ordchange.cli import GEN_SCHEMA, TRAIN_SCHEMA, _field_defaults, main, parse_kv_config
+from ordchange.cli import _field_defaults, _schema, main, parse_kv_config
 from ordchange.datagen import GenConfig
 from ordchange.errors import ConfigError
 from ordchange.model import TrainConfig
@@ -86,8 +86,8 @@ def config_mutations(draw, base: bytes) -> bytes:
 
 
 def test_the_fuzzed_configs_set_every_key():
-    for text, schema in ((GEN_CFG, GEN_SCHEMA), (TRAIN_CFG, TRAIN_SCHEMA)):
-        assert set(parse_kv_config(text, schema, "cfg")) == set(schema)
+    for text, cls in ((GEN_CFG, GenConfig), (TRAIN_CFG, TrainConfig)):
+        assert set(parse_kv_config(text, cls, "cfg")) == set(_schema(cls))
 
 
 @pytest.fixture(scope="module")
@@ -171,24 +171,24 @@ MAX_WIDTHS = 6
 MAX_WIDTH = 64
 
 
-def settings_of(blob: bytes, cls, schema) -> dict | None:
+def settings_of(blob: bytes, cls) -> dict | None:
     """The dataclass's field defaults updated by the keys the file sets, or
     None when the file does not parse (the command then fails before any
     work)."""
     try:
-        return {**_field_defaults(cls), **parse_kv_config(blob.decode("utf-8"), schema, "cfg")}
+        return {**_field_defaults(cls), **parse_kv_config(blob.decode("utf-8"), cls, "cfg")}
     except (UnicodeDecodeError, ConfigError):
         return None
 
 
 def small_gen(blob: bytes) -> bool:
-    cfg = settings_of(blob, GenConfig, GEN_SCHEMA)
+    cfg = settings_of(blob, GenConfig)
     return cfg is None or math.prod(max(0, cfg[key]) for key in (
         "n_patients", "visits_max", "bscans_max", "feature_dim")) <= MAX_GEN_FEATURES
 
 
 def small_train(blob: bytes) -> bool:
-    cfg = settings_of(blob, TrainConfig, TRAIN_SCHEMA)
+    cfg = settings_of(blob, TrainConfig)
     widths = () if cfg is None else (*cfg["encoder_dims"], *cfg["head_dims"])
     return cfg is None or (cfg["epochs"] <= MAX_EPOCHS and len(widths) <= MAX_WIDTHS and max(widths) <= MAX_WIDTH)
 

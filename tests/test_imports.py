@@ -12,7 +12,7 @@ import pytest
 from test_process import ENV
 
 import ordchange.cli as cli
-from ordchange.cli import GEN_SCHEMA, TRAIN_SCHEMA, main
+from ordchange.cli import main
 
 # Every name ``cli`` imported at module level from these modules before its imports were made per command.
 IMPORTED = {
@@ -32,11 +32,6 @@ PARSER_TEXT = json.loads((Path(__file__).parent / "parser_text.json").read_text(
 @pytest.mark.parametrize("module, name", [(module, name) for module, names in IMPORTED.items() for name in names])
 def test_every_imported_name_is_a_cli_attribute(module, name):
     assert getattr(cli, name) is getattr(importlib.import_module(f"ordchange.{module}"), name)
-
-
-def test_the_schemas_are_imported_by_name():
-    assert GEN_SCHEMA is cli.GEN_SCHEMA and TRAIN_SCHEMA is cli.TRAIN_SCHEMA
-    assert GEN_SCHEMA["n_patients"] is int and TRAIN_SCHEMA["loss"] is str
 
 
 def test_a_name_cli_never_had_is_absent():

@@ -153,6 +153,8 @@ def test_clamped_and_certain_probabilities_match_oracle():
 # A minority class drawn with replacement, and a batch size the class count does not divide.
 @example(task=Task.T2, counts=[3, 40, 1, 1], batch_size=10, seed=1)
 @example(task=Task.T1, counts=[40, 2, 7, 40], batch_size=7, seed=2)
+# A batch size past C times the largest class: the rows per class stop at that class's size.
+@example(task=Task.T2, counts=[2, 3, 1, 1], batch_size=40, seed=3)
 def test_balanced_batches_match_per_batch_oracle(task, counts, batch_size, seed):
     """``make_batches`` in balanced mode returns the oracle's index arrays,
     as a list of 1-D arrays, and leaves the generator where the oracle does."""
